@@ -24,7 +24,8 @@ from .schedules import (
     save_schedule,
 )
 from .witness import TrainingPair, build_training_set, concurrence, evaluate_witness
-from .backprop import BackpropConfig, TrainingDiverged, train_backprop, weight_gradient
+from .train import TrainConfig, TrainingDiverged, run_epochs
+from .backprop import BackpropConfig, all_gradients, train_backprop
 from .rl import RLConfig, fd_gradient, pair_error, train_rl, train_rl_epoch
 from .circuit import (
     CircuitRLConfig,

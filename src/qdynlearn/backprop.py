@@ -17,24 +17,16 @@ approximation.  Validated against finite differences; see tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
-from .qcore import DensityMatrix, Observable, OutputMap, TimeGrid, Trajectory
-from .reporting import EpochLog
+from .qcore import Observable, OutputMap, TimeGrid, Trajectory
 from .schedules import CoefficientId, list_trainable
+from .train import TrainConfig, descend, run_epochs
 
 IMAG_RESIDUAL_TOL = 1e-8
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when the epoch RMS exceeds the divergence guard."""
-
-    def __init__(self, message, log=None):
-        super().__init__(message)
-        self.log = log
 
 
 def adjoint_boundary(rho_f, observable: Observable, target: float,
@@ -104,24 +96,13 @@ def _generator_series(gen, traj, adjoint_field, v, vh, kernel):
     return np.einsum("tij,tji->t", adjoint_field[1:], drho)
 
 
-def weight_gradient(cid: CoefficientId, traj: Trajectory,
-                    adjoint_field: np.ndarray, schedule, grid: TimeGrid) -> float:
-    """Gradient of the half-squared output error w.r.t. one coefficient."""
-    v, vh, kernel = _frechet_factors(schedule, grid)
-    c = _generator_series(_generator(schedule, cid), traj, adjoint_field,
-                          v, vh, kernel)
-    b = schedule.basis_row(grid.midpoints)[:, cid.basis]
-    val = -np.sum(c * b)
-    assert abs(val.imag) <= IMAG_RESIDUAL_TOL, f"imaginary gradient residual {val.imag}"
-    return float(val.real)
-
-
 def all_gradients(cids, traj: Trajectory, adjoint_field: np.ndarray,
                   schedule, grid: TimeGrid):
-    """Gradients for many coefficients sharing one trajectory/adjoint pair.
+    """Gradients of the half-squared output error for the coefficients `cids`.
 
-    The per-step series is computed once per distinct generator, then
-    contracted with each coefficient's basis function.
+    All share one trajectory/adjoint pair.  The per-step series is computed
+    once per distinct generator, then contracted with each coefficient's
+    basis function.
     """
     v, vh, kernel = _frechet_factors(schedule, grid)
     basis = schedule.basis_row(grid.midpoints)  # (M, width)
@@ -133,64 +114,18 @@ def all_gradients(cids, traj: Trajectory, adjoint_field: np.ndarray,
             series[key] = _generator_series(_generator(schedule, cid), traj,
                                             adjoint_field, v, vh, kernel)
         val = -np.sum(series[key] * basis[:, cid.basis])
-        assert abs(val.imag) <= IMAG_RESIDUAL_TOL
+        if abs(val.imag) > IMAG_RESIDUAL_TOL:
+            raise ValueError(f"imaginary gradient residual {val.imag:.2e}")
         out[idx] = val.real
     return out
 
 
-@dataclass(frozen=True)
-class GradientReport:
-    """Per-coefficient gradients for one pair, with diagnostics."""
-
-    cids: tuple
-    gradients: np.ndarray
-    output_error: float  # d - f(<O>)
-    imag_residual: float
-
-    def __post_init__(self):
-        if self.imag_residual > IMAG_RESIDUAL_TOL:
-            raise ValueError(
-                f"imaginary gradient residual {self.imag_residual:.2e}")
-
-
-def gradient_report(pair, schedule, cids, observable: Observable,
-                    output_map: OutputMap, grid: TimeGrid) -> GradientReport:
-    """Forward solve, backward solve and all gradients for one training pair."""
-    traj = qcore.evolve(pair.rho0, schedule, grid)
-    out = qcore.output_value(traj.final(), observable, output_map)
-    a_final = adjoint_boundary(traj.final(), observable, pair.target, output_map)
-    field_ = adjoint_evolve_backward(a_final, traj)
-
-    v, vh, kernel = _frechet_factors(schedule, grid)
-    basis = schedule.basis_row(grid.midpoints)
-    series = {}
-    grads = np.empty(len(cids))
-    residual = 0.0
-    for idx, cid in enumerate(cids):
-        key = (cid.kind, cid.site)
-        if key not in series:
-            series[key] = _generator_series(_generator(schedule, cid), traj,
-                                            field_, v, vh, kernel)
-        val = -np.sum(series[key] * basis[:, cid.basis])
-        residual = max(residual, abs(val.imag))
-        grads[idx] = val.real
-    return GradientReport(cids=tuple(cids), gradients=grads,
-                          output_error=pair.target - out,
-                          imag_residual=residual)
-
-
 @dataclass
-class BackpropConfig:
+class BackpropConfig(TrainConfig):
     """Knobs for the adjoint training loop."""
 
-    learning_rates: dict = field(
-        default_factory=lambda: {"tunneling": 2e-7, "bias": 0.0, "coupling": 4e-7}
-    )
     epochs: int = 1000
     accumulate_per_epoch: bool = False  # default: update after every pair
-    divergence_factor: float = 10.0
-    rms_target: float | None = None  # stop early once reached
-    epoch_callback: object = None  # callable(epoch, rms, schedule)
 
 
 def train_backprop(pairs, schedule, config: BackpropConfig,
@@ -202,14 +137,9 @@ def train_backprop(pairs, schedule, config: BackpropConfig,
     independent of how many coefficients are trained.  Returns the trained
     schedule and the per-epoch RMS log.
     """
-    if not pairs:
-        raise ValueError("empty training set")
-    schedule = schedule.copy()
     cids = list_trainable(schedule, config.learning_rates)
-    log = EpochLog()
-    rms_limit = None
 
-    for epoch in range(config.epochs):
+    def epoch(schedule):
         sq_errors = []
         accum = np.zeros(len(cids))
         for pair in pairs:
@@ -223,24 +153,9 @@ def train_backprop(pairs, schedule, config: BackpropConfig,
             if config.accumulate_per_epoch:
                 accum += grads
             else:
-                for cid, g in zip(cids, grads):
-                    schedule.set(cid, schedule.get(cid)
-                                 - config.learning_rates[cid.kind] * g)
+                descend(schedule, cids, grads, config.learning_rates)
         if config.accumulate_per_epoch:
-            for cid, g in zip(cids, accum):
-                schedule.set(cid, schedule.get(cid)
-                             - config.learning_rates[cid.kind] * g)
+            descend(schedule, cids, accum, config.learning_rates)
+        return float(np.sqrt(np.mean(sq_errors)))
 
-        rms = float(np.sqrt(np.mean(sq_errors)))
-        log.append(epoch, rms)
-        if rms_limit is None:
-            rms_limit = config.divergence_factor * max(rms, 1e-12)
-        elif rms > rms_limit:
-            raise TrainingDiverged(
-                f"RMS {rms:.4g} exceeded {config.divergence_factor}x its "
-                f"initial value at epoch {epoch}", log=log)
-        if config.epoch_callback is not None:
-            config.epoch_callback(epoch, rms, schedule)
-        if config.rms_target is not None and rms <= config.rms_target:
-            break
-    return schedule, log
+    return run_epochs(pairs, schedule, config, epoch)

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore, rl
-from .backprop import TrainingDiverged
 from .qcore import DensityMatrix, OutputMap, SQUARE_MAP
-from .reporting import EpochLog
 from .schedules import PiecewiseSchedule, list_trainable
+from .train import run_epochs
 
 UNITARITY_TOL = 1e-12
 
@@ -175,25 +174,11 @@ def train_circuit_rl(pairs, schedule: PiecewiseSchedule,
     the weight perturbed; one sweep over all weights is an epoch.  The logged
     per-epoch RMS is a fresh evaluation after the sweep.
     """
-    if not pairs:
-        raise ValueError("empty training set")
-    schedule = schedule.copy()
     cids = list_trainable(schedule, config.learning_rates)
     error_fn = lambda s: set_rms_error(pairs, s, backend, output_map)
-    log = EpochLog()
-    rms_limit = None
-    for epoch in range(config.epochs):
+
+    def epoch(schedule):
         rl.fd_update_pass(schedule, cids, error_fn, config)
-        rms = error_fn(schedule)
-        log.append(epoch, rms)
-        if rms_limit is None:
-            rms_limit = config.divergence_factor * max(rms, 1e-12)
-        elif rms > rms_limit:
-            raise TrainingDiverged(
-                f"RMS {rms:.4g} exceeded {config.divergence_factor}x its "
-                f"initial value at epoch {epoch}", log=log)
-        if config.epoch_callback is not None:
-            config.epoch_callback(epoch, rms, schedule)
-        if config.rms_target is not None and rms <= config.rms_target:
-            break
-    return schedule, log
+        return error_fn(schedule)
+
+    return run_epochs(pairs, schedule, config, epoch)

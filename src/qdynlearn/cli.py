@@ -11,14 +11,14 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import circuit as circuit_mod
 from . import qcore, reporting, rl as rl_mod, staging, witness
-from .backprop import TrainingDiverged, train_backprop
-from .config import ConfigError, RunConfig, default_config
+from .backprop import train_backprop
+from .config import DEFAULT_STEPS, RunConfig, default_config
 from .qcore import OUTPUT_MAPS, DensityMatrix
 from .schedules import load_schedule, save_schedule
+from .train import TrainingDiverged
 
 
 @click.group()
@@ -74,23 +74,20 @@ def train(config_path, out_dir, seed, epochs, mode):
     """Run one training experiment and write its artifacts."""
     if not Path(config_path).exists():
         raise click.UsageError(f"config not found: {config_path}")
+    # Everything that can fail here comes from the config or a file it names.
     try:
-        cfg = RunConfig.from_file(config_path)
-        if seed is not None:
-            cfg.seed = seed
-        if epochs is not None:
-            cfg.epochs = epochs
-        if mode is not None:
-            cfg.mode = mode
-        cfg.__post_init__()  # revalidate overrides
-    except (ConfigError, TypeError) as exc:
+        cfg = RunConfig.from_file(config_path, seed=seed, epochs=epochs,
+                                  mode=mode)
+        grid = cfg.grid()
+        schedule = cfg.build_schedule()
+        loop = cfg.train_config()
+        backend = cfg.backend()
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         raise click.UsageError(str(exc))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    grid = cfg.grid()
-    schedule = cfg.build_schedule()
     output_map = OUTPUT_MAPS[cfg.output_map]
     observable = qcore.zz_observable(cfg.num_qubits)
     pairs = witness.build_training_set(cfg.num_qubits, output_map)
@@ -102,24 +99,19 @@ def train(config_path, out_dir, seed, epochs, mode):
         if cfg.trace_every and (epoch + 1) % cfg.trace_every == 0:
             tracer.snapshot(epoch + 1, sched)
 
+    loop.epoch_callback = callback
     log = reporting.EpochLog()
     try:
         if cfg.epochs > 0:
             if cfg.mode == "backprop":
-                bp = cfg.backprop_config()
-                bp.epoch_callback = callback
-                schedule, log = train_backprop(pairs, schedule, bp,
+                schedule, log = train_backprop(pairs, schedule, loop,
                                                observable, output_map, grid)
             elif cfg.mode == "rl":
-                rc = cfg.rl_config()
-                rc.epoch_callback = callback
-                schedule, log = rl_mod.train_rl(pairs, schedule, rc,
+                schedule, log = rl_mod.train_rl(pairs, schedule, loop,
                                                 observable, output_map, grid)
             else:
-                rc = cfg.rl_config()
-                rc.epoch_callback = callback
                 schedule, log = circuit_mod.train_circuit_rl(
-                    pairs, schedule, rc, cfg.backend(), output_map)
+                    pairs, schedule, loop, backend, output_map)
     except TrainingDiverged as exc:
         if exc.log is not None:
             exc.log.write_csv(out / "epochs.csv")
@@ -173,7 +165,7 @@ def stage(in_schedule, out_schedule, target):
               help="JSON list of states; default is the 21-point theta sweep.")
 @click.option("--out", "out_path", required=True, type=click.Path(),
               help="Report CSV (label, oracle, witness output).")
-@click.option("--steps", type=int, default=200)
+@click.option("--steps", type=int, default=DEFAULT_STEPS)
 @click.option("--output-map", type=click.Choice(list(OUTPUT_MAPS)),
               default="square")
 def eval_cmd(schedule_path, states_path, out_path, steps, output_map):
@@ -204,8 +196,8 @@ def eval_cmd(schedule_path, states_path, out_path, steps, output_map):
         states = [(f"theta_{th:.4f}", st) for th, st in zip(thetas, sweep)]
 
     report = witness.evaluate_witness(schedule, states, obs, fmap, grid)
-    oracle = np.where(np.isnan(report.oracle), -1.0, report.oracle)
-    reporting.write_report_csv(out_path, report.labels, oracle, report.outputs)
+    reporting.write_report_csv(out_path, report.labels, report.oracle,
+                               report.outputs)
     click.echo(f"wrote {len(report.labels)} rows; "
                f"theta-sweep Spearman = {report.spearman:.4f}")
 
@@ -229,7 +221,7 @@ def oracle(state):
               type=click.Choice(["rl", "backprop", "circuit"]), default=None,
               help="Write a default config for the given mode instead.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--steps", type=int, default=200)
+@click.option("--steps", type=int, default=DEFAULT_STEPS)
 def export(schedule_path, template_mode, out_path, steps):
     """Export plottable data: schedule traces or a default config."""
     if (schedule_path is None) == (template_mode is None):

@@ -1,21 +1,23 @@
 """Run configuration: JSON in, fully resolved defaults out.
 
 Field names carry units (ns, rad/ns).  Numeric defaults are the published
-initializations and learning rates; the evolution time and grid resolution
-are simulator choices.
+initializations and learning rates, read from the schedule families and the
+loop configs that own them; the evolution time and grid resolution are
+simulator choices.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
-from .circuit import ShotBackend
+from .backprop import BackpropConfig
+from .circuit import CircuitRLConfig, ShotBackend
 from .qcore import OUTPUT_MAPS, TimeGrid
 from .rl import RLConfig
-from .backprop import BackpropConfig
-from .schedules import FourierSchedule, PiecewiseSchedule
+from .schedules import FourierSchedule, PiecewiseSchedule, load_schedule
+from .train import TrainConfig
 
 MODES = ("rl", "backprop", "circuit")
 
@@ -24,18 +26,13 @@ class ConfigError(ValueError):
     pass
 
 
-# Fourier-mode (continuum) defaults
-FOURIER_INIT = {"tunneling": 2.5e-3, "bias": 1.0e-4, "coupling": 1.0e-4}
-FOURIER_RATES = {"tunneling": 2e-7, "bias": 0.0, "coupling": 4e-7}
-# Circuit-mode defaults
-CIRCUIT_INIT = {"tunneling": 2.0e-3, "bias": 1.0e-4, "coupling": 1.0e-4}
-CIRCUIT_RATES = {"tunneling": 1.0e-2, "bias": 1.0e-3, "coupling": 1.0e-3}
+def _finite_float(token):
+    """JSON number parser that rejects NaN and infinities."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {token} in config")
+    return value
 
-DELTA_REL = 2e-4  # 0.02 % perturbation (continuum RL)
-# Circuit-mode perturbations are macroscopic so the difference quotient
-# stays above shot noise; see circuit.CircuitRLConfig.
-CIRCUIT_DELTA_REL = 5e-2
-CIRCUIT_DELTA_ABS = {"tunneling": 1.0e-2, "bias": 1.0e-3, "coupling": 1.0e-3}
 
 # Default evolution times, calibrated so the published learning rates give
 # stable, converging training: the witness needs a total tunneling pulse area
@@ -55,17 +52,18 @@ class RunConfig:
     num_qubits: int = 2
     T_ns: float | None = None  # default depends on mode
     steps: int = DEFAULT_STEPS
-    epochs: int = 2000
+    epochs: int = TrainConfig.epochs
     seed: int = 0
     n_max: int = 3
     segments: int = DEFAULT_SEGMENTS
-    tied: bool | None = None  # default: tied for fourier, untied for circuit
+    tied: bool | None = None  # default: the schedule family's
     init: dict = field(default_factory=dict)
     learning_rates: dict = field(default_factory=dict)
     delta_rel: float | None = None  # default depends on mode
-    delta_abs: dict | None = None  # default: delta_rel * init scale per kind
+    # default: the circuit loop's, else delta_rel * init scale per kind
+    delta_abs: dict | None = None
     output_map: str = "square"
-    update_mode: str = "deferred"
+    update_mode: str = RLConfig.update_mode
     shots: int | str = "exact"
     p_dep: float = 0.0
     p_ro: float = 0.0
@@ -84,19 +82,20 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0")
         if isinstance(self.shots, str) and self.shots != "exact":
             raise ConfigError('shots must be a positive integer or "exact"')
+        circuit = self.mode == "circuit"
+        family = PiecewiseSchedule if circuit else FourierSchedule
+        loop = CircuitRLConfig() if circuit else RLConfig()
         if self.T_ns is None:
             self.T_ns = DEFAULT_T_NS[self.mode]
-        defaults = CIRCUIT_INIT if self.mode == "circuit" else FOURIER_INIT
-        rates = CIRCUIT_RATES if self.mode == "circuit" else FOURIER_RATES
-        self.init = {**defaults, **self.init}
-        self.learning_rates = {**rates, **self.learning_rates}
+        self.init = {**family.INIT, **self.init}
+        self.learning_rates = {**loop.learning_rates, **self.learning_rates}
         if self.tied is None:
-            self.tied = self.mode != "circuit"
+            self.tied = family.TIED
         if self.delta_rel is None:
-            self.delta_rel = CIRCUIT_DELTA_REL if self.mode == "circuit" else DELTA_REL
+            self.delta_rel = loop.delta_rel
         if self.delta_abs is None:
-            if self.mode == "circuit":
-                self.delta_abs = dict(CIRCUIT_DELTA_ABS)
+            if circuit:
+                self.delta_abs = loop.delta_abs
             else:
                 self.delta_abs = {
                     kind: self.delta_rel * abs(scale) if scale else self.delta_rel * 1e-4
@@ -111,12 +110,21 @@ class RunConfig:
         return cls(**data)
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def from_file(cls, path, **overrides) -> "RunConfig":
+        """Load a JSON config; non-None `overrides` replace fields of the file.
+
+        Overrides are applied before any default is resolved, so each means
+        exactly what the same field written in the file means.
+        """
         with open(path) as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, parse_float=_finite_float,
+                                 parse_constant=_finite_float)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        data.update({k: v for k, v in overrides.items() if v is not None})
         return cls.from_dict(data)
 
     def resolved(self) -> dict:
@@ -129,33 +137,28 @@ class RunConfig:
 
     def build_schedule(self):
         if self.initial_schedule is not None:
-            from .schedules import load_schedule
-
             sched = load_schedule(self.initial_schedule)
             if sched.num_qubits != self.num_qubits:
                 raise ConfigError(
                     f"initial schedule has {sched.num_qubits} qubits, "
                     f"config says {self.num_qubits}")
             return sched
-        kw = dict(tunneling=self.init["tunneling"], bias=self.init["bias"],
-                  coupling=self.init["coupling"], tied=self.tied)
-        if self.mode == "circuit":
-            return PiecewiseSchedule.initialized(
-                self.num_qubits, self.T_ns, segments=self.segments, **kw)
-        return FourierSchedule.initialized(
-            self.num_qubits, self.T_ns, n_max=self.n_max, **kw)
+        family = PiecewiseSchedule if self.mode == "circuit" else FourierSchedule
+        structure = ({"segments": self.segments} if self.mode == "circuit"
+                     else {"n_max": self.n_max})
+        return family.initialized(
+            self.num_qubits, self.T_ns, tied=self.tied,
+            tunneling=self.init["tunneling"], bias=self.init["bias"],
+            coupling=self.init["coupling"], **structure)
 
-    def rl_config(self) -> RLConfig:
-        return RLConfig(
-            delta_rel=self.delta_rel, delta_abs=dict(self.delta_abs),
-            learning_rates=dict(self.learning_rates), epochs=self.epochs,
-            seed=self.seed, update_mode=self.update_mode,
-            rms_target=self.rms_target)
-
-    def backprop_config(self) -> BackpropConfig:
-        return BackpropConfig(
-            learning_rates=dict(self.learning_rates), epochs=self.epochs,
-            rms_target=self.rms_target)
+    def train_config(self) -> TrainConfig:
+        """The training-loop config for this mode, from the resolved fields."""
+        common = dict(learning_rates=dict(self.learning_rates),
+                      epochs=self.epochs, rms_target=self.rms_target)
+        if self.mode == "backprop":
+            return BackpropConfig(**common)
+        return RLConfig(delta_rel=self.delta_rel, delta_abs=dict(self.delta_abs),
+                        update_mode=self.update_mode, **common)
 
     def backend(self) -> ShotBackend:
         shots = None if self.shots == "exact" else int(self.shots)

@@ -304,7 +304,8 @@ def expectation(rho, obs: Observable) -> float:
             f"state dim {rm.shape[0]} != observable dim {obs.matrix.shape[0]}"
         )
     val = np.trace(rm @ obs.matrix)
-    assert abs(val.imag) <= 1e-10, f"non-real expectation value: {val}"
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"non-real expectation value: {val}")
     return float(val.real)
 
 

@@ -14,51 +14,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore
-from .backprop import TrainingDiverged
 from .qcore import Observable, OutputMap, TimeGrid
-from .reporting import EpochLog
-from .schedules import CoefficientId, list_trainable
+from .schedules import CoefficientId, FourierSchedule, list_trainable
+from .train import TrainConfig, descend, run_epochs
 from .witness import TrainingPair
-
-# Initialization scales per parameter kind; the perturbation floor is
-# delta_rel times these, so zero-initialized sine/cosine coefficients still
-# receive a nonzero perturbation.
-DEFAULT_KIND_SCALES = {"tunneling": 2.5e-3, "bias": 1.0e-4, "coupling": 1.0e-4}
 
 
 @dataclass
-class RLConfig:
-    """Perturbation sizes, learning rates and loop bookkeeping."""
+class RLConfig(TrainConfig):
+    """Perturbation sizes on top of the shared loop fields."""
 
     delta_rel: float = 2e-4  # 0.02 % of the current value
+    # The default perturbation floor is the default delta_rel times each
+    # kind's Fourier initialization scale, so zero-initialized sine/cosine
+    # coefficients still receive a nonzero perturbation.
     delta_abs: dict = field(
-        default_factory=lambda: {
-            k: 2e-4 * s for k, s in DEFAULT_KIND_SCALES.items()
-        }
+        default_factory=lambda: {k: RLConfig.delta_rel * s
+                                 for k, s in FourierSchedule.INIT.items()}
     )
-    learning_rates: dict = field(
-        default_factory=lambda: {"tunneling": 2e-7, "bias": 0.0, "coupling": 4e-7}
-    )
-    epochs: int = 2000
-    seed: int = 0
     # "deferred": one E_nom per pair, every coefficient's quotient taken
     # against the unmodified schedule, updates applied together at pair end
     # (1 + n solves per pair).  "sequential": recompute E_nom and update
     # immediately per coefficient (2n solves per pair).
     update_mode: str = "deferred"
-    divergence_factor: float = 10.0
-    rms_target: float | None = None
-    epoch_callback: object = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.update_mode not in ("deferred", "sequential"):
             raise ValueError(f"unknown update mode {self.update_mode!r}")
         if self.delta_rel <= 0:
             raise ValueError("delta_rel must be positive")
         if any(v <= 0 for v in self.delta_abs.values()):
             raise ValueError("delta_abs entries must be positive")
-        if any(v < 0 for v in self.learning_rates.values()):
-            raise ValueError("learning rates must be nonnegative")
 
     def perturbation(self, kind, value):
         return max(self.delta_rel * abs(value), self.delta_abs[kind])
@@ -100,8 +87,6 @@ def train_rl_epoch(pairs, schedule, config: RLConfig, observable: Observable,
     Mutates the schedule in place.  Returns the epoch RMS,
     sqrt(mean (d - output)^2), from each pair's nominal evaluation.
     """
-    if not pairs:
-        raise ValueError("empty training set")
     cids = list_trainable(schedule, config.learning_rates)
     sq_errors = []
     for pair in pairs:
@@ -113,39 +98,20 @@ def train_rl_epoch(pairs, schedule, config: RLConfig, observable: Observable,
                             output_map, grid, e_nom=e_nom)
                 for cid in cids
             ]
-            for cid, g in zip(cids, grads):
-                schedule.set(cid, schedule.get(cid)
-                             - config.learning_rates[cid.kind] * g)
+            descend(schedule, cids, grads, config.learning_rates)
         else:
             for cid in cids:
                 g = fd_gradient(cid, pair, schedule, config, observable,
                                 output_map, grid)
-                schedule.set(cid, schedule.get(cid)
-                             - config.learning_rates[cid.kind] * g)
+                descend(schedule, [cid], [g], config.learning_rates)
     return float(np.sqrt(np.mean(sq_errors)))
 
 
 def train_rl(pairs, schedule, config: RLConfig, observable: Observable,
              output_map: OutputMap, grid: TimeGrid):
     """Full RL training run; returns (trained schedule, EpochLog)."""
-    schedule = schedule.copy()
-    log = EpochLog()
-    rms_limit = None
-    for epoch in range(config.epochs):
-        rms = train_rl_epoch(pairs, schedule, config, observable, output_map,
-                             grid)
-        log.append(epoch, rms)
-        if rms_limit is None:
-            rms_limit = config.divergence_factor * max(rms, 1e-12)
-        elif rms > rms_limit:
-            raise TrainingDiverged(
-                f"RMS {rms:.4g} exceeded {config.divergence_factor}x its "
-                f"initial value at epoch {epoch}", log=log)
-        if config.epoch_callback is not None:
-            config.epoch_callback(epoch, rms, schedule)
-        if config.rms_target is not None and rms <= config.rms_target:
-            break
-    return schedule, log
+    return run_epochs(pairs, schedule, config, lambda s: train_rl_epoch(
+        pairs, s, config, observable, output_map, grid))
 
 
 def fd_update_pass(schedule, cids, error_fn, config: RLConfig):

@@ -36,6 +36,11 @@ class ScheduleError(ValueError):
     pass
 
 
+def n_sites(num_qubits, kind):
+    """Physical sites of a kind: one per qubit, or one per coupled pair."""
+    return len(pair_indices(num_qubits)) if kind == "coupling" else num_qubits
+
+
 class _Schedule:
     """Shared storage/evaluation machinery for both schedule families.
 
@@ -45,15 +50,20 @@ class _Schedule:
     """
 
     mode = None
+    # Per-family defaults, set by each subclass: the initialization value of
+    # each kind and whether a kind shares one row across its sites.
+    INIT: dict
+    TIED: bool
 
-    def __init__(self, num_qubits, T, coeffs, tied):
+    def __init__(self, num_qubits, T, coeffs, tied=None, **structure):
+        self._set_structure(**structure)
         if num_qubits < 1:
             raise ScheduleError("need at least one qubit")
         if T <= 0:
             raise ScheduleError("T must be positive")
         self.num_qubits = int(num_qubits)
         self.T = float(T)
-        self.tied = bool(tied)
+        self.tied = self.TIED if tied is None else bool(tied)
         self.coeffs = {}
         for kind in KIND_ORDER:
             c = np.array(coeffs[kind], dtype=float)
@@ -66,10 +76,42 @@ class _Schedule:
                 raise ScheduleError(f"non-finite {kind} coefficient")
             self.coeffs[kind] = c
 
+    @classmethod
+    def initialized(cls, num_qubits, T, tied=None, tunneling=None, bias=None,
+                    coupling=None, **structure):
+        """Parameters constant in time, at the family's INIT values unless given.
+
+        Each kind's value sits on the family's constant basis functions
+        (`_constant_basis`) in every row; all other coefficients are zero.
+        """
+        shell = cls.__new__(cls)
+        shell._set_structure(**structure)
+        given = {"tunneling": tunneling, "bias": bias, "coupling": coupling}
+        tied = cls.TIED if tied is None else tied
+        coeffs = {}
+        for kind in KIND_ORDER:
+            c = np.zeros((1 if tied else n_sites(num_qubits, kind), shell.width))
+            c[:, shell._constant_basis()] = (
+                cls.INIT[kind] if given[kind] is None else given[kind])
+            coeffs[kind] = c
+        return cls(num_qubits, T, coeffs, tied=tied, **structure)
+
     # -- structure ---------------------------------------------------------
+
+    def _set_structure(self, **structure):
+        """Store and validate the family's basis size (n_max or segments)."""
+        raise NotImplementedError
+
+    def structure(self):
+        """The basis-size arguments that rebuild this schedule's family."""
+        raise NotImplementedError
 
     @property
     def width(self):
+        raise NotImplementedError
+
+    def _constant_basis(self):
+        """Mask of the basis functions that sum to the constant 1."""
         raise NotImplementedError
 
     @property
@@ -77,7 +119,7 @@ class _Schedule:
         return pair_indices(self.num_qubits)
 
     def n_sites(self, kind):
-        return len(self.pairs) if kind == "coupling" else self.num_qubits
+        return n_sites(self.num_qubits, kind)
 
     def rows(self, kind):
         return 1 if self.tied else self.n_sites(kind)
@@ -110,7 +152,9 @@ class _Schedule:
         self.coeffs[cid.kind][cid.site, cid.basis] = value
 
     def copy(self):
-        return type(self)._from_parts(self)
+        return type(self)(self.num_qubits, self.T,
+                          {k: self.coeffs[k].copy() for k in KIND_ORDER},
+                          tied=self.tied, **self.structure())
 
     # -- evaluation --------------------------------------------------------
 
@@ -168,80 +212,62 @@ class _Schedule:
             "tied": self.tied,
             "coefficients": {k: self.coeffs[k].tolist() for k in KIND_ORDER},
         }
-        d.update(self._extra_fields())
+        d.update(self.structure())
         return d
-
-    def _extra_fields(self):
-        return {}
 
 
 class FourierSchedule(_Schedule):
     """P(t) = P_0 + sum_{n=1..n_max} S_n sin(n pi t / T) + C_n cos(n pi t / T)."""
 
     mode = "fourier"
+    INIT = {"tunneling": 2.5e-3, "bias": 1.0e-4, "coupling": 1.0e-4}
+    TIED = True
 
-    def __init__(self, num_qubits, T, coeffs, tied=True, n_max=3):
+    def _set_structure(self, n_max=3):
         if n_max < 0:
             raise ScheduleError("n_max must be >= 0")
         self.n_max = int(n_max)
-        super().__init__(num_qubits, T, coeffs, tied)
+
+    def structure(self):
+        return {"n_max": self.n_max}
 
     @property
     def width(self):
         return 1 + 2 * self.n_max
 
+    def _constant_basis(self):
+        return np.arange(self.width) == 0
+
     def basis_row(self, ts):
         ts = np.asarray(ts, dtype=float)
-        cols = [np.ones_like(ts)]
         ns = np.arange(1, self.n_max + 1)
         args = np.outer(ts, ns) * (np.pi / self.T)  # (M, n_max)
         return np.concatenate(
             [np.ones((ts.size, 1)), np.sin(args), np.cos(args)], axis=1
         )
 
-    @classmethod
-    def initialized(cls, num_qubits, T, n_max=3, tied=True, tunneling=2.5e-3,
-                    bias=1.0e-4, coupling=1.0e-4):
-        """Constant-term initialization; all sine/cosine coefficients zero."""
-        sched = cls.__new__(cls)
-        sched.n_max = int(n_max)
-        init = {"tunneling": tunneling, "bias": bias, "coupling": coupling}
-        coeffs = {}
-        width = 1 + 2 * int(n_max)
-        for kind in KIND_ORDER:
-            rows = 1 if tied else (
-                len(pair_indices(num_qubits)) if kind == "coupling" else num_qubits
-            )
-            c = np.zeros((rows, width))
-            c[:, 0] = init[kind]
-            coeffs[kind] = c
-        cls.__init__(sched, num_qubits, T, coeffs, tied=tied, n_max=n_max)
-        return sched
-
-    @classmethod
-    def _from_parts(cls, other):
-        return cls(other.num_qubits, other.T,
-                   {k: other.coeffs[k].copy() for k in KIND_ORDER},
-                   tied=other.tied, n_max=other.n_max)
-
-    def _extra_fields(self):
-        return {"n_max": self.n_max}
-
 
 class PiecewiseSchedule(_Schedule):
     """Parameters held constant on S equal segments of [0, T]."""
 
     mode = "piecewise"
+    INIT = {"tunneling": 2.0e-3, "bias": 1.0e-4, "coupling": 1.0e-4}
+    TIED = False
 
-    def __init__(self, num_qubits, T, coeffs, tied=False, segments=4):
+    def _set_structure(self, segments=4):
         if segments < 1:
             raise ScheduleError("need at least one segment")
         self.segments = int(segments)
-        super().__init__(num_qubits, T, coeffs, tied)
+
+    def structure(self):
+        return {"segments": self.segments}
 
     @property
     def width(self):
         return self.segments
+
+    def _constant_basis(self):
+        return np.ones(self.width, dtype=bool)
 
     def segment_of(self, t):
         """Segment index for time t; t = T maps to the last segment."""
@@ -255,30 +281,6 @@ class PiecewiseSchedule(_Schedule):
         b = np.zeros((ts.size, self.segments))
         b[np.arange(ts.size), idx] = 1.0
         return b
-
-    @classmethod
-    def initialized(cls, num_qubits, T, segments=4, tied=False, tunneling=2.0e-3,
-                    bias=1.0e-4, coupling=1.0e-4):
-        sched = cls.__new__(cls)
-        sched.segments = int(segments)
-        init = {"tunneling": tunneling, "bias": bias, "coupling": coupling}
-        coeffs = {}
-        for kind in KIND_ORDER:
-            rows = 1 if tied else (
-                len(pair_indices(num_qubits)) if kind == "coupling" else num_qubits
-            )
-            coeffs[kind] = np.full((rows, int(segments)), init[kind], dtype=float)
-        cls.__init__(sched, num_qubits, T, coeffs, tied=tied, segments=segments)
-        return sched
-
-    @classmethod
-    def _from_parts(cls, other):
-        return cls(other.num_qubits, other.T,
-                   {k: other.coeffs[k].copy() for k in KIND_ORDER},
-                   tied=other.tied, segments=other.segments)
-
-    def _extra_fields(self):
-        return {"segments": self.segments}
 
 
 def list_trainable(schedule, learning_rates) -> list[CoefficientId]:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qcore import pair_indices
-from .schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule
+from .schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule, n_sites
 
 
 def stage_up(trained):
@@ -30,10 +29,6 @@ def stage_up(trained):
         if trained.tied:
             coeffs[kind] = src.copy()
         else:
-            rows = len(pair_indices(n_new)) if kind == "coupling" else n_new
-            coeffs[kind] = np.tile(src[0], (rows, 1))
-    if isinstance(trained, FourierSchedule):
-        return FourierSchedule(n_new, trained.T, coeffs, tied=trained.tied,
-                               n_max=trained.n_max)
-    return PiecewiseSchedule(n_new, trained.T, coeffs, tied=trained.tied,
-                             segments=trained.segments)
+            coeffs[kind] = np.tile(src[0], (n_sites(n_new, kind), 1))
+    return type(trained)(n_new, trained.T, coeffs, tied=trained.tied,
+                         **trained.structure())

@@ -1,0 +1,76 @@
+"""The training loop shared by every mode.
+
+Adjoint backprop, per-pair finite-difference RL and whole-set circuit RL
+differ only in how one epoch updates the schedule and estimates its RMS.
+Each mode supplies that as an `epoch(schedule) -> rms` function; `run_epochs`
+owns everything around it: the working copy, the per-epoch log, the
+divergence guard, the callback and the early stop.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .reporting import EpochLog
+
+# The guard fires once an epoch's RMS exceeds this multiple of the first
+# epoch's RMS.
+DIVERGENCE_FACTOR = 10.0
+
+
+class TrainingDiverged(RuntimeError):
+    """Raised when the epoch RMS exceeds the divergence guard."""
+
+    def __init__(self, message, log=None):
+        super().__init__(message)
+        self.log = log
+
+
+@dataclass
+class TrainConfig:
+    """Loop fields shared by every training mode."""
+
+    learning_rates: dict = field(
+        default_factory=lambda: {"tunneling": 2e-7, "bias": 0.0, "coupling": 4e-7}
+    )
+    epochs: int = 2000
+    rms_target: float | None = None  # stop early once reached
+    epoch_callback: object = None  # callable(epoch, rms, schedule)
+
+    def __post_init__(self):
+        if any(v < 0 for v in self.learning_rates.values()):
+            raise ValueError("learning rates must be nonnegative")
+
+
+def descend(schedule, cids, grads, learning_rates):
+    """One gradient-descent step, w <- w - rate[kind] * g, per coefficient."""
+    for cid, g in zip(cids, grads):
+        schedule.set(cid, schedule.get(cid) - learning_rates[cid.kind] * g)
+
+
+def run_epochs(pairs, schedule, config: TrainConfig, epoch):
+    """Train a copy of `schedule`; returns (trained schedule, EpochLog).
+
+    `epoch(schedule)` runs one epoch on the working copy, updating it in
+    place, and returns that epoch's RMS error.  The input schedule is left
+    untouched.
+    """
+    if not pairs:
+        raise ValueError("empty training set")
+    schedule = schedule.copy()
+    log = EpochLog()
+    rms_limit = None
+    for n in range(config.epochs):
+        rms = epoch(schedule)
+        log.append(n, rms)
+        if rms_limit is None:
+            rms_limit = DIVERGENCE_FACTOR * max(rms, 1e-12)
+        elif rms > rms_limit:
+            raise TrainingDiverged(
+                f"RMS {rms:.4g} exceeded {DIVERGENCE_FACTOR}x its "
+                f"initial value at epoch {n}", log=log)
+        if config.epoch_callback is not None:
+            config.epoch_callback(n, rms, schedule)
+        if config.rms_target is not None and rms <= config.rms_target:
+            break
+    return schedule, log

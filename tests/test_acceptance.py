@@ -75,7 +75,7 @@ def test_criterion_1_adjoint_vs_central_difference():
         cids = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
         assert len(cids) == 21
         for cid in cids:
-            g = backprop.weight_gradient(cid, traj, field, sched, grid)
+            g = backprop.all_gradients([cid], traj, field, sched, grid)[0]
             h = 1e-4 * KIND_SCALES[cid.kind]
             v = sched.get(cid)
             sched.set(cid, v + h)

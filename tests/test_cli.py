@@ -57,6 +57,42 @@ def test_train_unknown_field_exits_2(runner, tmp_path):
     assert "unknown config fields" in result.output
 
 
+@pytest.mark.parametrize("text", [
+    '{"mode": "rl", "learning_rates": {"coupling": NaN}}',
+    '{"mode": "rl", "T_ns": Infinity}',
+    '{"mode": "rl", "delta_rel": NaN}',
+    '{"mode": "rl", "T_ns": 1e400}',
+])
+def test_train_non_finite_number_exits_2(runner, tmp_path, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["train", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "non-finite number" in result.output
+
+
+def test_train_mismatched_initial_schedule_exits_2(runner, tmp_path):
+    out = tmp_path / "init"
+    runner.invoke(main, ["train", "--config",
+                         str(write_config(tmp_path / "a.json", epochs=0)),
+                         "--out", str(out)])
+    cfg = write_config(tmp_path / "b.json", num_qubits=3,
+                       initial_schedule=str(out / "schedule.json"))
+    result = runner.invoke(main, ["train", "--config", str(cfg),
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert "initial schedule has 2 qubits" in result.output
+
+
+def test_train_missing_initial_schedule_exits_2(runner, tmp_path):
+    cfg = write_config(tmp_path / "cfg.json",
+                       initial_schedule=str(tmp_path / "no.json"))
+    result = runner.invoke(main, ["train", "--config", str(cfg),
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+
+
 def test_train_writes_all_artifacts(runner, tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "run"
@@ -97,6 +133,25 @@ def test_train_overrides_take_effect(runner, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["epochs_run"] == 2
     assert manifest["config"]["seed"] == 9
+
+
+def test_mode_override_means_the_same_as_the_field(runner, tmp_path):
+    # The override must resolve the mode's own defaults (T_ns, tied,
+    # perturbations, learning rates), as if the file had said "circuit".
+    configs = {}
+    for name, text, extra in (
+            ("override", {"mode": "rl", "epochs": 0}, ["--mode", "circuit"]),
+            ("field", {"mode": "circuit", "epochs": 0}, [])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(text))
+        result = runner.invoke(main, ["train", "--config", str(path),
+                                      "--out", str(tmp_path / name), *extra])
+        assert result.exit_code == 0, result.output
+        configs[name] = json.loads(
+            (tmp_path / name / "manifest.json").read_text())["config"]
+    assert configs["override"] == configs["field"]
+    assert configs["override"]["T_ns"] == 2.0
+    assert configs["override"]["tied"] is False
 
 
 def test_train_reproducible(runner, tmp_path):
@@ -202,6 +257,22 @@ def test_eval_named_states(runner, tmp_path):
     rows = read_csv(report)
     assert [r[0] for r in rows[1:]] == ["bell", "plus_plus"]
     assert float(rows[1][1]) == pytest.approx(1.0)  # Bell oracle
+
+
+def test_eval_without_oracle_writes_nan(runner, tmp_path):
+    # The concurrence oracle covers two qubits only; a 3-qubit state's
+    # oracle column must read as missing, not as a number.
+    cfg = write_config(tmp_path / "cfg.json", num_qubits=3, epochs=0)
+    out = tmp_path / "run"
+    runner.invoke(main, ["train", "--config", str(cfg), "--out", str(out)])
+    report = tmp_path / "report.csv"
+    result = runner.invoke(main, ["eval", "--schedule",
+                                  str(out / "schedule.json"),
+                                  "--out", str(report), "--steps", "20"])
+    assert result.exit_code == 0, result.output
+    rows = read_csv(report)[1:]
+    assert len(rows) == 21
+    assert all(np.isnan(float(r[1])) for r in rows)
 
 
 def test_oracle_presets(runner):

@@ -140,6 +140,14 @@ def test_expectation_maximally_mixed():
     assert expectation(rho, zz_observable(2)) == pytest.approx(0.0)
 
 
+def test_expectation_non_real_raises():
+    # tr([[0, 1], [0, 0]] sigma_y) = i: a non-Hermitian input must fail
+    # loudly, also under python -O.
+    with pytest.raises(ValueError, match="non-real"):
+        expectation(np.array([[0, 1], [0, 0]], dtype=complex),
+                    pauli_embed("y", 0, 1))
+
+
 def test_expectation_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         expectation(bell_state(), zz_observable(3))

@@ -93,7 +93,7 @@ def test_fd_gradient_agrees_with_adjoint():
                                         SQUARE_MAP)
     field = backprop.adjoint_evolve_backward(a_final, traj)
     for cid in list_trainable(sched, cfg.learning_rates):
-        exact = backprop.weight_gradient(cid, traj, field, sched, grid)
+        exact = backprop.all_gradients([cid], traj, field, sched, grid)[0]
         quot = fd_gradient(cid, pair, sched, cfg, OBS, SQUARE_MAP, grid)
         if abs(exact) > 1e-4:
             assert quot == pytest.approx(exact, rel=1e-2)
@@ -107,12 +107,12 @@ def test_fd_gradient_first_order_in_delta():
     a_final = backprop.adjoint_boundary(traj.final(), OBS, pair.target,
                                         SQUARE_MAP)
     field = backprop.adjoint_evolve_backward(a_final, traj)
-    exact = backprop.weight_gradient(cid, traj, field, sched, grid)
+    exact = backprop.all_gradients([cid], traj, field, sched, grid)[0]
     errs = []
     for drel in (1e-3, 1e-4, 1e-5):
         cfg = RLConfig(delta_rel=drel,
                        delta_abs={k: drel * s
-                                  for k, s in rl.DEFAULT_KIND_SCALES.items()})
+                                  for k, s in FourierSchedule.INIT.items()})
         errs.append(abs(fd_gradient(cid, pair, sched, cfg, OBS, SQUARE_MAP,
                                     grid) - exact))
     # error shrinks roughly linearly with the perturbation

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdynlearn.schedules import (
+    KIND_ORDER,
     CoefficientId,
     FourierSchedule,
     PiecewiseSchedule,
@@ -195,3 +197,30 @@ def test_bad_coefficient_shape_rejected():
                                   "bias": np.zeros((1, 3)),
                                   "coupling": np.zeros((2, 3))}, tied=True,
                         n_max=1)
+
+
+values = st.one_of(st.none(), st.floats(-1.0, 1.0, allow_subnormal=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from([(FourierSchedule, "n_max", 0),
+                               (PiecewiseSchedule, "segments", 1)]),
+       tied=st.sampled_from([None, True, False]),
+       num_qubits=st.integers(1, 4), T=st.floats(0.1, 500.0),
+       size=st.integers(0, 5), ts=st.lists(st.floats(0.0, 1.0), min_size=1,
+                                           max_size=8),
+       tunneling=values, bias=values, coupling=values)
+def test_initialized_is_constant_at_init_values(family, tied, num_qubits, T,
+                                                size, ts, tunneling, bias,
+                                                coupling):
+    cls, structure, smallest = family
+    s = cls.initialized(num_qubits, T, tied=tied, tunneling=tunneling,
+                        bias=bias, coupling=coupling,
+                        **{structure: smallest + size})
+    assert s.tied == (cls.TIED if tied is None else tied)
+    given_values = (tunneling, bias, coupling)
+    evaluated = s.eval_many(np.asarray(ts) * T)
+    for kind, value, vals in zip(KIND_ORDER, given_values, evaluated):
+        expected = cls.INIT[kind] if value is None else value
+        assert vals.shape == (len(ts), s.n_sites(kind))
+        assert np.all(vals == expected)

@@ -1,0 +1,75 @@
+"""The shared epoch loop, driven by a stub epoch with scripted RMS values."""
+
+import numpy as np
+import pytest
+
+from qdynlearn.schedules import FourierSchedule
+from qdynlearn.train import TrainConfig, TrainingDiverged, run_epochs
+
+PAIRS = ["pair"]  # run_epochs only checks that the set is non-empty
+
+
+def scripted_epoch(values):
+    """An epoch that nudges one coefficient and returns the next RMS."""
+    script = iter(values)
+
+    def epoch(schedule):
+        schedule.coeffs["tunneling"][0, 0] += 1.0
+        return next(script)
+
+    return epoch
+
+
+def test_stops_at_rms_target():
+    sched = FourierSchedule.initialized(2, 10.0)
+    cfg = TrainConfig(epochs=10, rms_target=0.1)
+    trained, log = run_epochs(PAIRS, sched, cfg,
+                              scripted_epoch([0.5, 0.3, 0.1, 0.05]))
+    assert list(log.rms) == [0.5, 0.3, 0.1]
+    assert list(log.epochs) == [0, 1, 2]
+    assert trained.coeffs["tunneling"][0, 0] == sched.coeffs["tunneling"][0, 0] + 3
+
+
+def test_runs_all_epochs_without_target():
+    cfg = TrainConfig(epochs=3)
+    _, log = run_epochs(PAIRS, FourierSchedule.initialized(2, 10.0), cfg,
+                        scripted_epoch([0.5, 0.4, 0.3, 0.2]))
+    assert list(log.rms) == [0.5, 0.4, 0.3]
+
+
+def test_divergence_raises_with_the_log():
+    cfg = TrainConfig(epochs=10)
+    with pytest.raises(TrainingDiverged) as exc:
+        run_epochs(PAIRS, FourierSchedule.initialized(2, 10.0), cfg,
+                   scripted_epoch([0.1, 0.5, 0.9, 1.01, 0.2]))
+    assert list(exc.value.log.rms) == [0.1, 0.5, 0.9, 1.01]
+
+
+def test_callback_once_per_epoch_with_the_working_copy():
+    seen = []
+    sched = FourierSchedule.initialized(2, 10.0)
+    cfg = TrainConfig(epochs=3, epoch_callback=lambda epoch, rms, s: seen.append(
+        (epoch, rms, s.coeffs["tunneling"][0, 0])))
+    run_epochs(PAIRS, sched, cfg, scripted_epoch([0.3, 0.2, 0.1]))
+    base = sched.coeffs["tunneling"][0, 0]
+    assert seen == [(0, 0.3, base + 1), (1, 0.2, base + 2), (2, 0.1, base + 3)]
+
+
+def test_input_schedule_not_mutated():
+    sched = FourierSchedule.initialized(2, 10.0)
+    before = {k: c.copy() for k, c in sched.coeffs.items()}
+    run_epochs(PAIRS, sched, TrainConfig(epochs=4),
+               scripted_epoch([0.4, 0.3, 0.2, 0.1]))
+    for kind, c in before.items():
+        assert np.array_equal(sched.coeffs[kind], c)
+
+
+def test_empty_training_set_raises():
+    with pytest.raises(ValueError):
+        run_epochs([], FourierSchedule.initialized(2, 10.0),
+                   TrainConfig(epochs=1), scripted_epoch([0.1]))
+
+
+def test_negative_learning_rate_rejected():
+    with pytest.raises(ValueError):
+        TrainConfig(learning_rates={"tunneling": -1.0})
