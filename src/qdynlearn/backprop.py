@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import Observable, OutputMap, TimeGrid, Trajectory
-from .schedules import CoefficientId, list_trainable
+from .schedules import KIND_ORDER, CoefficientId, list_trainable, n_sites
 from .train import TrainConfig, descend, run_epochs
 
 IMAG_RESIDUAL_TOL = 1e-8
@@ -55,28 +55,26 @@ def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray
 def _generator(schedule, cid: CoefficientId):
     """dH / d(physical parameter) for the coefficient, summed over tied sites."""
     n = schedule.num_qubits
-    gx, gz, gzz = qcore._generator_stacks(n)
-    stack = {"tunneling": gx, "bias": gz, "coupling": gzz}[cid.kind]
-    return stack[schedule.sites_for(cid)].sum(axis=0)
+    unit = {kind: np.zeros((1, n_sites(n, kind))) for kind in KIND_ORDER}
+    unit[cid.kind][0, schedule.sites_for(cid)] = 1.0
+    return qcore.assemble_hamiltonians(*unit.values(), n)[0]
 
 
-def _frechet_factors(schedule, grid: TimeGrid):
+def _frechet_factors(traj: Trajectory):
     """Eigenbasis data for the exact per-step propagator derivative.
 
     With U = exp(-i H dt) and H = V diag(lam) V^dag, the directional
     derivative along dH is V ((V^dag dH V) * K) V^dag where
     K_ab = (e^{-i lam_a dt} - e^{-i lam_b dt}) / (lam_a - lam_b) and
-    K_aa = -i dt e^{-i lam_a dt}.
+    K_aa = -i dt e^{-i lam_a dt}.  The eigensystem is the forward pass's.
     """
-    k, e, z = schedule.eval_many(grid.midpoints)
-    h = qcore.assemble_hamiltonians(k, e, z, schedule.num_qubits)
-    lam, v = np.linalg.eigh(h)
-    ph = np.exp(-1j * lam * grid.dt)
+    lam, v, dt = traj.eigenvalues, traj.eigenvectors, traj.grid.dt
+    ph = np.exp(-1j * lam * dt)
     dlam = lam[:, :, None] - lam[:, None, :]
     dph = ph[:, :, None] - ph[:, None, :]
     degenerate = np.abs(dlam) < 1e-12
     kernel = np.where(degenerate, 0.0, dph) / np.where(degenerate, 1.0, dlam)
-    diag = -1j * grid.dt * ph
+    diag = -1j * dt * ph
     kernel = kernel + np.where(
         degenerate, 0.5 * (diag[:, :, None] + diag[:, None, :]), 0.0
     )
@@ -104,7 +102,7 @@ def all_gradients(cids, traj: Trajectory, adjoint_field: np.ndarray,
     once per distinct generator, then contracted with each coefficient's
     basis function.
     """
-    v, vh, kernel = _frechet_factors(schedule, grid)
+    v, vh, kernel = _frechet_factors(traj)
     basis = schedule.basis_row(grid.midpoints)  # (M, width)
     series = {}
     out = np.empty(len(cids))

@@ -16,7 +16,7 @@ from .backprop import BackpropConfig
 from .circuit import CircuitRLConfig, ShotBackend
 from .qcore import OUTPUT_MAPS, TimeGrid
 from .rl import RLConfig
-from .schedules import FourierSchedule, PiecewiseSchedule, load_schedule
+from .schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule, load_schedule
 from .train import TrainConfig
 
 MODES = ("rl", "backprop", "circuit")
@@ -82,6 +82,10 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0")
         if isinstance(self.shots, str) and self.shots != "exact":
             raise ConfigError('shots must be a positive integer or "exact"')
+        unknown = [f"{name}.{kind}" for name in ("init", "learning_rates", "delta_abs")
+                   for kind in getattr(self, name) or {} if kind not in KIND_ORDER]
+        if unknown:
+            raise ConfigError(f"unknown config fields: {unknown}")
         circuit = self.mode == "circuit"
         family = PiecewiseSchedule if circuit else FourierSchedule
         loop = CircuitRLConfig() if circuit else RLConfig()

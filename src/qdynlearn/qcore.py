@@ -1,9 +1,13 @@
 """Dense N-qubit linear algebra and unitary time evolution of density matrices.
 
-Everything here works on small dense complex matrices (dim = 2^N, N <= 6).
-Evolution is a stepwise matrix exponential through a Hermitian
-eigendecomposition, so each step is exactly unitary and the density-matrix
-invariants (Hermiticity, unit trace, positivity) are preserved to round-off.
+Everything here works on small dense matrices (dim = 2^N, N <= 6).  H is
+real symmetric, assembled from bit masks (each sigma_x^(i) flips one bit of
+the basis index; the sigma_z terms are diagonal).  Evolution is a stepwise
+matrix exponential through a real symmetric eigendecomposition, so each step
+is exactly unitary and the density-matrix invariants (Hermiticity, unit
+trace, positivity) are preserved to round-off.  The total propagator is a
+pairwise product of the steps; a trajectory keeps the step eigensystem for
+the adjoint gradient to reuse.
 """
 
 from __future__ import annotations
@@ -193,55 +197,54 @@ def pair_indices(num_qubits):
 
 
 @functools.lru_cache(maxsize=None)
-def _generator_stacks(num_qubits):
-    """(Gx, Gz, Gzz) stacks: sigma_x^(i), sigma_z^(i), sigma_z^(i) sigma_z^(j)."""
-    gx = np.stack([pauli_embed("x", q, num_qubits).matrix for q in range(num_qubits)])
-    gz = np.stack([pauli_embed("z", q, num_qubits).matrix for q in range(num_qubits)])
-    pairs = pair_indices(num_qubits)
-    if pairs:
-        gzz = np.stack(
-            [
-                pauli_embed("z", i, num_qubits).matrix @ pauli_embed("z", j, num_qubits).matrix
-                for i, j in pairs
-            ]
-        )
-    else:
-        gzz = np.zeros((0, 2**num_qubits, 2**num_qubits), dtype=complex)
-    return gx, gz, gzz
+def _bit_tables(num_qubits):
+    """(idx, sigma_x bit masks (N,), sigma_z signs (d, N), zz signs (d, P)).
+
+    Qubit q is bit N-1-q of a basis index, as in `pauli_embed`'s kron order.
+    """
+    idx = np.arange(2**num_qubits)
+    masks = 1 << (num_qubits - 1 - np.arange(num_qubits))
+    zsigns = np.where(idx[:, None] & masks, -1.0, 1.0)
+    i, j = np.array(pair_indices(num_qubits), dtype=int).reshape(-1, 2).T
+    tables = (idx, masks, zsigns, zsigns[:, i] * zsigns[:, j])
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def build_hamiltonian(params: HamiltonianParams) -> Observable:
     """H = sum_i K_i sigma_x^(i) + sum_i eps_i sigma_z^(i)
     + sum_{i<j} zeta_ij sigma_z^(i) sigma_z^(j)."""
     n = params.num_qubits
-    gx, gz, gzz = _generator_stacks(n)
-    zvals = np.array([params.coupling[i, j] for i, j in pair_indices(n)])
-    h = np.einsum("k,kij->ij", params.tunneling, gx)
-    h += np.einsum("k,kij->ij", params.bias, gz)
-    if len(zvals):
-        h += np.einsum("k,kij->ij", zvals, gzz)
-    return Observable(h, label="H")
+    zvals = np.array([[params.coupling[i, j] for i, j in pair_indices(n)]])
+    h = assemble_hamiltonians(params.tunneling[None], params.bias[None],
+                              zvals, n)
+    return Observable(h[0], label="H")
 
 
 def assemble_hamiltonians(tunneling, bias, coupling, num_qubits):
-    """Batch Hamiltonian assembly.
+    """Batch Hamiltonian assembly from bit masks.
 
     Parameters are arrays over a time batch: tunneling/bias of shape (M, N)
-    and coupling of shape (M, P) in `pair_indices` order.  Returns (M, d, d).
+    and coupling of shape (M, P) in `pair_indices` order.  Returns real (M, d, d).
     """
-    gx, gz, gzz = _generator_stacks(num_qubits)
-    h = np.einsum("tk,kij->tij", tunneling, gx)
-    h += np.einsum("tk,kij->tij", bias, gz)
-    if coupling.shape[1]:
-        h += np.einsum("tk,kij->tij", coupling, gzz)
+    idx, masks, zsigns, zzsigns = _bit_tables(num_qubits)
+    h = np.zeros((len(tunneling), idx.size, idx.size))
+    h[:, idx, idx] = bias @ zsigns.T + coupling @ zzsigns.T
+    for q, mask in enumerate(masks):
+        h[:, idx, idx ^ mask] = tunneling[:, q, None]
     return h
+
+
+def _unitaries(w, v, dt):
+    """V diag(exp(-i w dt)) V^dag from a batched Hermitian eigensystem."""
+    phase = np.exp(-1j * np.asarray(dt) * w)
+    return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def expm_hermitian(h, dt):
     """exp(-i h dt) for a batch of Hermitian matrices (hbar = 1)."""
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * np.asarray(dt) * w)
-    return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return _unitaries(*np.linalg.eigh(h), dt)
 
 
 def step_unitaries(schedule, grid: TimeGrid):
@@ -253,11 +256,13 @@ def step_unitaries(schedule, grid: TimeGrid):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward evolution record: states rho(t_k) and the step unitaries."""
+    """Forward evolution record: states rho(t_k), step unitaries, step eigensystem."""
 
     states: np.ndarray  # (M+1, d, d)
     unitaries: np.ndarray  # (M, d, d)
     grid: TimeGrid
+    eigenvalues: np.ndarray  # (M, d) of each step's H
+    eigenvectors: np.ndarray  # (M, d, d), real orthogonal
 
     def final(self) -> np.ndarray:
         return self.states[-1]
@@ -271,23 +276,26 @@ def evolve(rho0: DensityMatrix, schedule, grid: TimeGrid) -> Trajectory:
     smooth schedules converge at second order in dt.
     """
     _tick_solve()
-    us = step_unitaries(schedule, grid)
+    k, e, z = schedule.eval_many(grid.midpoints)
+    lam, v = np.linalg.eigh(assemble_hamiltonians(k, e, z, schedule.num_qubits))
+    us = _unitaries(lam, v, grid.dt)
     d = us.shape[-1]
     states = np.empty((grid.steps + 1, d, d), dtype=complex)
     states[0] = rho0.matrix
     for k in range(grid.steps):
         states[k + 1] = us[k] @ states[k] @ us[k].conj().T
-    return Trajectory(states=states, unitaries=us, grid=grid)
+    return Trajectory(states=states, unitaries=us, grid=grid,
+                      eigenvalues=lam, eigenvectors=v)
 
 
 def total_propagator(schedule, grid: TimeGrid) -> np.ndarray:
     """Product U_{M-1} ... U_0 mapping rho(0) to rho(T) by conjugation."""
     _tick_solve()
     us = step_unitaries(schedule, grid)
-    u = us[0]
-    for k in range(1, us.shape[0]):
-        u = us[k] @ u
-    return u
+    while len(us) > 1:  # U_{2j+1} U_{2j} per level; an odd last factor carries
+        even = len(us) // 2 * 2
+        us = np.concatenate([us[1:even:2] @ us[:even:2], us[even:]])
+    return us[0]
 
 
 def final_state(rho0: DensityMatrix, schedule, grid: TimeGrid) -> np.ndarray:

@@ -9,6 +9,7 @@ divergence guard, the callback and the early stop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .reporting import EpochLog
@@ -19,11 +20,14 @@ DIVERGENCE_FACTOR = 10.0
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the epoch RMS exceeds the divergence guard."""
+    """Raised when an epoch RMS is non-finite or exceeds the divergence guard.
 
-    def __init__(self, message, log=None):
+    Carries the log and the schedule as it stood before the failing epoch."""
+
+    def __init__(self, message, log=None, schedule=None):
         super().__init__(message)
         self.log = log
+        self.schedule = schedule
 
 
 @dataclass
@@ -61,14 +65,15 @@ def run_epochs(pairs, schedule, config: TrainConfig, epoch):
     log = EpochLog()
     rms_limit = None
     for n in range(config.epochs):
+        before = schedule.copy()
         rms = epoch(schedule)
         log.append(n, rms)
         if rms_limit is None:
             rms_limit = DIVERGENCE_FACTOR * max(rms, 1e-12)
-        elif rms > rms_limit:
-            raise TrainingDiverged(
-                f"RMS {rms:.4g} exceeded {DIVERGENCE_FACTOR}x its "
-                f"initial value at epoch {n}", log=log)
+        if not math.isfinite(rms) or rms > rms_limit:
+            raise TrainingDiverged(f"RMS {rms:.4g} at epoch {n} is non-finite or over "
+                                   f"{DIVERGENCE_FACTOR}x its initial value",
+                                   log=log, schedule=before)
         if config.epoch_callback is not None:
             config.epoch_callback(n, rms, schedule)
         if config.rms_target is not None and rms <= config.rms_target:

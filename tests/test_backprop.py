@@ -228,3 +228,26 @@ def test_epoch_cost_is_two_solves_per_pair():
     train_backprop(pairs, sched, BackpropConfig(epochs=1), zz_observable(2),
                    SQUARE_MAP, TimeGrid(250.0, 50))
     assert qcore.solve_count == 2 * len(pairs)
+
+
+def test_backprop_pair_diagonalises_once(monkeypatch):
+    # The gradient reuses the forward pass's step eigensystem.
+    rng = np.random.default_rng(21)
+    sched = random_schedule(rng, num_qubits=3)
+    pair = random_pair(rng, num_qubits=3)
+    grid = TimeGrid(100.0, 40)
+    obs = zz_observable(3)
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: shapes.append(h.shape) or eigh(h))
+    traj = evolve(pair.rho0, sched, grid)
+    field_ = adjoint_evolve_backward(
+        adjoint_boundary(traj.final(), obs, pair.target, SQUARE_MAP), traj)
+    all_gradients(sched.coefficient_ids(), traj, field_, sched, grid)
+    assert shapes == [(40, 8, 8)]
+    lam, v = traj.eigenvalues, traj.eigenvectors
+    rebuilt = (v * np.exp(-1j * grid.dt * lam)[:, None, :]) @ v.swapaxes(1, 2)
+    assert np.abs(rebuilt - traj.unitaries).max() <= 1e-13
+    h = qcore.assemble_hamiltonians(*sched.eval_many(grid.midpoints), 3)
+    assert np.abs((v * lam[:, None, :]) @ v.swapaxes(1, 2) - h).max() <= 1e-13

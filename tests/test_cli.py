@@ -50,11 +50,19 @@ def test_train_invalid_config_exits_2(runner, tmp_path):
 
 def test_train_unknown_field_exits_2(runner, tmp_path):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"mode": "rl", "learning_rate_k": 1.0}))
-    result = runner.invoke(main, ["train", "--config", str(cfg),
-                                  "--out", str(tmp_path / "out")])
-    assert result.exit_code == 2
-    assert "unknown config fields" in result.output
+    for fields, name in [
+        ({"learning_rate_k": 1.0}, "learning_rate_k"),
+        ({"init": {"tunnelling": 5.0}}, "init.tunnelling"),
+        ({"learning_rates": {"couplng": 1.0}}, "learning_rates.couplng"),
+        ({"delta_abs": {"tunneling": 1e-6, "bias": 1e-6, "coupling": 1e-6,
+                        "biass": 1e-6}}, "delta_abs.biass"),
+    ]:
+        cfg.write_text(json.dumps({"mode": "rl", **fields}))
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, fields
+        assert "unknown config fields" in result.output
+        assert name in result.output
 
 
 @pytest.mark.parametrize("text", [

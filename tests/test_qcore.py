@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdynlearn import qcore
 from qdynlearn.qcore import (
@@ -23,7 +25,7 @@ from qdynlearn.qcore import (
     total_propagator,
     zz_observable,
 )
-from qdynlearn.schedules import FourierSchedule, PiecewiseSchedule
+from qdynlearn.schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule
 
 
 def bell_state():
@@ -80,6 +82,49 @@ def test_build_hamiltonian_coupling_only():
     p = HamiltonianParams(tunneling=np.zeros(2), bias=np.zeros(2), coupling=z)
     assert np.allclose(build_hamiltonian(p).matrix,
                        np.diag([0.5, -0.5, -0.5, 0.5]))
+
+
+def pauli_sum(tunneling, bias, coupling, num_qubits):
+    """Reference H = sum K_i X_i + sum eps_i Z_i + sum zeta_ij Z_i Z_j from krons."""
+    x = [pauli_embed("x", q, num_qubits).matrix for q in range(num_qubits)]
+    z = [pauli_embed("z", q, num_qubits).matrix for q in range(num_qubits)]
+    h = sum(tunneling[q] * x[q] + bias[q] * z[q] for q in range(num_qubits))
+    for col, (i, j) in enumerate(pair_indices(num_qubits)):
+        h = h + coupling[col] * z[i] @ z[j]
+    return h
+
+
+@st.composite
+def random_schedules(draw):
+    """Either family, tied or untied, N = 1..6, coefficients in [-1, 1]."""
+    family = draw(st.sampled_from([FourierSchedule, PiecewiseSchedule]))
+    sched = family.initialized(draw(st.integers(1, 6)), 10.0,
+                               tied=draw(st.booleans()))
+    for kind in KIND_ORDER:
+        sched.coeffs[kind][:] = draw(arrays(
+            float, sched.coeffs[kind].shape, elements=st.floats(-1.0, 1.0)))
+    return sched
+
+
+@settings(max_examples=40, deadline=None)
+@given(sched=random_schedules())
+def test_assemble_hamiltonians_matches_pauli_sum(sched):
+    k, e, z = sched.eval_many(np.linspace(0.0, sched.T, 5))
+    h = qcore.assemble_hamiltonians(k, e, z, sched.num_qubits)
+    ref = np.stack([pauli_sum(*row, sched.num_qubits) for row in zip(k, e, z)])
+    assert h.dtype == np.float64
+    assert np.abs(h - ref).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(sched=random_schedules())
+def test_total_propagator_is_the_sequential_step_product(sched):
+    for steps in (1, 2, 3, 7, 200):  # odd counts leave a factor over
+        grid = TimeGrid(sched.T, steps)
+        ref = np.eye(2**sched.num_qubits)
+        for u in qcore.step_unitaries(sched, grid):
+            ref = u @ ref
+        assert np.abs(total_propagator(sched, grid) - ref).max() <= 1e-12
 
 
 def test_hamiltonian_params_validation():

@@ -39,10 +39,25 @@ def test_runs_all_epochs_without_target():
 
 def test_divergence_raises_with_the_log():
     cfg = TrainConfig(epochs=10)
+    sched = FourierSchedule.initialized(2, 10.0)
     with pytest.raises(TrainingDiverged) as exc:
-        run_epochs(PAIRS, FourierSchedule.initialized(2, 10.0), cfg,
+        run_epochs(PAIRS, sched, cfg,
                    scripted_epoch([0.1, 0.5, 0.9, 1.01, 0.2]))
     assert list(exc.value.log.rms) == [0.1, 0.5, 0.9, 1.01]
+    # the schedule as it stood before the failing epoch (three updates in)
+    assert (exc.value.schedule.coeffs["tunneling"][0, 0]
+            == sched.coeffs["tunneling"][0, 0] + 3)
+
+
+@pytest.mark.parametrize("values", [[0.2, np.nan], [np.nan], [0.2, np.inf]])
+def test_non_finite_rms_raises_with_the_schedule_before_it(values):
+    sched = FourierSchedule.initialized(2, 10.0)
+    with pytest.raises(TrainingDiverged) as exc:
+        run_epochs(PAIRS, sched, TrainConfig(epochs=5),
+                   scripted_epoch(values + [0.1, 0.1, 0.1]))
+    np.testing.assert_array_equal(exc.value.log.rms, values)
+    assert (exc.value.schedule.coeffs["tunneling"][0, 0]
+            == sched.coeffs["tunneling"][0, 0] + (len(values) - 1))
 
 
 def test_callback_once_per_epoch_with_the_working_copy():
