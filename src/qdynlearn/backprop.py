@@ -9,10 +9,13 @@ commutator-trace integral
 
     dL/dw = i * integral_0^T tr( A(t) [dH/dw(t), rho(t)] ) dt
 
-evaluated per step through the exact derivative of each step propagator
-(divided-difference kernel in the Hamiltonian eigenbasis), so the result is
-the gradient of the discrete loss to round-off rather than a quadrature
-approximation.  Validated against finite differences; see tests.
+evaluated per step through the exact derivative of each step propagator, so
+the result is the gradient of the discrete loss to round-off rather than a
+quadrature approximation.  Because H is real symmetric, that derivative,
+paired with rho_k and A_{k+1}, collapses to one real step sensitivity W_k
+built in the step's eigenbasis; every coefficient's gradient is read off W_k
+by the transposed Hamiltonian assembly (`qcore.contract_hamiltonians`).
+Validated against finite differences and scipy's expm_frechet; see tests.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import Observable, OutputMap, TimeGrid, Trajectory
-from .schedules import KIND_ORDER, CoefficientId, list_trainable, n_sites
+from .schedules import KIND_ORDER, list_trainable
 from .train import TrainConfig, descend, run_epochs
 
 IMAG_RESIDUAL_TOL = 1e-8
@@ -52,70 +55,44 @@ def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray
     return field_
 
 
-def _generator(schedule, cid: CoefficientId):
-    """dH / d(physical parameter) for the coefficient, summed over tied sites."""
-    n = schedule.num_qubits
-    unit = {kind: np.zeros((1, n_sites(n, kind))) for kind in KIND_ORDER}
-    unit[cid.kind][0, schedule.sites_for(cid)] = 1.0
-    return qcore.assemble_hamiltonians(*unit.values(), n)[0]
+def _step_sensitivities(traj: Trajectory, adjoint_field: np.ndarray):
+    """Real W_k with tr(A_{k+1} d(rho_{k+1})/dP) = 2 sum(P * W_k), shape (M, d, d).
 
-
-def _frechet_factors(traj: Trajectory):
-    """Eigenbasis data for the exact per-step propagator derivative.
-
-    With U = exp(-i H dt) and H = V diag(lam) V^dag, the directional
-    derivative along dH is V ((V^dag dH V) * K) V^dag where
-    K_ab = (e^{-i lam_a dt} - e^{-i lam_b dt}) / (lam_a - lam_b) and
-    K_aa = -i dt e^{-i lam_a dt}.  The eigensystem is the forward pass's.
+    Holds for every real symmetric direction P of the step Hamiltonian
+    H = V diag(lam) V^T.  With X = rho_{k+1} A_{k+1}, q = exp(-i lam dt/2) and
+    Z = (V q)^dag X (V q): W = V (dt S * Im Z^T) V^T, where
+    S_ab = sinc(dt (lam_a - lam_b) / 2) is smooth across degenerate pairs.
+    V is real, so Z_ab = conj(q_a) q_b (V^T X V)_ab comes from real products.
     """
     lam, v, dt = traj.eigenvalues, traj.eigenvectors, traj.grid.dt
-    ph = np.exp(-1j * lam * dt)
-    dlam = lam[:, :, None] - lam[:, None, :]
-    dph = ph[:, :, None] - ph[:, None, :]
-    degenerate = np.abs(dlam) < 1e-12
-    kernel = np.where(degenerate, 0.0, dph) / np.where(degenerate, 1.0, dlam)
-    diag = -1j * dt * ph
-    kernel = kernel + np.where(
-        degenerate, 0.5 * (diag[:, :, None] + diag[:, None, :]), 0.0
-    )
-    return v, v.conj().swapaxes(-1, -2), kernel
-
-
-def _generator_series(gen, traj, adjoint_field, v, vh, kernel):
-    """c_k = tr(A_{k+1} d(rho_{k+1})/dP) per step, for a unit generator P.
-
-    d(rho_{k+1})/dP = dU rho_k U^dag + U rho_k dU^dag is Hermitian, so c_k is
-    analytically real; the imaginary part is the numerical residual.
-    """
-    du = v @ ((vh @ gen @ v) * kernel) @ vh
-    udag = traj.unitaries.conj().swapaxes(-1, -2)
-    half = du @ traj.states[:-1] @ udag
-    drho = half + half.conj().swapaxes(-1, -2)
-    return np.einsum("tij,tji->t", adjoint_field[1:], drho)
+    x = traj.states[1:] @ adjoint_field[1:]
+    # tr(rho A) is real for a Hermitian state and costate.
+    residual = np.abs(np.trace(x, axis1=1, axis2=2).imag).max()
+    if residual > IMAG_RESIDUAL_TOL:
+        raise ValueError(f"imaginary pairing residual {residual:.2e}")
+    vt = v.swapaxes(-1, -2)
+    y_re, y_im = (vt @ part @ v for part in (x.real, x.imag))
+    half = np.exp(0.5j * dt * lam)
+    phase = half[:, :, None] * half.conj()[:, None, :]  # conj(q_a) q_b
+    im_z = phase.imag * y_re + phase.real * y_im
+    s = np.sinc(dt * (lam[:, :, None] - lam[:, None, :]) / (2 * np.pi))
+    return v @ (dt * s * im_z.swapaxes(-1, -2)) @ vt
 
 
 def all_gradients(cids, traj: Trajectory, adjoint_field: np.ndarray,
                   schedule, grid: TimeGrid):
     """Gradients of the half-squared output error for the coefficients `cids`.
 
-    All share one trajectory/adjoint pair.  The per-step series is computed
-    once per distinct generator, then contracted with each coefficient's
-    basis function.
+    All share one trajectory/adjoint pair.  The step sensitivities are
+    contracted once with every site's generator (the transposed assembly),
+    then with each coefficient's basis function over its sites.
     """
-    v, vh, kernel = _frechet_factors(traj)
+    w = _step_sensitivities(traj, adjoint_field)
+    sens = qcore.contract_hamiltonians(w, schedule.num_qubits)
     basis = schedule.basis_row(grid.midpoints)  # (M, width)
-    series = {}
-    out = np.empty(len(cids))
-    for idx, cid in enumerate(cids):
-        key = (cid.kind, cid.site)
-        if key not in series:
-            series[key] = _generator_series(_generator(schedule, cid), traj,
-                                            adjoint_field, v, vh, kernel)
-        val = -np.sum(series[key] * basis[:, cid.basis])
-        if abs(val.imag) > IMAG_RESIDUAL_TOL:
-            raise ValueError(f"imaginary gradient residual {val.imag:.2e}")
-        out[idx] = val.real
-    return out
+    per_site = {kind: -2.0 * basis.T @ s for kind, s in zip(KIND_ORDER, sens)}
+    return np.array([per_site[cid.kind][cid.basis, schedule.sites_for(cid)].sum()
+                     for cid in cids])
 
 
 @dataclass

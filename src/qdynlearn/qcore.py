@@ -236,6 +236,19 @@ def assemble_hamiltonians(tunneling, bias, coupling, num_qubits):
     return h
 
 
+def contract_hamiltonians(w, num_qubits):
+    """Transpose of `assemble_hamiltonians`: sum(G_site * w) for every site.
+
+    For a stack w of shape (M, d, d), returns the contractions with each
+    unit generator G_site as tunneling (M, N), bias (M, N) and coupling
+    (M, P) arrays, in the same site order as the assembly's inputs.
+    """
+    idx, masks, zsigns, zzsigns = _bit_tables(num_qubits)
+    diag = w[:, idx, idx]
+    tunneling = w[:, idx[:, None], idx[:, None] ^ masks].sum(axis=1)
+    return tunneling, diag @ zsigns, diag @ zzsigns
+
+
 def _unitaries(w, v, dt):
     """V diag(exp(-i w dt)) V^dag from a batched Hermitian eigensystem."""
     phase = np.exp(-1j * np.asarray(dt) * w)

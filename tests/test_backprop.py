@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from qdynlearn import qcore
 from qdynlearn.backprop import (
@@ -17,9 +19,17 @@ from qdynlearn.qcore import (
     SQUARE_MAP,
     TimeGrid,
     evolve,
+    pair_indices,
+    pauli_embed,
     zz_observable,
 )
-from qdynlearn.schedules import CoefficientId, FourierSchedule, list_trainable
+from qdynlearn.schedules import (
+    CoefficientId,
+    FourierSchedule,
+    KIND_ORDER,
+    PiecewiseSchedule,
+    list_trainable,
+)
 from qdynlearn.train import TrainingDiverged
 from qdynlearn.witness import TrainingPair, build_training_set
 
@@ -142,9 +152,73 @@ def test_gradient_matches_central_difference():
             assert g == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
 
+def site_generators(num_qubits):
+    """Unit generators dH/dP per kind and site, as dense Pauli products."""
+    x = [pauli_embed("x", q, num_qubits).matrix for q in range(num_qubits)]
+    z = [pauli_embed("z", q, num_qubits).matrix for q in range(num_qubits)]
+    return {"tunneling": x, "bias": z,
+            "coupling": [z[i] @ z[j] for i, j in pair_indices(num_qubits)]}
+
+
+def frechet_reference_gradients(sched, traj, field_):
+    """-sum_k tr(A_{k+1} (dU_k rho_k U_k^dag + h.c.)) for every coefficient.
+
+    U_k and dU_k come from scipy.linalg.expm_frechet on the dense Pauli-sum
+    step Hamiltonian; rho_k and A_{k+1} are the trajectory's and the costate
+    field's, so only the per-step derivative and its contraction are checked.
+    """
+    grid = traj.grid
+    gens = site_generators(sched.num_qubits)
+    hs = np.einsum("ms,sij->mij", np.hstack(sched.eval_many(grid.midpoints)),
+                   np.array([g for kind in KIND_ORDER for g in gens[kind]]))
+    basis = sched.basis_row(grid.midpoints)
+    cids = sched.coefficient_ids()
+    series = {}
+    for kind, site in {(cid.kind, cid.site) for cid in cids}:
+        sites = sched.sites_for(CoefficientId(kind, site, 0))
+        gen = sum((gens[kind][s] for s in sites), np.zeros_like(hs[0]))
+        terms = []
+        for k, h in enumerate(hs):
+            u, du = scipy.linalg.expm_frechet(-1j * grid.dt * h,
+                                              -1j * grid.dt * gen)
+            half = du @ traj.states[k] @ u.conj().T
+            terms.append(np.trace(field_[k + 1] @ (half + half.conj().T)))
+        series[kind, site] = np.array(terms)
+    return cids, np.array([-np.sum(series[c.kind, c.site] * basis[:, c.basis])
+                           for c in cids])
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_qubits=st.integers(1, 4),
+       family=st.sampled_from([FourierSchedule, PiecewiseSchedule]),
+       tied=st.booleans(), steps=st.integers(1, 40),
+       log_scale=st.floats(-5.0, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
+                                               steps, log_scale, seed):
+    # Tied draws act identically on every qubit, so their step spectra are
+    # exactly degenerate; small scales give nearly degenerate ones.
+    rng = np.random.default_rng(seed)
+    sched = family.initialized(num_qubits, 10.0, tied=tied)
+    for kind in KIND_ORDER:
+        sched.coeffs[kind][:] = 10.0**log_scale * rng.uniform(
+            -1.0, 1.0, sched.coeffs[kind].shape)
+    grid = TimeGrid(sched.T, steps)
+    pair = random_pair(rng, num_qubits)
+    obs = (zz_observable(num_qubits) if num_qubits > 1
+           else pauli_embed("z", 0, 1))
+    traj = evolve(pair.rho0, sched, grid)
+    field_ = adjoint_evolve_backward(
+        adjoint_boundary(traj.final(), obs, pair.target, IDENTITY_MAP), traj)
+    cids, ref = frechet_reference_gradients(sched, traj, field_)
+    grads = all_gradients(cids, traj, field_, sched, grid)
+    assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(grads - ref.real).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_all_gradients_bundles_all_coefficients():
-    # all_gradients raises if any imaginary residual exceeds
-    # backprop.IMAG_RESIDUAL_TOL, so returning at all checks the residuals.
+    # all_gradients raises if the pairing tr(rho_k A_k) has an imaginary part
+    # above backprop.IMAG_RESIDUAL_TOL (a non-Hermitian state or costate), so
+    # returning at all checks the pairing.
     rng = np.random.default_rng(6)
     sched = random_schedule(rng, T=100.0)
     grid = TimeGrid(100.0, 50)
@@ -159,6 +233,20 @@ def test_all_gradients_bundles_all_coefficients():
     # cross-check one entry against a single-coefficient call
     g0 = all_gradients(cids[:1], traj, field, sched, grid)[0]
     assert grads[0] == pytest.approx(g0, rel=1e-12)
+
+
+def test_all_gradients_rejects_non_hermitian_costate():
+    rng = np.random.default_rng(6)
+    sched = random_schedule(rng, T=100.0)
+    grid = TimeGrid(100.0, 50)
+    pair = random_pair(rng)
+    traj = evolve(pair.rho0, sched, grid)
+    field = adjoint_evolve_backward(
+        adjoint_boundary(traj.final(), zz_observable(2), pair.target,
+                         IDENTITY_MAP), traj)
+    assert abs(np.trace(traj.final() @ field[-1])) > 1e-3
+    with pytest.raises(ValueError, match="imaginary pairing residual"):
+        all_gradients(sched.coefficient_ids(), traj, 1j * field, sched, grid)
 
 
 # -- training loop -----------------------------------------------------------
@@ -231,21 +319,26 @@ def test_epoch_cost_is_two_solves_per_pair():
 
 
 def test_backprop_pair_diagonalises_once(monkeypatch):
-    # The gradient reuses the forward pass's step eigensystem.
+    # The gradient reuses the forward pass's step eigensystem, and reads every
+    # coefficient off the step sensitivities without assembling a generator.
     rng = np.random.default_rng(21)
     sched = random_schedule(rng, num_qubits=3)
     pair = random_pair(rng, num_qubits=3)
     grid = TimeGrid(100.0, 40)
     obs = zz_observable(3)
-    shapes = []
+    shapes, assembled = [], []
     eigh = np.linalg.eigh
+    assemble = qcore.assemble_hamiltonians
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: shapes.append(h.shape) or eigh(h))
+    monkeypatch.setattr(qcore, "assemble_hamiltonians",
+                        lambda *a: assembled.append(len(a[0])) or assemble(*a))
     traj = evolve(pair.rho0, sched, grid)
     field_ = adjoint_evolve_backward(
         adjoint_boundary(traj.final(), obs, pair.target, SQUARE_MAP), traj)
     all_gradients(sched.coefficient_ids(), traj, field_, sched, grid)
     assert shapes == [(40, 8, 8)]
+    assert assembled == [40]
     lam, v = traj.eigenvalues, traj.eigenvectors
     rebuilt = (v * np.exp(-1j * grid.dt * lam)[:, None, :]) @ v.swapaxes(1, 2)
     assert np.abs(rebuilt - traj.unitaries).max() <= 1e-13

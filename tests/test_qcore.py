@@ -116,6 +116,21 @@ def test_assemble_hamiltonians_matches_pauli_sum(sched):
     assert np.abs(h - ref).max() <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(sched=random_schedules(), seed=st.integers(0, 2**32 - 1))
+def test_contract_hamiltonians_is_the_transposed_assembly(sched, seed):
+    # <assemble(k, e, z), w> = <(k, e, z), contract(w)> for any stack w.
+    k, e, z = sched.eval_many(np.linspace(0.0, sched.T, 3))
+    d = 2**sched.num_qubits
+    w = np.random.default_rng(seed).normal(size=(3, d, d))
+    lhs = np.sum(qcore.assemble_hamiltonians(k, e, z, sched.num_qubits) * w,
+                 axis=(1, 2))
+    tk, te, tz = qcore.contract_hamiltonians(w, sched.num_qubits)
+    assert (tk.shape, te.shape, tz.shape) == (k.shape, e.shape, z.shape)
+    rhs = np.sum(k * tk, 1) + np.sum(e * te, 1) + np.sum(z * tz, 1)
+    assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
+
+
 @settings(max_examples=20, deadline=None)
 @given(sched=random_schedules())
 def test_total_propagator_is_the_sequential_step_product(sched):
