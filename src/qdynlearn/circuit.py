@@ -105,16 +105,13 @@ def run_shots(circuit: SegmentedCircuit, rho0: DensityMatrix,
 
 
 def estimate_output(counts, output_map: OutputMap = SQUARE_MAP,
-                    num_qubits: int = 2, pair=(0, 1)) -> float:
+                    num_qubits: int = 2) -> float:
     """Witness output f(<zz>) from counts (dict) or exact probabilities.
 
     The pair correlation is estimated from the measured bitstrings:
     (n00 + n11 - n01 - n10) / shots for two qubits, and in general the parity
-    of the designated pair's two bits, as in `qcore.zz_observable(n, pair)`.
+    of the designated pair (first two qubits).
     """
-    i, j = pair
-    if not (0 <= i < num_qubits and 0 <= j < num_qubits):
-        raise ValueError(f"pair {pair} out of range for {num_qubits} qubits")
     if isinstance(counts, dict):
         if not counts:
             raise ValueError("empty counts")
@@ -127,22 +124,22 @@ def estimate_output(counts, output_map: OutputMap = SQUARE_MAP,
         if probs.size != 2**num_qubits:
             raise ValueError("probability vector has wrong length")
     idx = np.arange(probs.size)
-    odd = ((idx >> (num_qubits - 1 - i)) ^ (idx >> (num_qubits - 1 - j))) & 1
-    parity = 1.0 - 2.0 * odd
+    b0 = (idx >> (num_qubits - 1)) & 1
+    b1 = (idx >> (num_qubits - 2)) & 1
+    parity = 1.0 - 2.0 * ((b0 + b1) % 2)
     return float(output_map(np.dot(parity, probs)))
 
 
 def set_rms_error(pairs, schedule: PiecewiseSchedule, backend: ShotBackend,
-                  output_map: OutputMap = SQUARE_MAP, pair=(0, 1)) -> float:
-    """Whole-set RMS error through the compile -> measure -> estimate path,
-    reading the correlation of the qubit pair `pair`."""
+                  output_map: OutputMap = SQUARE_MAP) -> float:
+    """Whole-set RMS error through the compile -> measure -> estimate path."""
     circuit = compile_segments(schedule)
     n = schedule.num_qubits
     sq = []
-    for p in pairs:
-        out = estimate_output(run_shots(circuit, p.rho0, backend),
-                              output_map, num_qubits=n, pair=pair)
-        sq.append((p.target - out) ** 2)
+    for pair in pairs:
+        out = estimate_output(run_shots(circuit, pair.rho0, backend),
+                              output_map, num_qubits=n)
+        sq.append((pair.target - out) ** 2)
     return float(np.sqrt(np.mean(sq)))
 
 

@@ -216,9 +216,8 @@ def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
 
 
 def test_all_gradients_bundles_all_coefficients():
-    # all_gradients raises if the pairing tr(rho_k A_k) has an imaginary part
-    # above backprop.IMAG_RESIDUAL_TOL (a non-Hermitian state or costate), so
-    # returning at all checks the pairing.
+    # all_gradients raises if the costate's anti-Hermitian part exceeds
+    # backprop.IMAG_RESIDUAL_TOL, so returning at all checks the costate.
     rng = np.random.default_rng(6)
     sched = random_schedule(rng, T=100.0)
     grid = TimeGrid(100.0, 50)
@@ -245,8 +244,16 @@ def test_all_gradients_rejects_non_hermitian_costate():
         adjoint_boundary(traj.final(), zz_observable(2), pair.target,
                          IDENTITY_MAP), traj)
     assert abs(np.trace(traj.final() @ field[-1])) > 1e-3
-    with pytest.raises(ValueError, match="imaginary pairing residual"):
+    with pytest.raises(ValueError, match="non-Hermitian costate"):
         all_gradients(sched.coefficient_ids(), traj, 1j * field, sched, grid)
+    # An anti-Hermitian part with zero trace against every rho_k is caught too.
+    p = np.diag(np.arange(4.0))
+    skew = 1e-3j * (p - np.trace(traj.final() @ p).real * np.eye(4))
+    bad = field.copy()
+    bad[-1] += skew
+    assert abs(np.trace(traj.final() @ skew)) < 1e-15
+    with pytest.raises(ValueError, match="non-Hermitian costate"):
+        all_gradients(sched.coefficient_ids(), traj, bad, sched, grid)
 
 
 # -- training loop -----------------------------------------------------------

@@ -15,12 +15,8 @@ from qdynlearn.circuit import (
 )
 from qdynlearn.qcore import (
     DensityMatrix,
-    IDENTITY_MAP,
     SQUARE_MAP,
     TimeGrid,
-    expectation,
-    final_state,
-    pair_indices,
     zz_observable,
 )
 from qdynlearn.schedules import PiecewiseSchedule, list_trainable
@@ -185,29 +181,6 @@ def test_estimate_output_measures_designated_pair_of_larger_register():
     probs = np.zeros(8)
     probs[0b110] = 1.0
     assert estimate_output(probs, SQUARE_MAP, num_qubits=3) == pytest.approx(1.0)
-
-
-def test_estimate_output_reads_the_requested_pair():
-    # Exact probabilities give <zz> of any pair; the final state comes from
-    # the continuum solver on a grid with one step per segment.
-    rng = np.random.default_rng(9)
-    s = PiecewiseSchedule.initialized(3, 2.0, segments=3, tied=False)
-    for kind in ("tunneling", "bias", "coupling"):
-        s.coeffs[kind][:] = rng.normal(scale=0.5, size=s.coeffs[kind].shape)
-    rho = DensityMatrix.from_state_vector(rng.normal(size=8)
-                                          + 1j * rng.normal(size=8))
-    probs = run_shots(compile_segments(s), rho, ShotBackend())
-    rho_f = final_state(rho, s, TimeGrid(s.T, s.segments))
-    for p in pair_indices(3):
-        est = estimate_output(probs, IDENTITY_MAP, 3, pair=p)
-        assert abs(est - expectation(rho_f, zz_observable(3, p))) <= 1e-12
-    pairs = build_training_set(3, SQUARE_MAP)
-    err = circuit.set_rms_error(pairs, s, ShotBackend(), SQUARE_MAP, pair=(1, 2))
-    ref = rl.set_rms_error(pairs, s, zz_observable(3, (1, 2)), SQUARE_MAP,
-                           TimeGrid(s.T, s.segments))
-    assert err == pytest.approx(ref, abs=1e-12)
-    with pytest.raises(ValueError):
-        estimate_output(probs, IDENTITY_MAP, 3, pair=(0, 3))
 
 
 # -- training ----------------------------------------------------------------
