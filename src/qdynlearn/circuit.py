@@ -10,6 +10,7 @@ the whole-set RMS between witness estimates and targets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,11 +78,14 @@ def _apply_segments(circuit: SegmentedCircuit, rho: np.ndarray, p_dep: float):
     return rho
 
 
+@functools.lru_cache(maxsize=16)
 def _readout_matrix(num_qubits, p_ro):
+    """Independent per-qubit flips as one (d, d) stochastic matrix, read-only."""
     f1 = np.array([[1.0 - p_ro, p_ro], [p_ro, 1.0 - p_ro]])
     f = np.array([[1.0]])
     for _ in range(num_qubits):
         f = np.kron(f, f1)
+    f.flags.writeable = False
     return f
 
 

@@ -3,17 +3,21 @@
 Everything here works on small dense matrices (dim = 2^N, N <= 6).  H is
 real symmetric, assembled from bit masks (each sigma_x^(i) flips one bit of
 the basis index; the sigma_z terms are diagonal).  Evolution is a stepwise
-matrix exponential through a real symmetric eigendecomposition, so each step
-is exactly unitary and the density-matrix invariants (Hermiticity, unit
+matrix exponential.  `evolve` takes it through a real symmetric
+eigendecomposition, so each step is exactly unitary and the trajectory keeps
+the step eigensystem for the adjoint gradient to reuse.  The solve-only paths
+(`expm_hermitian`, `total_propagator`) need no eigensystem: they evaluate
+cos(H dt) - i sin(H dt) as real Taylor polynomials, accurate and unitary to
+round-off.  Either way the density-matrix invariants (Hermiticity, unit
 trace, positivity) are preserved to round-off.  The total propagator is a
-pairwise product of the steps; a trajectory keeps the step eigensystem for
-the adjoint gradient to reuse.
+pairwise product of the steps.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,9 +259,81 @@ def _unitaries(w, v, dt):
     return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
+def _taylor_table():
+    """(power count p, coefficients, theta reach) per Taylor degree 2q+1.
+
+    exp(-iX) = C - iS with C = sum_j (-1)^j Y^j / (2j)! and
+    S = X sum_j (-1)^j Y^j / (2j+1)!, Y = X^2, both truncated at Y^q (Taylor
+    degree 2q+1 in X).  The reach is the largest theta = ||X||_1 for which
+    the Taylor remainder sum_{k>2q+1} theta^k / k! stays <= 2^-53 theta.
+    Each polynomial is evaluated Paterson-Stockmeyer style from the powers
+    I, Y, ..., Y^p: blocks of p coefficients, combined by Horner in Y^p.  Each
+    degree's p minimises the matmul count, p - 1 + 2 (blocks - 1) + 2.
+    """
+    table = []
+    for q, p, reach in ((2, 2, 2.40e-3), (4, 2, 9.03e-2), (6, 3, 0.410),
+                        (8, 4, 0.977), (12, 4, 2.656)):
+        blocks = -(-q // p)  # the last block also takes Y^p
+        coef = np.zeros((2, blocks, p + 1))
+        for j in range(q + 1):
+            b = min(j // p, blocks - 1)
+            sign = (-1.0) ** j
+            coef[0, b, j - b * p] = sign / math.factorial(2 * j)
+            coef[1, b, j - b * p] = sign / math.factorial(2 * j + 1)
+        table.append((p, coef, reach))
+    return tuple(table)
+
+
+_TAYLOR = _taylor_table()
+
+
 def expm_hermitian(h, dt):
-    """exp(-i h dt) for a batch of Hermitian matrices (hbar = 1)."""
-    return _unitaries(*np.linalg.eigh(h), dt)
+    """exp(-i h dt) for a batch of Hermitian matrices (hbar = 1).
+
+    Truncated cos/sin Taylor series in X = h dt, with no eigendecomposition:
+    real matmuls for the real symmetric Hamiltonians assembled here.  One
+    degree serves the batch, picked a priori from theta = ||X||_1, the largest
+    absolute column sum over the batch (`_taylor_table`); beyond the largest
+    degree's reach, X is halved s times and the result squared s times.
+    Raises ValueError if h or dt holds a NaN or an infinity.
+    """
+    x = np.asarray(h) * dt
+    # Row sums: the same as the column sums of a Hermitian X, and contiguous.
+    theta = float(np.abs(x).sum(axis=-1).max(initial=0.0))
+    if not math.isfinite(theta):
+        raise ValueError("expm_hermitian: non-finite Hamiltonian entry")
+    for p, coef, reach in _TAYLOR:
+        if theta <= reach:
+            break
+    squarings = math.ceil(math.log2(theta / reach)) if theta > reach else 0
+    if squarings:
+        x /= 2.0**squarings
+
+    # One workspace: I, Y, ..., Y^p, then the (cos, sin) Horner pair and its
+    # product.  With a fresh array per intermediate, the allocator handed
+    # the memory back and page-faulted it in again on every call: at
+    # (200, 8, 8), about 300 faults per call, which made it 3-4x slower.
+    work = np.empty((p + 5, *x.shape), dtype=x.dtype)
+    powers, poly, prod = work[:p + 1], work[p + 1:p + 3], work[p + 3:]
+    powers[0] = np.eye(x.shape[-1])
+    np.matmul(x, x, out=powers[1])
+    known = 1
+    while known < p:  # Y^(k+1..2k) = Y^(1..k) Y^k, one stacked call each
+        top = min(2 * known, p)
+        np.matmul(powers[1:top - known + 1], powers[known],
+                  out=powers[known + 1:top + 1])
+        known = top
+    flat_powers, flat_poly = powers.reshape(p + 1, -1), poly.reshape(2, -1)
+    np.matmul(coef[:, -1], flat_powers, out=flat_poly)
+    for b in range(coef.shape[1] - 2, -1, -1):  # poly = poly Y^p + block b
+        np.matmul(poly, powers[p], out=prod)
+        np.matmul(coef[:, b], flat_powers, out=flat_poly)
+        poly += prod
+    u = np.matmul(x, poly[1], out=prod[0]) * -1j
+    u += poly[0]
+    for _ in range(squarings):
+        u = u @ u
+    return u
 
 
 def step_unitaries(schedule, grid: TimeGrid):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import qcore
 from .qcore import DensityMatrix, Observable, OutputMap, SQUARE_MAP
@@ -99,6 +98,35 @@ def build_training_set(num_qubits, output_map: OutputMap = SQUARE_MAP):
     ]
 
 
+def _average_ranks(x):
+    """1-based ranks of x, tied values sharing the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
+def spearman_rho(a, b) -> float:
+    """Spearman rank correlation: the Pearson correlation of average ranks.
+
+    NaN when an input holds a NaN or is constant, where no correlation is
+    defined (as scipy.stats.spearmanr reports it).
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("spearman_rho needs two 1-d arrays of equal length")
+    if np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    ra -= ra.mean()
+    rb -= rb.mean()
+    norm = np.sqrt(np.dot(ra, ra) * np.dot(rb, rb))
+    return float(np.dot(ra, rb) / norm) if norm > 0 else float("nan")
+
+
 @dataclass
 class WitnessReport:
     """Per-state witness outputs plus the rank correlation against the oracle
@@ -150,8 +178,7 @@ def evaluate_witness(schedule, states, observable: Observable,
     sweep_oracle = np.array(
         [_oracle_value(rho, th) for th, rho in zip(thetas, sweep)]
     )
-    rho_s = spearmanr(sweep_outs, sweep_oracle).statistic
-
     return WitnessReport(labels=labels, oracle=oracle, outputs=outs,
                          sweep_thetas=thetas, sweep_oracle=sweep_oracle,
-                         sweep_outputs=sweep_outs, spearman=float(rho_s))
+                         sweep_outputs=sweep_outs,
+                         spearman=spearman_rho(sweep_outs, sweep_oracle))

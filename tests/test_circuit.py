@@ -115,6 +115,41 @@ def test_fully_randomized_readout_is_uniform():
     assert np.allclose(probs, 0.25)
 
 
+def kron_readout(num_qubits, p_ro):
+    f1 = np.array([[1.0 - p_ro, p_ro], [p_ro, 1.0 - p_ro]])
+    f = np.eye(1)
+    for _ in range(num_qubits):
+        f = np.kron(f, f1)
+    return f
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 6])
+@pytest.mark.parametrize("p_ro", [0.0, 0.01, 0.5])
+def test_cached_readout_matrix_is_the_read_only_kron(num_qubits, p_ro):
+    f = circuit._readout_matrix(num_qubits, p_ro)
+    assert np.array_equal(f, kron_readout(num_qubits, p_ro))
+    assert not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[0, 0] = 2.0
+    assert circuit._readout_matrix(num_qubits, p_ro) is f
+
+
+def test_cached_readout_keeps_the_seeded_draws():
+    # The same rng stream, drawn from the same probabilities, as a run that
+    # builds the readout matrix afresh.
+    s = random_schedule(np.random.default_rng(5))
+    c = compile_segments(s)
+    rho = ghz_family_state(2, 0.6, 0.8)
+    backend = ShotBackend(shots=8192, p_ro=0.01, seed=9)
+    got = [run_shots(c, rho, backend) for _ in range(3)]
+    exact = run_shots(c, rho, ShotBackend())  # p_ro = 0: before readout
+    rng = np.random.default_rng(9)
+    for counts in got:
+        ref = rng.multinomial(8192, kron_readout(2, 0.01) @ exact)
+        assert counts == {format(i, "02b"): int(n)
+                          for i, n in enumerate(ref) if n}
+
+
 def test_determinism_under_fixed_seed():
     rng = np.random.default_rng(2)
     s = random_schedule(rng)

@@ -1,8 +1,12 @@
 """Concurrence oracle, training-set construction and witness evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from qdynlearn.qcore import (
     DensityMatrix,
@@ -18,6 +22,7 @@ from qdynlearn.witness import (
     concurrence,
     evaluate_witness,
     ghz_family_state,
+    spearman_rho,
     theta_sweep_states,
 )
 
@@ -126,6 +131,42 @@ def test_training_set_bad_sizes():
         build_training_set(1)
     with pytest.raises(ValueError):
         build_training_set(7)
+
+
+# -- rank correlation --------------------------------------------------------
+
+
+@st.composite
+def tied_pairs(draw):
+    """Two equal-length vectors drawn from a few values, so ties are common."""
+    n = draw(st.integers(2, 40))
+    values = st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 0.25 + 1e-12, 3.0,
+                              np.inf])
+    return (draw(st.lists(values, min_size=n, max_size=n)),
+            draw(st.lists(values | st.floats(-10, 10), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=tied_pairs())
+def test_spearman_rho_equals_scipy_with_ties(pair):
+    a, b = pair
+    got = spearman_rho(a, b)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on a constant input
+        ref = scipy.stats.spearmanr(a, b).statistic
+    if np.isnan(ref):
+        assert np.isnan(got)
+    else:
+        assert got == pytest.approx(ref, abs=1e-12)
+
+
+def test_spearman_rho_average_ranks_and_bad_input():
+    assert spearman_rho([1, 2, 2, 3], [10, 20, 20, 30]) == pytest.approx(1.0)
+    assert spearman_rho([3, 2, 1], [1, 2, 3]) == pytest.approx(-1.0)
+    assert np.isnan(spearman_rho([1, 1, 1], [1, 2, 3]))  # constant input
+    assert np.isnan(spearman_rho([1, np.nan, 3], [1, 2, 3]))
+    with pytest.raises(ValueError):
+        spearman_rho([1, 2, 3], [1, 2])
 
 
 # -- evaluation --------------------------------------------------------------
