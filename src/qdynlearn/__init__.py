@@ -2,13 +2,11 @@
 
 from .qcore import (
     DensityMatrix,
-    HamiltonianParams,
     Observable,
     OutputMap,
     TimeGrid,
     IDENTITY_MAP,
     SQUARE_MAP,
-    build_hamiltonian,
     evolve,
     expectation,
     output_value,

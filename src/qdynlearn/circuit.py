@@ -18,7 +18,7 @@ import numpy as np
 from . import qcore, rl
 from .qcore import DensityMatrix, OutputMap, SQUARE_MAP
 from .schedules import PiecewiseSchedule, list_trainable
-from .train import run_epochs
+from .train import descend, run_epochs
 
 UNITARITY_TOL = 1e-12
 
@@ -90,59 +90,54 @@ def _readout_matrix(num_qubits, p_ro):
 
 
 def run_shots(circuit: SegmentedCircuit, rho0: DensityMatrix,
-              backend: ShotBackend):
+              backend: ShotBackend) -> np.ndarray:
     """Apply the segments and measure in the computational basis.
 
-    Exact mode returns the outcome probability vector; otherwise a dict of
-    bitstring counts summing to `shots`.
+    Returns one entry per basis state, indexed by the measured bitstring
+    read as a binary number (qubit 0 is the most significant bit): the
+    outcome probabilities in exact mode, otherwise the integer counts of
+    `shots` multinomial draws.
     """
-    n = circuit.schedule.num_qubits
     rho = _apply_segments(circuit, rho0.matrix, backend.p_dep)
     probs = np.clip(np.diag(rho).real, 0.0, None)
     probs = probs / probs.sum()
     if backend.p_ro > 0.0:
-        probs = _readout_matrix(n, backend.p_ro) @ probs
+        probs = _readout_matrix(circuit.schedule.num_qubits, backend.p_ro) @ probs
     if backend.exact:
         return probs
-    counts = backend._rng.multinomial(backend.shots, probs)
-    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
+    return backend._rng.multinomial(backend.shots, probs)
 
 
-def estimate_output(counts, output_map: OutputMap = SQUARE_MAP,
-                    num_qubits: int = 2) -> float:
-    """Witness output f(<zz>) from counts (dict) or exact probabilities.
+def estimate_output(counts, output_map: OutputMap = SQUARE_MAP) -> float:
+    """Witness output f(<zz>) from a count or probability vector.
 
-    The pair correlation is estimated from the measured bitstrings:
-    (n00 + n11 - n01 - n10) / shots for two qubits, and in general the parity
-    of the designated pair (first two qubits).
+    `counts` has one entry per basis state, as `run_shots` returns it, so
+    its length 2^N gives the qubit count N >= 2; it is normalised by its
+    sum.  The pair correlation is the parity of the designated pair (the
+    first two qubits): (n00 + n11 - n01 - n10) / shots for two qubits.
     """
-    if isinstance(counts, dict):
-        if not counts:
-            raise ValueError("empty counts")
-        total = sum(counts.values())
-        probs = np.zeros(2**num_qubits)
-        for bits, c in counts.items():
-            probs[int(bits, 2)] = c / total
-    else:
-        probs = np.asarray(counts, dtype=float)
-        if probs.size != 2**num_qubits:
-            raise ValueError("probability vector has wrong length")
-    idx = np.arange(probs.size)
+    counts = np.asarray(counts)
+    num_qubits = counts.size.bit_length() - 1
+    if counts.ndim != 1 or counts.size < 4 or counts.size != 2**num_qubits:
+        raise ValueError("need one entry per basis state of at least 2 qubits")
+    total = counts.sum()
+    if total <= 0:
+        raise ValueError("counts must have a positive sum")
+    idx = np.arange(counts.size)
     b0 = (idx >> (num_qubits - 1)) & 1
     b1 = (idx >> (num_qubits - 2)) & 1
     parity = 1.0 - 2.0 * ((b0 + b1) % 2)
-    return float(output_map(np.dot(parity, probs)))
+    return float(output_map(np.dot(parity, counts / total)))
 
 
 def set_rms_error(pairs, schedule: PiecewiseSchedule, backend: ShotBackend,
                   output_map: OutputMap = SQUARE_MAP) -> float:
     """Whole-set RMS error through the compile -> measure -> estimate path."""
     circuit = compile_segments(schedule)
-    n = schedule.num_qubits
     sq = []
     for pair in pairs:
         out = estimate_output(run_shots(circuit, pair.rho0, backend),
-                              output_map, num_qubits=n)
+                              output_map)
         sq.append((pair.target - out) ** 2)
     return float(np.sqrt(np.mean(sq)))
 
@@ -182,7 +177,10 @@ def train_circuit_rl(pairs, schedule: PiecewiseSchedule,
     error_fn = lambda s: set_rms_error(pairs, s, backend, output_map)
 
     def epoch(schedule):
-        rl.fd_update_pass(schedule, cids, error_fn, config)
+        for cid in cids:
+            g = rl.fd_gradient(cid, schedule, error_fn, error_fn(schedule),
+                               config)
+            descend(schedule, [cid], [g], config.learning_rates)
         return error_fn(schedule)
 
     return run_epochs(pairs, schedule, config, epoch)

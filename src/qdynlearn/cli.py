@@ -26,39 +26,54 @@ def main():
     """Train, stage and evaluate learned entanglement witnesses."""
 
 
-def _named_state(name, num_qubits=2):
-    presets = {
-        "bell": witness.ghz_family_state(2, 1.0, 1.0),
-        "ghz": witness.ghz_family_state(num_qubits, 1.0, 1.0),
-        "zeros": DensityMatrix.from_state_vector(
-            [1.0] + [0.0] * (2**num_qubits - 1)),
-        "partial": witness.ghz_family_state(num_qubits, 0.6, 0.8),
-    }
-    return presets.get(name)
+# Preset states by name, each built only when asked for.
+PRESETS = {
+    "bell": lambda n: witness.ghz_family_state(2, 1.0, 1.0),
+    "ghz": lambda n: witness.ghz_family_state(n, 1.0, 1.0),
+    "zeros": lambda n: witness.ghz_family_state(n, 1.0, 0.0),
+    "partial": lambda n: witness.ghz_family_state(n, 0.6, 0.8),
+}
 
 
-def _parse_state(spec):
-    """State from a preset name, inline JSON amplitudes, or a JSON file."""
-    preset = _named_state(spec)
-    if preset is not None:
-        return spec, preset
-    if Path(spec).exists():
-        with open(spec) as fh:
-            data = json.load(fh)
-    else:
-        try:
-            data = json.loads(spec)
-        except json.JSONDecodeError:
-            raise click.UsageError(
-                f"state {spec!r} is not a preset, a file, or JSON amplitudes")
-    return "state", DensityMatrix.from_state_vector(_amplitudes(data))
+def _state(spec, num_qubits, label="state"):
+    """(label, DensityMatrix) of `num_qubits` qubits from one state spec.
+
+    The spec is a preset name, a list of amplitudes (each a number or a
+    [re, im] pair), or an {"amplitudes": [...], "label": ...} object.
+    """
+    try:
+        if isinstance(spec, str):
+            if spec not in PRESETS:
+                raise ValueError("unknown preset")
+            label, rho = spec, PRESETS[spec](num_qubits)
+        else:
+            if isinstance(spec, dict):
+                label = spec.get("label", label)
+                spec = spec["amplitudes"]
+            rho = DensityMatrix.from_state_vector(
+                [complex(*a) if isinstance(a, list) and len(a) == 2
+                 else complex(a) for a in spec])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad state {spec!r}: {exc}")
+    if rho.num_qubits != num_qubits:
+        raise click.UsageError(f"state {label!r} has {rho.num_qubits} qubits, "
+                               f"expected {num_qubits}")
+    return label, rho
 
 
-def _amplitudes(data):
-    if isinstance(data, dict):
-        data = data["amplitudes"]
-    return [complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
-            for a in data]
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot read {path}: {exc}")
+
+
+def _load_schedule(path):
+    try:
+        return load_schedule(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad schedule file {path}: {exc}")
 
 
 @main.command()
@@ -140,12 +155,7 @@ def train(config_path, out_dir, seed, epochs, mode):
               help="Target qubit count (default: one more than the input).")
 def stage(in_schedule, out_schedule, target):
     """Initialize a larger-system schedule from a trained smaller one."""
-    if not Path(in_schedule).exists():
-        raise click.UsageError(f"schedule not found: {in_schedule}")
-    try:
-        trained = load_schedule(in_schedule)
-    except (KeyError, ValueError) as exc:
-        raise click.UsageError(f"bad schedule file: {exc}")
+    trained = _load_schedule(in_schedule)
     n = trained.num_qubits
     if target is None:
         target = n + 1
@@ -165,34 +175,24 @@ def stage(in_schedule, out_schedule, target):
               help="JSON list of states; default is the 21-point theta sweep.")
 @click.option("--out", "out_path", required=True, type=click.Path(),
               help="Report CSV (label, oracle, witness output).")
-@click.option("--steps", type=int, default=DEFAULT_STEPS)
+@click.option("--steps", type=click.IntRange(min=1), default=DEFAULT_STEPS)
 @click.option("--output-map", type=click.Choice(list(OUTPUT_MAPS)),
               default="square")
 def eval_cmd(schedule_path, states_path, out_path, steps, output_map):
     """Evaluate a trained witness and report outputs vs the oracle."""
-    if not Path(schedule_path).exists():
-        raise click.UsageError(f"schedule not found: {schedule_path}")
-    schedule = load_schedule(schedule_path)
+    schedule = _load_schedule(schedule_path)
+    n = schedule.num_qubits
     grid = qcore.TimeGrid(schedule.T, steps)
-    obs = qcore.zz_observable(schedule.num_qubits)
+    obs = qcore.zz_observable(n)
     fmap = OUTPUT_MAPS[output_map]
 
     if states_path is not None:
-        with open(states_path) as fh:
-            entries = json.load(fh)
-        states = []
-        for i, entry in enumerate(entries):
-            if isinstance(entry, str):
-                st = _named_state(entry, schedule.num_qubits)
-                if st is None:
-                    raise click.UsageError(f"unknown preset {entry!r}")
-                states.append((entry, st))
-            else:
-                states.append((entry.get("label", f"state_{i}"),
-                               DensityMatrix.from_state_vector(
-                                   _amplitudes(entry))))
+        entries = _read_json(states_path)
+        if not isinstance(entries, list):
+            raise click.UsageError("--states must hold a JSON list of states")
+        states = [_state(e, n, f"state_{i}") for i, e in enumerate(entries)]
     else:
-        thetas, sweep = witness.theta_sweep_states(schedule.num_qubits)
+        thetas, sweep = witness.theta_sweep_states(n)
         states = [(f"theta_{th:.4f}", st) for th, st in zip(thetas, sweep)]
 
     report = witness.evaluate_witness(schedule, states, obs, fmap, grid)
@@ -207,10 +207,18 @@ def eval_cmd(schedule_path, states_path, out_path, steps, output_map):
 def oracle(state):
     """Print the concurrence of a two-qubit state.
 
-    STATE is a preset (bell, zeros, partial), inline JSON amplitudes, or a
-    JSON file path.
+    STATE is a preset (bell, ghz, zeros, partial), inline JSON amplitudes,
+    or a JSON file path.
     """
-    _, rho = _parse_state(state)
+    spec = state
+    if state not in PRESETS:
+        try:
+            spec = (_read_json(state) if Path(state).exists()
+                    else json.loads(state))
+        except json.JSONDecodeError:
+            raise click.UsageError(f"state {state!r} is not a preset, "
+                                   "a file, or JSON amplitudes")
+    _, rho = _state(spec, 2)
     click.echo(f"{witness.concurrence(rho):.12f}")
 
 
@@ -221,7 +229,7 @@ def oracle(state):
               type=click.Choice(["rl", "backprop", "circuit"]), default=None,
               help="Write a default config for the given mode instead.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--steps", type=int, default=DEFAULT_STEPS)
+@click.option("--steps", type=click.IntRange(min=1), default=DEFAULT_STEPS)
 def export(schedule_path, template_mode, out_path, steps):
     """Export plottable data: schedule traces or a default config."""
     if (schedule_path is None) == (template_mode is None):
@@ -232,9 +240,7 @@ def export(schedule_path, template_mode, out_path, steps):
             json.dump(default_config(template_mode).resolved(), fh, indent=2)
         click.echo(f"wrote default {template_mode} config to {out_path}")
         return
-    if not Path(schedule_path).exists():
-        raise click.UsageError(f"schedule not found: {schedule_path}")
-    schedule = load_schedule(schedule_path)
+    schedule = _load_schedule(schedule_path)
     times = qcore.TimeGrid(schedule.T, steps).times
     tracer = reporting.TraceWriter(schedule, times)
     tracer.snapshot(0, schedule)

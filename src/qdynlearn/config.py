@@ -63,7 +63,6 @@ class RunConfig:
     # default: the circuit loop's, else delta_rel * init scale per kind
     delta_abs: dict | None = None
     output_map: str = "square"
-    update_mode: str = RLConfig.update_mode
     shots: int | str = "exact"
     p_dep: float = 0.0
     p_ro: float = 0.0
@@ -162,7 +161,7 @@ class RunConfig:
         if self.mode == "backprop":
             return BackpropConfig(**common)
         return RLConfig(delta_rel=self.delta_rel, delta_abs=dict(self.delta_abs),
-                        update_mode=self.update_mode, **common)
+                        **common)
 
     def backend(self) -> ShotBackend:
         shots = None if self.shots == "exact" else int(self.shots)

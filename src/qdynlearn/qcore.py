@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,38 +109,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class HamiltonianParams:
-    """Instantaneous Hamiltonian weights: per-qubit tunneling K and bias
-    epsilon, plus the symmetric qubit-qubit coupling matrix zeta (zero
-    diagonal).  All values are angular frequencies in rad/ns."""
-
-    tunneling: np.ndarray
-    bias: np.ndarray
-    coupling: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.tunneling, dtype=float)
-        e = np.asarray(self.bias, dtype=float)
-        z = np.asarray(self.coupling, dtype=float)
-        object.__setattr__(self, "tunneling", k)
-        object.__setattr__(self, "bias", e)
-        object.__setattr__(self, "coupling", z)
-        n = k.shape[0]
-        if e.shape != (n,) or z.shape != (n, n):
-            raise ValueError("inconsistent parameter shapes")
-        if not (np.isfinite(k).all() and np.isfinite(e).all() and np.isfinite(z).all()):
-            raise ValueError("non-finite Hamiltonian parameter")
-        if np.max(np.abs(z - z.T)) > 0:
-            raise ValueError("coupling matrix must be symmetric")
-        if np.max(np.abs(np.diag(z))) > 0:
-            raise ValueError("self-coupling must be zero")
-
-    @property
-    def num_qubits(self):
-        return self.tunneling.shape[0]
-
-
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [0, T]: t_k = k T / M for k = 0..M."""
 
@@ -214,16 +182,6 @@ def _bit_tables(num_qubits):
     for t in tables:
         t.flags.writeable = False
     return tables
-
-
-def build_hamiltonian(params: HamiltonianParams) -> Observable:
-    """H = sum_i K_i sigma_x^(i) + sum_i eps_i sigma_z^(i)
-    + sum_{i<j} zeta_ij sigma_z^(i) sigma_z^(j)."""
-    n = params.num_qubits
-    zvals = np.array([[params.coupling[i, j] for i, j in pair_indices(n)]])
-    h = assemble_hamiltonians(params.tunneling[None], params.bias[None],
-                              zvals, n)
-    return Observable(h[0], label="H")
 
 
 def assemble_hamiltonians(tunneling, bias, coupling, num_qubits):

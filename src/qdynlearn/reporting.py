@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedules import KIND_ORDER
-
 
 @dataclass
 class EpochRecord:

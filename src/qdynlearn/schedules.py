@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import HamiltonianParams, pair_indices
+from .qcore import pair_indices
 
 KIND_ORDER = ("tunneling", "bias", "coupling")
 
@@ -162,11 +162,6 @@ class _Schedule:
         """Basis-function values at times ts, shape (len(ts), width)."""
         raise NotImplementedError
 
-    def basis_values(self, cid: CoefficientId, t) -> float:
-        """d P(t) / d coefficient: the basis function attached to `cid`."""
-        self._check(cid)
-        return float(self.basis_row(np.atleast_1d(float(t)))[0, cid.basis])
-
     def eval_many(self, ts):
         """Parameter values at times ts.
 
@@ -185,15 +180,6 @@ class _Schedule:
                 vals = np.repeat(vals, self.n_sites(kind), axis=1)
             out.append(vals)
         return tuple(out)
-
-    def eval(self, t) -> HamiltonianParams:
-        """HamiltonianParams at a single time t in [0, T]."""
-        k, e, z = self.eval_many(np.atleast_1d(float(t)))
-        n = self.num_qubits
-        zmat = np.zeros((n, n))
-        for col, (i, j) in enumerate(self.pairs):
-            zmat[i, j] = zmat[j, i] = z[0, col]
-        return HamiltonianParams(tunneling=k[0], bias=e[0], coupling=zmat)
 
     def sites_for(self, cid: CoefficientId):
         """Physical site indices a coefficient feeds (all sites when tied)."""
@@ -268,10 +254,6 @@ class PiecewiseSchedule(_Schedule):
 
     def _constant_basis(self):
         return np.ones(self.width, dtype=bool)
-
-    def segment_of(self, t):
-        """Segment index for time t; t = T maps to the last segment."""
-        return min(int(np.floor(t * self.segments / self.T)), self.segments - 1)
 
     def basis_row(self, ts):
         ts = np.asarray(ts, dtype=float)

@@ -7,7 +7,7 @@ output tracks the oracle over a one-parameter family of states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,12 +2,14 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qdynlearn.cli import main
+from qdynlearn.config import RunConfig
 from qdynlearn.schedules import load_schedule
 
 
@@ -56,6 +58,7 @@ def test_train_unknown_field_exits_2(runner, tmp_path):
         ({"learning_rates": {"couplng": 1.0}}, "learning_rates.couplng"),
         ({"delta_abs": {"tunneling": 1e-6, "bias": 1e-6, "coupling": 1e-6,
                         "biass": 1e-6}}, "delta_abs.biass"),
+        ({"update_mode": "sequential"}, "update_mode"),
     ]:
         cfg.write_text(json.dumps({"mode": "rl", **fields}))
         result = runner.invoke(main, ["train", "--config", str(cfg),
@@ -255,6 +258,7 @@ def test_eval_named_states(runner, tmp_path):
     states.write_text(json.dumps([
         "bell",
         {"label": "plus_plus", "amplitudes": [0.5, 0.5, 0.5, 0.5]},
+        [0.6, 0, 0, [0.8, 0]],
     ]))
     report = tmp_path / "report.csv"
     result = runner.invoke(main, ["eval", "--schedule",
@@ -263,8 +267,39 @@ def test_eval_named_states(runner, tmp_path):
                                   "--out", str(report), "--steps", "20"])
     assert result.exit_code == 0
     rows = read_csv(report)
-    assert [r[0] for r in rows[1:]] == ["bell", "plus_plus"]
+    assert [r[0] for r in rows[1:]] == ["bell", "plus_plus", "state_2"]
     assert float(rows[1][1]) == pytest.approx(1.0)  # Bell oracle
+    assert float(rows[3][1]) == pytest.approx(0.96)
+
+
+@pytest.mark.parametrize("args", [
+    # a bare amplitude list in place of a list of states
+    ["eval", "--schedule", "{two}", "--states", "{amplitudes}"],
+    ["eval", "--schedule", "{two}", "--states", "{missing}"],
+    ["eval", "--schedule", "{garbage}"],
+    ["eval", "--schedule", "{two}", "--steps", "0"],
+    # a 2-qubit preset against a 3-qubit schedule
+    ["eval", "--schedule", "{three}", "--states", "{bell}"],
+    ["export", "--schedule", "{garbage}"],
+    ["export", "--schedule", "{two}", "--steps", "0"],
+])
+def test_eval_and_export_bad_input_exits_2(runner, tmp_path, args):
+    for name, n in (("two", 2), ("three", 3)):
+        cfg = write_config(tmp_path / f"{name}.json", num_qubits=n, epochs=0)
+        runner.invoke(main, ["train", "--config", str(cfg),
+                             "--out", str(tmp_path / name)])
+    files = {"two": tmp_path / "two" / "schedule.json",
+             "three": tmp_path / "three" / "schedule.json",
+             "amplitudes": tmp_path / "amplitudes.json",
+             "bell": tmp_path / "bell.json",
+             "garbage": tmp_path / "garbage.json",
+             "missing": tmp_path / "missing.json"}
+    files["amplitudes"].write_text("[0.5, 0.5, 0.5, 0.5]")
+    files["bell"].write_text('["bell"]')
+    files["garbage"].write_text("{not json")
+    result = runner.invoke(main, [a.format(**files) for a in args]
+                           + ["--out", str(tmp_path / "out.csv")])
+    assert result.exit_code == 2, result.output
 
 
 def test_eval_without_oracle_writes_nan(runner, tmp_path):
@@ -300,8 +335,9 @@ def test_oracle_inline_json(runner):
 
 
 def test_oracle_garbage_exits_2(runner):
-    result = runner.invoke(main, ["oracle", "not-a-state"])
-    assert result.exit_code == 2
+    for state in ("not-a-state", "[1,0,0]", "[1,0,0,0,0,0,0,1]"):
+        result = runner.invoke(main, ["oracle", state])
+        assert result.exit_code == 2, state
 
 
 # -- export ------------------------------------------------------------------
@@ -315,6 +351,15 @@ def test_export_config_template(runner, tmp_path):
     cfg = json.loads(out.read_text())
     assert cfg["mode"] == "circuit"
     assert cfg["T_ns"] == 2.0
+
+
+def test_readme_config_block_names_every_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    data = json.loads(block)
+    RunConfig.from_dict(data)
+    assert set(data) == set(RunConfig.__dataclass_fields__)
 
 
 def test_export_schedule_trace(runner, tmp_path):

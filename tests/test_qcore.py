@@ -12,12 +12,10 @@ from qdynlearn import qcore
 from qdynlearn.qcore import (
     DensityMatrix,
     DimensionMismatchError,
-    HamiltonianParams,
     IDENTITY_MAP,
     Observable,
     SQUARE_MAP,
     TimeGrid,
-    build_hamiltonian,
     evolve,
     expectation,
     final_state,
@@ -72,18 +70,15 @@ def test_pair_indices_order():
 
 
 def test_build_hamiltonian_single_qubit():
-    p = HamiltonianParams(
-        tunneling=np.array([0.3]), bias=np.array([0.7]),
-        coupling=np.zeros((1, 1)))
-    assert np.allclose(build_hamiltonian(p).matrix,
-                       [[0.7, 0.3], [0.3, -0.7]])
+    h = qcore.assemble_hamiltonians(np.array([[0.3]]), np.array([[0.7]]),
+                                    np.zeros((1, 0)), 1)
+    assert np.allclose(h[0], [[0.7, 0.3], [0.3, -0.7]])
 
 
 def test_build_hamiltonian_coupling_only():
-    z = np.array([[0.0, 0.5], [0.5, 0.0]])
-    p = HamiltonianParams(tunneling=np.zeros(2), bias=np.zeros(2), coupling=z)
-    assert np.allclose(build_hamiltonian(p).matrix,
-                       np.diag([0.5, -0.5, -0.5, 0.5]))
+    h = qcore.assemble_hamiltonians(np.zeros((1, 2)), np.zeros((1, 2)),
+                                    np.array([[0.5]]), 2)
+    assert np.allclose(h[0], np.diag([0.5, -0.5, -0.5, 0.5]))
 
 
 def pauli_sum(tunneling, bias, coupling, num_qubits):
@@ -232,17 +227,6 @@ def test_total_propagator_equals_eigh_step_product(family, num_qubits):
     # comparison with the eigh product allows that drift on top of 1e-13.
     eigh_drift = np.abs(eigh_ref - scipy_ref).max()
     assert np.abs(u - eigh_ref).max() <= 1e-13 + eigh_drift
-
-
-def test_hamiltonian_params_validation():
-    with pytest.raises(ValueError):
-        HamiltonianParams(np.zeros(2), np.zeros(2),
-                          np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        HamiltonianParams(np.zeros(2), np.zeros(2),
-                          np.array([[1.0, 0.0], [0.0, 0.0]]))  # self-coupling
-    with pytest.raises(ValueError):
-        HamiltonianParams(np.array([np.nan, 0.0]), np.zeros(2), np.zeros((2, 2)))
 
 
 # -- state and grid validation -----------------------------------------------
@@ -401,8 +385,9 @@ def test_piecewise_schedule_reproduced_exactly_on_aligned_grid():
     u = total_propagator(sched, TimeGrid(T, 16))  # 4 steps per segment
     ref = np.eye(4, dtype=complex)
     tau = T / segs
-    for s in range(segs):
-        h = build_hamiltonian(sched.eval((s + 0.5) * tau)).matrix
+    hs = qcore.assemble_hamiltonians(
+        *sched.eval_many((np.arange(segs) + 0.5) * tau), 2)
+    for h in hs:
         ref = scipy.linalg.expm(-1j * h * tau) @ ref
     assert np.abs(u - ref).max() < 1e-12
 

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from qdynlearn import backprop, qcore, rl
+from qdynlearn import backprop, qcore
 from qdynlearn.qcore import DensityMatrix, SQUARE_MAP, TimeGrid, zz_observable
 from qdynlearn.rl import RLConfig, fd_gradient, pair_error, train_rl, train_rl_epoch
 from qdynlearn.schedules import FourierSchedule, list_trainable
 from qdynlearn.witness import TrainingPair, build_training_set
 
 OBS = zz_observable(2)
+
+
+def quotient(cid, pair, sched, cfg, grid):
+    """The RL loop's difference quotient for one pair's error."""
+    error_fn = lambda s: pair_error(pair, s, OBS, SQUARE_MAP, grid)
+    return fd_gradient(cid, sched, error_fn, error_fn(sched), cfg)
 
 
 def default_problem(T=250.0, steps=200):
@@ -30,8 +36,6 @@ def test_config_defaults():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RLConfig(update_mode="batch")
     with pytest.raises(ValueError):
         RLConfig(delta_rel=0.0)
     with pytest.raises(ValueError):
@@ -67,7 +71,7 @@ def test_fd_gradient_restores_schedule_bit_identically():
     cfg = RLConfig()
     before = {k: sched.coeffs[k].copy() for k in sched.coeffs}
     for cid in list_trainable(sched, cfg.learning_rates):
-        fd_gradient(cid, pairs[1], sched, cfg, OBS, SQUARE_MAP, grid)
+        quotient(cid, pairs[1], sched, cfg, grid)
     for kind, c in before.items():
         assert np.array_equal(sched.coeffs[kind], c)
 
@@ -94,7 +98,7 @@ def test_fd_gradient_agrees_with_adjoint():
     field = backprop.adjoint_evolve_backward(a_final, traj)
     for cid in list_trainable(sched, cfg.learning_rates):
         exact = backprop.all_gradients([cid], traj, field, sched, grid)[0]
-        quot = fd_gradient(cid, pair, sched, cfg, OBS, SQUARE_MAP, grid)
+        quot = quotient(cid, pair, sched, cfg, grid)
         if abs(exact) > 1e-4:
             assert quot == pytest.approx(exact, rel=1e-2)
 
@@ -113,8 +117,7 @@ def test_fd_gradient_first_order_in_delta():
         cfg = RLConfig(delta_rel=drel,
                        delta_abs={k: drel * s
                                   for k, s in FourierSchedule.INIT.items()})
-        errs.append(abs(fd_gradient(cid, pair, sched, cfg, OBS, SQUARE_MAP,
-                                    grid) - exact))
+        errs.append(abs(quotient(cid, pair, sched, cfg, grid) - exact))
     # error shrinks roughly linearly with the perturbation
     assert errs[0] > errs[1] > errs[2]
     assert 4.0 < errs[0] / errs[1] < 25.0
@@ -142,19 +145,10 @@ def test_epoch_solve_count_deferred():
     assert qcore.solve_count == len(pairs) * (1 + n)
 
 
-def test_epoch_solve_count_sequential():
-    pairs, sched, grid = default_problem(steps=20)
-    cfg = RLConfig(update_mode="sequential")
-    n = len(list_trainable(sched, cfg.learning_rates))
-    qcore.solve_count = 0
-    train_rl_epoch(pairs, sched, cfg, OBS, SQUARE_MAP, grid)
-    # one logged nominal evaluation plus (E_nom, E_mod) per coefficient
-    assert qcore.solve_count == len(pairs) * (1 + 2 * n)
-
-
 def test_epoch_rms_matches_direct_evaluation():
     pairs, sched, grid = default_problem(steps=50)
-    expected = rl.set_rms_error(pairs, sched, OBS, SQUARE_MAP, grid)
+    expected = np.sqrt(np.mean([2.0 * pair_error(p, sched, OBS, SQUARE_MAP, grid)
+                                for p in pairs]))
     rms = train_rl_epoch(pairs, sched.copy(),
                          RLConfig(learning_rates={"tunneling": 0.0,
                                                   "bias": 0.0,
@@ -186,10 +180,3 @@ def test_train_reaches_target_quickly():
     trained, log = train_rl(pairs, sched, cfg, OBS, SQUARE_MAP, grid)
     assert log.rms[-1] <= 0.05
     assert log.rms[-1] < log.rms[0]
-
-
-def test_sequential_mode_also_converges():
-    pairs, sched, grid = default_problem(steps=100)
-    cfg = RLConfig(epochs=60, rms_target=0.08, update_mode="sequential")
-    _, log = train_rl(pairs, sched, cfg, OBS, SQUARE_MAP, grid)
-    assert log.rms[-1] <= 0.08

@@ -41,9 +41,9 @@ def test_fourier_eval_at_zero_is_constant_plus_cosines():
                                     tunneling=2.5e-3)
     # add a cosine term: at t=0 every cos is 1 and every sin is 0
     s.set(CoefficientId("tunneling", 0, 3), 1e-3)  # cos(pi t/T)
-    p = s.eval(0.0)
-    assert p.tunneling[0] == pytest.approx(2.5e-3 + 1e-3)
-    assert p.tunneling[1] == pytest.approx(2.5e-3 + 1e-3)  # tied broadcast
+    k, _, _ = s.eval_many([0.0])
+    assert k[0, 0] == pytest.approx(2.5e-3 + 1e-3)
+    assert k[0, 1] == pytest.approx(2.5e-3 + 1e-3)  # tied broadcast
 
 
 def test_fourier_eval_midpoint_sine():
@@ -51,7 +51,7 @@ def test_fourier_eval_midpoint_sine():
     s = FourierSchedule.initialized(1, T, n_max=1, tied=True, tunneling=2.5e-3,
                                     bias=0.0, coupling=0.0)
     s.set(CoefficientId("tunneling", 0, 1), 1e-3)  # sin(pi t/T), peaks at T/2
-    assert s.eval(T / 2).tunneling[0] == pytest.approx(3.5e-3)
+    assert s.eval_many([T / 2])[0][0, 0] == pytest.approx(3.5e-3)
 
 
 def test_fourier_reconstruction_identity():
@@ -59,47 +59,52 @@ def test_fourier_reconstruction_identity():
     rng = np.random.default_rng(0)
     s = random_fourier(rng)
     for t in rng.uniform(0.0, s.T, size=10):
-        k = s.eval(t).tunneling
+        k = s.eval_many([t])[0][0]
+        basis = s.basis_row([t])[0]
         for site in range(2):
             total = sum(
-                s.get(CoefficientId("tunneling", site, b))
-                * s.basis_values(CoefficientId("tunneling", site, b), t)
+                s.get(CoefficientId("tunneling", site, b)) * basis[b]
                 for b in range(s.width)
             )
             assert k[site] == pytest.approx(total, abs=1e-14)
 
 
+def segment_of(s, t):
+    """The one segment whose indicator is 1 at time t."""
+    (seg,) = np.flatnonzero(s.basis_row([t])[0])
+    return seg
+
+
 def test_piecewise_segment_lookup():
     s = PiecewiseSchedule.initialized(2, 8.0, segments=4)
-    assert s.segment_of(0.0) == 0
-    assert s.segment_of(2.3) == 1
-    assert s.segment_of(7.99) == 3
-    assert s.segment_of(8.0) == 3  # T maps into the last segment
+    assert segment_of(s, 0.0) == 0
+    assert segment_of(s, 2.3) == 1
+    assert segment_of(s, 7.99) == 3
+    assert segment_of(s, 8.0) == 3  # T maps into the last segment
 
 
 def test_piecewise_eval_picks_segment_value():
     rng = np.random.default_rng(1)
     s = random_piecewise(rng)
     for t in (0.5, 3.1, 6.2, 7.9):
-        seg = s.segment_of(t)
-        assert s.eval(t).tunneling[0] == pytest.approx(
-            s.coeffs["tunneling"][0, seg])
-        assert s.eval(t).tunneling[1] == pytest.approx(
-            s.coeffs["tunneling"][1, seg])
+        seg = segment_of(s, t)
+        k = s.eval_many([t])[0][0]
+        assert k[0] == pytest.approx(s.coeffs["tunneling"][0, seg])
+        assert k[1] == pytest.approx(s.coeffs["tunneling"][1, seg])
 
 
 def test_basis_values_indicator():
     s = PiecewiseSchedule.initialized(2, 8.0, segments=4)
-    assert s.basis_values(CoefficientId("tunneling", 0, 2), 5.0) == 1.0
-    assert s.basis_values(CoefficientId("tunneling", 0, 2), 7.2) == 0.0
+    assert s.basis_row([5.0])[0, 2] == 1.0
+    assert s.basis_row([7.2])[0, 2] == 0.0
 
 
 def test_eval_outside_domain_raises():
     s = FourierSchedule.initialized(2, 10.0)
     with pytest.raises(ScheduleError):
-        s.eval(-0.5)
+        s.eval_many([-0.5])
     with pytest.raises(ScheduleError):
-        s.eval(10.5)
+        s.eval_many([10.5])
 
 
 def test_tied_broadcast_is_uniform():
