@@ -13,8 +13,10 @@ evaluated per step through the exact derivative of each step propagator, so
 the result is the gradient of the discrete loss to round-off rather than a
 quadrature approximation.  Because H is real symmetric, that derivative,
 paired with rho_k and A_{k+1}, collapses to one real step sensitivity W_k
-built in the step's eigenbasis; every coefficient's gradient is read off W_k
-by the transposed Hamiltonian assembly (`qcore.contract_hamiltonians`).
+built in the step's eigenbasis, from one batched `eigh` of the trajectory's
+step Hamiltonians per pair (the program's only eigendecomposition of a
+Hamiltonian).  Every coefficient's gradient is read off W_k by the transposed
+Hamiltonian assembly (`qcore.contract_hamiltonians`).
 Validated against finite differences and scipy's expm_frechet; see tests.
 """
 
@@ -64,7 +66,8 @@ def _step_sensitivities(traj: Trajectory, adjoint_field: np.ndarray):
     S_ab = sinc(dt (lam_a - lam_b) / 2) is smooth across degenerate pairs.
     V is real, so Z_ab = conj(q_a) q_b (V^T X V)_ab comes from real products.
     """
-    lam, v, dt = traj.eigenvalues, traj.eigenvectors, traj.grid.dt
+    lam, v = np.linalg.eigh(traj.hamiltonians)
+    dt = traj.grid.dt
     a = adjoint_field[1:]
     # The formula needs a Hermitian costate; its anti-Hermitian part is the
     # imaginary residual the gradient would otherwise silently drop.
@@ -101,7 +104,6 @@ def all_gradients(cids, traj: Trajectory, adjoint_field: np.ndarray,
 class BackpropConfig(TrainConfig):
     """Knobs for the adjoint training loop."""
 
-    epochs: int = 1000
     accumulate_per_epoch: bool = False  # default: update after every pair
 
 

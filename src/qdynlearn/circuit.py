@@ -1,9 +1,12 @@
-"""Hardware-style mode: segment unitaries, shot-sampled readout, RL training.
+"""Hardware-style mode: circuit unitary, shot-sampled readout, RL training.
 
-A piecewise-constant schedule compiles to one exact unitary per time segment.
+A piecewise-constant schedule compiles to one exact circuit unitary, the
+ordered product of its segments' exponentials (one `qcore` step per segment).
 Measurement happens in the computational basis, either exactly (probabilities)
 or by sampling a finite number of shots, optionally with a depolarizing
-channel after each segment and independent readout bit flips.  Training is
+channel after each segment and independent readout bit flips.  The global
+depolarizing channel commutes with unitary conjugation, so the S channels act
+on the measured distribution in closed form.  Training is
 the same finite-difference loop as the continuum RL module, but the error is
 the whole-set RMS between witness estimates and targets.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore, rl
-from .qcore import DensityMatrix, OutputMap, SQUARE_MAP
+from .qcore import DensityMatrix, OutputMap, SQUARE_MAP, TimeGrid
 from .schedules import PiecewiseSchedule, list_trainable
 from .train import descend, run_epochs
 
@@ -46,36 +49,23 @@ class ShotBackend:
 
 @dataclass(frozen=True)
 class SegmentedCircuit:
-    """Ordered segment unitaries compiled from a piecewise schedule."""
+    """Total unitary U_S ... U_1 of a piecewise schedule's segments."""
 
-    unitaries: np.ndarray  # (S, d, d)
+    unitary: np.ndarray  # (d, d)
     schedule: PiecewiseSchedule
 
     def __post_init__(self):
-        us = self.unitaries
-        eye = np.eye(us.shape[-1])
-        err = np.abs(us @ us.conj().swapaxes(-1, -2) - eye).max()
+        u = self.unitary
+        err = np.abs(u @ u.conj().T - np.eye(u.shape[-1])).max()
         if err > UNITARITY_TOL:
-            raise ValueError(f"segment unitaries not unitary (residual {err:.2e})")
+            raise ValueError(f"circuit unitary not unitary (residual {err:.2e})")
 
 
 def compile_segments(schedule: PiecewiseSchedule) -> SegmentedCircuit:
-    """U_s = exp(-i H_s T/S) from each segment's constant parameters."""
-    s = schedule.segments
-    tau = schedule.T / s
-    midpoints = (np.arange(s) + 0.5) * tau
-    k, e, z = schedule.eval_many(midpoints)
-    h = qcore.assemble_hamiltonians(k, e, z, schedule.num_qubits)
-    return SegmentedCircuit(qcore.expm_hermitian(h, tau), schedule)
-
-
-def _apply_segments(circuit: SegmentedCircuit, rho: np.ndarray, p_dep: float):
-    d = rho.shape[0]
-    for u in circuit.unitaries:
-        rho = u @ rho @ u.conj().T
-        if p_dep > 0.0:
-            rho = (1.0 - p_dep) * rho + p_dep * np.trace(rho).real * np.eye(d) / d
-    return rho
+    """Product of U_s = exp(-i H_s T/S) over each segment's constant parameters."""
+    grid = TimeGrid(schedule.T, schedule.segments)
+    return SegmentedCircuit(
+        qcore.ordered_product(qcore.step_unitaries(schedule, grid)), schedule)
 
 
 @functools.lru_cache(maxsize=16)
@@ -91,15 +81,21 @@ def _readout_matrix(num_qubits, p_ro):
 
 def run_shots(circuit: SegmentedCircuit, rho0: DensityMatrix,
               backend: ShotBackend) -> np.ndarray:
-    """Apply the segments and measure in the computational basis.
+    """Apply the circuit and measure in the computational basis.
+
+    The S depolarizing channels (one per segment) commute with the unitary,
+    so they act on the outcome distribution as
+    (1-p)^S diag(U rho U^dag) + (1 - (1-p)^S) / d.
 
     Returns one entry per basis state, indexed by the measured bitstring
     read as a binary number (qubit 0 is the most significant bit): the
     outcome probabilities in exact mode, otherwise the integer counts of
     `shots` multinomial draws.
     """
-    rho = _apply_segments(circuit, rho0.matrix, backend.p_dep)
-    probs = np.clip(np.diag(rho).real, 0.0, None)
+    u = circuit.unitary
+    keep = (1.0 - backend.p_dep) ** circuit.schedule.segments
+    populations = np.diag(u @ rho0.matrix @ u.conj().T).real
+    probs = np.clip(keep * populations + (1.0 - keep) / u.shape[0], 0.0, None)
     probs = probs / probs.sum()
     if backend.p_ro > 0.0:
         probs = _readout_matrix(circuit.schedule.num_qubits, backend.p_ro) @ probs
@@ -123,10 +119,7 @@ def estimate_output(counts, output_map: OutputMap = SQUARE_MAP) -> float:
     total = counts.sum()
     if total <= 0:
         raise ValueError("counts must have a positive sum")
-    idx = np.arange(counts.size)
-    b0 = (idx >> (num_qubits - 1)) & 1
-    b1 = (idx >> (num_qubits - 2)) & 1
-    parity = 1.0 - 2.0 * ((b0 + b1) % 2)
+    parity = qcore._bit_tables(num_qubits)[3][:, 0]  # zz signs of pair (0, 1)
     return float(output_map(np.dot(parity, counts / total)))
 
 

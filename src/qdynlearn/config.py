@@ -60,7 +60,7 @@ class RunConfig:
     init: dict = field(default_factory=dict)
     learning_rates: dict = field(default_factory=dict)
     delta_rel: float | None = None  # default depends on mode
-    # default: the circuit loop's, else delta_rel * init scale per kind
+    # default: the mode's loop-config floor for this delta_rel
     delta_abs: dict | None = None
     output_map: str = "square"
     shots: int | str = "exact"
@@ -87,23 +87,18 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {unknown}")
         circuit = self.mode == "circuit"
         family = PiecewiseSchedule if circuit else FourierSchedule
-        loop = CircuitRLConfig() if circuit else RLConfig()
+        loop_cls = CircuitRLConfig if circuit else RLConfig
+        if self.delta_rel is None:
+            self.delta_rel = loop_cls.delta_rel
+        loop = loop_cls(delta_rel=self.delta_rel)
         if self.T_ns is None:
             self.T_ns = DEFAULT_T_NS[self.mode]
         self.init = {**family.INIT, **self.init}
         self.learning_rates = {**loop.learning_rates, **self.learning_rates}
         if self.tied is None:
             self.tied = family.TIED
-        if self.delta_rel is None:
-            self.delta_rel = loop.delta_rel
         if self.delta_abs is None:
-            if circuit:
-                self.delta_abs = loop.delta_abs
-            else:
-                self.delta_abs = {
-                    kind: self.delta_rel * abs(scale) if scale else self.delta_rel * 1e-4
-                    for kind, scale in self.init.items()
-                }
+            self.delta_abs = loop.delta_abs
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":

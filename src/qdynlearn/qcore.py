@@ -3,14 +3,12 @@
 Everything here works on small dense matrices (dim = 2^N, N <= 6).  H is
 real symmetric, assembled from bit masks (each sigma_x^(i) flips one bit of
 the basis index; the sigma_z terms are diagonal).  Evolution is a stepwise
-matrix exponential.  `evolve` takes it through a real symmetric
-eigendecomposition, so each step is exactly unitary and the trajectory keeps
-the step eigensystem for the adjoint gradient to reuse.  The solve-only paths
-(`expm_hermitian`, `total_propagator`) need no eigensystem: they evaluate
-cos(H dt) - i sin(H dt) as real Taylor polynomials, accurate and unitary to
-round-off.  Either way the density-matrix invariants (Hermiticity, unit
-trace, positivity) are preserved to round-off.  The total propagator is a
-pairwise product of the steps.
+matrix exponential of the midpoint Hamiltonians (`step_hamiltonians`), taken
+by `expm_hermitian` without an eigendecomposition: cos(H dt) - i sin(H dt)
+as real Taylor polynomials, accurate and unitary to round-off.  Every solve
+uses those steps: `evolve` keeps the states along the way, `total_propagator`
+multiplies the steps pairwise (`ordered_product`).  The density-matrix
+invariants (Hermiticity, unit trace, positivity) are preserved to round-off.
 """
 
 from __future__ import annotations
@@ -211,12 +209,6 @@ def contract_hamiltonians(w, num_qubits):
     return tunneling, diag @ zsigns, diag @ zzsigns
 
 
-def _unitaries(w, v, dt):
-    """V diag(exp(-i w dt)) V^dag from a batched Hermitian eigensystem."""
-    phase = np.exp(-1j * np.asarray(dt) * w)
-    return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def _taylor_table():
     """(power count p, coefficients, theta reach) per Taylor degree 2q+1.
 
@@ -294,22 +286,33 @@ def expm_hermitian(h, dt):
     return u
 
 
+def step_hamiltonians(schedule, grid: TimeGrid):
+    """Real midpoint Hamiltonians H(t_k + dt/2), shape (M, d, d)."""
+    k, e, z = schedule.eval_many(grid.midpoints)
+    return assemble_hamiltonians(k, e, z, schedule.num_qubits)
+
+
 def step_unitaries(schedule, grid: TimeGrid):
     """Per-step propagators U_k = exp(-i H(t_k + dt/2) dt), shape (M, d, d)."""
-    k, e, z = schedule.eval_many(grid.midpoints)
-    h = assemble_hamiltonians(k, e, z, schedule.num_qubits)
-    return expm_hermitian(h, grid.dt)
+    return expm_hermitian(step_hamiltonians(schedule, grid), grid.dt)
+
+
+def ordered_product(us):
+    """U_{M-1} ... U_0 of a (M, d, d) stack, multiplied pairwise."""
+    while len(us) > 1:  # U_{2j+1} U_{2j} per level; an odd last factor carries
+        even = len(us) // 2 * 2
+        us = np.concatenate([us[1:even:2] @ us[:even:2], us[even:]])
+    return us[0]
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward evolution record: states rho(t_k), step unitaries, step eigensystem."""
+    """Forward evolution record: states rho(t_k), step unitaries and Hamiltonians."""
 
     states: np.ndarray  # (M+1, d, d)
     unitaries: np.ndarray  # (M, d, d)
     grid: TimeGrid
-    eigenvalues: np.ndarray  # (M, d) of each step's H
-    eigenvectors: np.ndarray  # (M, d, d), real orthogonal
+    hamiltonians: np.ndarray  # (M, d, d), real: each step's midpoint H
 
     def final(self) -> np.ndarray:
         return self.states[-1]
@@ -323,26 +326,20 @@ def evolve(rho0: DensityMatrix, schedule, grid: TimeGrid) -> Trajectory:
     smooth schedules converge at second order in dt.
     """
     _tick_solve()
-    k, e, z = schedule.eval_many(grid.midpoints)
-    lam, v = np.linalg.eigh(assemble_hamiltonians(k, e, z, schedule.num_qubits))
-    us = _unitaries(lam, v, grid.dt)
+    h = step_hamiltonians(schedule, grid)
+    us = expm_hermitian(h, grid.dt)
     d = us.shape[-1]
     states = np.empty((grid.steps + 1, d, d), dtype=complex)
     states[0] = rho0.matrix
     for k in range(grid.steps):
         states[k + 1] = us[k] @ states[k] @ us[k].conj().T
-    return Trajectory(states=states, unitaries=us, grid=grid,
-                      eigenvalues=lam, eigenvectors=v)
+    return Trajectory(states=states, unitaries=us, grid=grid, hamiltonians=h)
 
 
 def total_propagator(schedule, grid: TimeGrid) -> np.ndarray:
     """Product U_{M-1} ... U_0 mapping rho(0) to rho(T) by conjugation."""
     _tick_solve()
-    us = step_unitaries(schedule, grid)
-    while len(us) > 1:  # U_{2j+1} U_{2j} per level; an odd last factor carries
-        even = len(us) // 2 * 2
-        us = np.concatenate([us[1:even:2] @ us[:even:2], us[even:]])
-    return us[0]
+    return ordered_product(step_unitaries(schedule, grid))
 
 
 def final_state(rho0: DensityMatrix, schedule, grid: TimeGrid) -> np.ndarray:

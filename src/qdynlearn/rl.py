@@ -12,7 +12,7 @@ against hardware-style (shot-sampled) evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +28,18 @@ class RLConfig(TrainConfig):
     """Perturbation sizes on top of the shared loop fields."""
 
     delta_rel: float = 2e-4  # 0.02 % of the current value
-    # The default perturbation floor is the default delta_rel times each
-    # kind's Fourier initialization scale, so zero-initialized sine/cosine
-    # coefficients still receive a nonzero perturbation.
-    delta_abs: dict = field(
-        default_factory=lambda: {k: RLConfig.delta_rel * s
-                                 for k, s in FourierSchedule.INIT.items()}
-    )
+    # Default perturbation floor: delta_rel times each kind's Fourier
+    # initialization scale, so zero-initialized sine/cosine coefficients
+    # still receive a nonzero perturbation.
+    delta_abs: dict | None = None
 
     def __post_init__(self):
         super().__post_init__()
         if self.delta_rel <= 0:
             raise ValueError("delta_rel must be positive")
+        if self.delta_abs is None:
+            self.delta_abs = {k: self.delta_rel * s
+                              for k, s in FourierSchedule.INIT.items()}
         if any(v <= 0 for v in self.delta_abs.values()):
             raise ValueError("delta_abs entries must be positive")
 

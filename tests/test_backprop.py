@@ -13,6 +13,7 @@ from qdynlearn.backprop import (
     all_gradients,
     train_backprop,
 )
+from qdynlearn.config import RunConfig
 from qdynlearn.qcore import (
     DensityMatrix,
     IDENTITY_MAP,
@@ -291,6 +292,10 @@ def test_train_converges_on_default_problem():
     assert log.rms[-1] < log.rms[0]
 
 
+def test_config_epochs_default_is_the_run_default():
+    assert BackpropConfig().epochs == RunConfig(mode="backprop").epochs
+
+
 def test_train_raises_on_empty_set():
     with pytest.raises(ValueError):
         train_backprop([], FourierSchedule.initialized(2, 10.0),
@@ -326,8 +331,9 @@ def test_epoch_cost_is_two_solves_per_pair():
 
 
 def test_backprop_pair_diagonalises_once(monkeypatch):
-    # The gradient reuses the forward pass's step eigensystem, and reads every
-    # coefficient off the step sensitivities without assembling a generator.
+    # The gradient diagonalises the forward pass's step Hamiltonians once,
+    # and reads every coefficient off the step sensitivities without
+    # assembling a generator.
     rng = np.random.default_rng(21)
     sched = random_schedule(rng, num_qubits=3)
     pair = random_pair(rng, num_qubits=3)
@@ -346,8 +352,8 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     all_gradients(sched.coefficient_ids(), traj, field_, sched, grid)
     assert shapes == [(40, 8, 8)]
     assert assembled == [40]
-    lam, v = traj.eigenvalues, traj.eigenvectors
+    lam, v = eigh(traj.hamiltonians)
     rebuilt = (v * np.exp(-1j * grid.dt * lam)[:, None, :]) @ v.swapaxes(1, 2)
     assert np.abs(rebuilt - traj.unitaries).max() <= 1e-13
-    h = qcore.assemble_hamiltonians(*sched.eval_many(grid.midpoints), 3)
+    h = assemble(*sched.eval_many(grid.midpoints), 3)
     assert np.abs((v * lam[:, None, :]) @ v.swapaxes(1, 2) - h).max() <= 1e-13

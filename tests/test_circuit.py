@@ -15,6 +15,7 @@ from qdynlearn.circuit import (
 )
 from qdynlearn.qcore import (
     DensityMatrix,
+    IDENTITY_MAP,
     SQUARE_MAP,
     TimeGrid,
     zz_observable,
@@ -42,8 +43,8 @@ def random_schedule(rng, T=2.0, segments=4, scale=0.5):
 
 def test_compile_zero_parameters_gives_identities():
     c = compile_segments(zero_schedule())
-    assert c.unitaries.shape == (4, 4, 4)
-    assert np.abs(c.unitaries - np.eye(4)[None]).max() < 1e-14
+    assert c.unitary.shape == (4, 4)
+    assert np.abs(c.unitary - np.eye(4)).max() < 1e-14
 
 
 def test_compile_coupling_only_diagonal_unitary():
@@ -53,16 +54,13 @@ def test_compile_coupling_only_diagonal_unitary():
     c = compile_segments(s)
     phi = 0.3 * T
     expected = np.diag(np.exp(-1j * phi * np.array([1, -1, -1, 1])))
-    assert np.abs(c.unitaries[0] - expected).max() < 1e-12
+    assert np.abs(c.unitary - expected).max() < 1e-12
 
 
 def test_compile_agrees_with_continuum_evolution():
     rng = np.random.default_rng(0)
     s = random_schedule(rng)
-    c = compile_segments(s)
-    u_circuit = np.eye(4, dtype=complex)
-    for u in c.unitaries:
-        u_circuit = u @ u_circuit
+    u_circuit = compile_segments(s).unitary
     # continuum grid aligned with the segments (many steps per segment)
     u_cont = qcore.total_propagator(s, TimeGrid(s.T, 8 * s.segments))
     assert np.abs(u_circuit - u_cont).max() < 1e-9
@@ -71,7 +69,7 @@ def test_compile_agrees_with_continuum_evolution():
 def test_segmented_circuit_rejects_non_unitary():
     s = zero_schedule()
     with pytest.raises(ValueError):
-        SegmentedCircuit(np.ones((4, 4, 4), dtype=complex), s)
+        SegmentedCircuit(np.ones((4, 4), dtype=complex), s)
 
 
 # -- backend and sampling ----------------------------------------------------
@@ -103,7 +101,7 @@ def test_exact_mode_returns_diagonal():
     rho = ghz_family_state(2, 0.6, 0.8)
     probs = run_shots(c, rho, ShotBackend())
     u = np.eye(4, dtype=complex)
-    for seg in c.unitaries:
+    for seg in qcore.step_unitaries(s, TimeGrid(s.T, s.segments)):
         u = seg @ u
     expected = np.diag(u @ rho.matrix @ u.conj().T).real
     assert np.abs(probs - expected).max() < 1e-12
@@ -189,6 +187,29 @@ def test_depolarizing_noise_shrinks_correlation():
     assert noisy <= clean + 1e-12
 
 
+@pytest.mark.parametrize("num_qubits", [2, 3])
+@pytest.mark.parametrize("p_dep", [0.02, 0.3, 1.0])
+@pytest.mark.parametrize("segments", range(1, 7))
+def test_closed_form_depolarizing_equals_per_segment_channels(
+        num_qubits, p_dep, segments):
+    # run_shots applies the S channels as one formula; the reference
+    # conjugates by each segment and depolarizes after it.
+    rng = np.random.default_rng(10 * segments + num_qubits)
+    s = PiecewiseSchedule.initialized(num_qubits, 2.0, segments=segments,
+                                      tied=False)
+    for kind in ("tunneling", "bias", "coupling"):
+        s.coeffs[kind][:] = rng.normal(scale=0.5, size=s.coeffs[kind].shape)
+    d = 2**num_qubits
+    rho0 = DensityMatrix.from_state_vector(rng.normal(size=d)
+                                           + 1j * rng.normal(size=d))
+    rho = rho0.matrix
+    for u in qcore.step_unitaries(s, TimeGrid(s.T, segments)):
+        rho = u @ rho @ u.conj().T
+        rho = (1.0 - p_dep) * rho + p_dep * np.trace(rho).real * np.eye(d) / d
+    probs = run_shots(compile_segments(s), rho0, ShotBackend(p_dep=p_dep))
+    assert np.abs(probs - np.diag(rho).real).max() <= 1e-14
+
+
 # -- output estimation -------------------------------------------------------
 
 
@@ -219,6 +240,13 @@ def test_estimate_output_measures_designated_pair_of_larger_register():
     probs = np.zeros(8)
     probs[0b110] = 1.0
     assert estimate_output(probs, SQUARE_MAP) == pytest.approx(1.0)
+    for n in range(4, 7):
+        for index in range(2**n):
+            probs = np.zeros(2**n)
+            probs[index] = 1.0
+            aligned = (index >> (n - 1) & 1) == (index >> (n - 2) & 1)
+            assert estimate_output(probs, IDENTITY_MAP) == (
+                1.0 if aligned else -1.0)
 
 
 # -- training ----------------------------------------------------------------

@@ -200,20 +200,31 @@ def test_expm_hermitian_rejects_non_finite_input(bad):
         qcore.expm_hermitian(np.ones((1, 2, 2)), bad)
 
 
+def eigh_unitaries(h, dt):
+    """exp(-i h dt) per step from a batched eigendecomposition."""
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * dt * lam)[..., None, :]) @ v.swapaxes(-1, -2)
+
+
+def perturbed_default(family, num_qubits, T=250.0):
+    """The family's default start with every coefficient perturbed by 1%."""
+    rng = np.random.default_rng(num_qubits)
+    sched = family.initialized(num_qubits, T, tied=False)
+    for c in sched.coeffs.values():
+        c *= 1.0 + 0.01 * rng.normal(size=c.shape)
+    return sched
+
+
 @pytest.mark.parametrize("family", [FourierSchedule, PiecewiseSchedule])
 @pytest.mark.parametrize("num_qubits", range(1, 7))
 def test_total_propagator_equals_eigh_step_product(family, num_qubits):
     # A training-sized solve (T = 250 ns, 200 steps) from the default start,
     # every coefficient perturbed by 1%, against the sequential products of
-    # the eigh-based step unitaries that `evolve` uses and of scipy's expm.
-    rng = np.random.default_rng(num_qubits)
-    sched = family.initialized(num_qubits, 250.0, tied=False)
-    for c in sched.coeffs.values():
-        c *= 1.0 + 0.01 * rng.normal(size=c.shape)
+    # eigh-based step unitaries and of scipy's expm.
+    sched = perturbed_default(family, num_qubits)
     grid = TimeGrid(sched.T, 200)
-    k, e, z = sched.eval_many(grid.midpoints)
-    h = qcore.assemble_hamiltonians(k, e, z, sched.num_qubits)
-    eigh_steps = qcore._unitaries(*np.linalg.eigh(h), grid.dt)
+    h = qcore.step_hamiltonians(sched, grid)
+    eigh_steps = eigh_unitaries(h, grid.dt)
     assert np.abs(qcore.expm_hermitian(h, grid.dt) - eigh_steps).max() <= 1e-14
     eigh_ref = scipy_ref = np.eye(2**sched.num_qubits)
     for u, m in zip(eigh_steps, h):
@@ -227,6 +238,20 @@ def test_total_propagator_equals_eigh_step_product(family, num_qubits):
     # comparison with the eigh product allows that drift on top of 1e-13.
     eigh_drift = np.abs(eigh_ref - scipy_ref).max()
     assert np.abs(u - eigh_ref).max() <= 1e-13 + eigh_drift
+
+
+@pytest.mark.parametrize("num_qubits", range(2, 6))
+def test_evolve_final_state_equals_final_state(num_qubits):
+    # Both solves take the same step exponential; only the order of the
+    # products differs (state by state against the pairwise propagator).
+    sched = perturbed_default(FourierSchedule, num_qubits)
+    grid = TimeGrid(sched.T, 200)
+    d = 2**num_qubits
+    rng = np.random.default_rng(100 + num_qubits)
+    rho0 = DensityMatrix.from_state_vector(rng.normal(size=d)
+                                           + 1j * rng.normal(size=d))
+    traj = evolve(rho0, sched, grid)
+    assert np.abs(traj.final() - final_state(rho0, sched, grid)).max() <= 1e-14
 
 
 # -- state and grid validation -----------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdynlearn import backprop, qcore
+from qdynlearn.config import RunConfig
 from qdynlearn.qcore import DensityMatrix, SQUARE_MAP, TimeGrid, zz_observable
 from qdynlearn.rl import RLConfig, fd_gradient, pair_error, train_rl, train_rl_epoch
 from qdynlearn.schedules import FourierSchedule, list_trainable
@@ -33,6 +34,19 @@ def test_config_defaults():
     assert cfg.delta_abs["tunneling"] == pytest.approx(2e-4 * 2.5e-3)
     assert cfg.learning_rates == {"tunneling": 2e-7, "bias": 0.0,
                                   "coupling": 4e-7}
+
+
+@pytest.mark.parametrize("delta_rel", [2e-4, 1e-3])
+@pytest.mark.parametrize("init", [{}, {"tunneling": 0.0, "bias": 0.0}])
+def test_delta_abs_default_is_one_rule(delta_rel, init):
+    # The loop config and the run config resolve the same floor: delta_rel
+    # times each kind's Fourier initialization scale, for any configured
+    # delta_rel and whatever init values the run starts from.
+    expected = {k: delta_rel * s for k, s in FourierSchedule.INIT.items()}
+    assert RLConfig(delta_rel=delta_rel).delta_abs == expected
+    run = RunConfig(mode="rl", delta_rel=delta_rel, init=init)
+    assert run.delta_abs == expected
+    assert run.train_config().delta_abs == expected
 
 
 def test_config_validation():
