@@ -2,16 +2,13 @@
 
 from .qcore import (
     DensityMatrix,
-    Observable,
     OutputMap,
     TimeGrid,
     IDENTITY_MAP,
     SQUARE_MAP,
     evolve,
-    expectation,
     output_value,
-    pauli_embed,
-    zz_observable,
+    zz_expectation,
 )
 from .schedules import (
     CoefficientId,

@@ -3,9 +3,9 @@
 The output error at the final time is pulled backward through the same step
 unitaries as the forward pass, giving every coefficient gradient from a single
 backward sweep: the costate matrix A(t) satisfies the boundary condition
-A(T) = [d - f(<O>)] f'(<O>) O and propagates by inverse conjugation,
-A(t_k) = U_k^dag A(t_{k+1}) U_k.  The per-coefficient gradient is the
-commutator-trace integral
+A(T) = [d - f(<O>)] f'(<O>) O, with O = Z_0 Z_1 the diagonal readout, and
+propagates by inverse conjugation, A(t_k) = U_k^dag A(t_{k+1}) U_k.  The
+per-coefficient gradient is the commutator-trace integral
 
     dL/dw = i * integral_0^T tr( A(t) [dH/dw(t), rho(t)] ) dt
 
@@ -27,19 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .qcore import Observable, OutputMap, TimeGrid, Trajectory
+from .qcore import OutputMap, TimeGrid, Trajectory
 from .schedules import KIND_ORDER, list_trainable
 from .train import TrainConfig, descend, run_epochs
 
 IMAG_RESIDUAL_TOL = 1e-8
 
 
-def adjoint_boundary(rho_f, observable: Observable, target: float,
-                     output_map: OutputMap) -> np.ndarray:
-    """Final-time costate A(T) = [d - f(<O>)] f'(<O>) O."""
-    theta = qcore.expectation(rho_f, observable)
+def adjoint_boundary(rho_f, target: float, output_map: OutputMap) -> np.ndarray:
+    """Final-time costate A(T) = [d - f(<O>)] f'(<O>) O for O = Z_0 Z_1."""
+    theta = qcore.zz_expectation(rho_f)
     scale = (target - output_map(theta)) * output_map.derivative(theta)
-    return scale * observable.matrix
+    return np.diag(scale * qcore.zz_parity(len(rho_f).bit_length() - 1))
 
 
 def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray:
@@ -108,8 +107,7 @@ class BackpropConfig(TrainConfig):
 
 
 def train_backprop(pairs, schedule, config: BackpropConfig,
-                   observable: Observable, output_map: OutputMap,
-                   grid: TimeGrid):
+                   output_map: OutputMap, grid: TimeGrid):
     """Adjoint gradient descent over the training set.
 
     One epoch costs two trajectory sweeps per pair (forward + backward),
@@ -123,10 +121,9 @@ def train_backprop(pairs, schedule, config: BackpropConfig,
         accum = np.zeros(len(cids))
         for pair in pairs:
             traj = qcore.evolve(pair.rho0, schedule, grid)
-            out = qcore.output_value(traj.final(), observable, output_map)
+            out = qcore.output_value(traj.final(), output_map)
             sq_errors.append((pair.target - out) ** 2)
-            a_final = adjoint_boundary(traj.final(), observable, pair.target,
-                                       output_map)
+            a_final = adjoint_boundary(traj.final(), pair.target, output_map)
             field_ = adjoint_evolve_backward(a_final, traj)
             grads = all_gradients(cids, traj, field_, schedule, grid)
             if config.accumulate_per_epoch:

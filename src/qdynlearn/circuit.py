@@ -119,8 +119,8 @@ def estimate_output(counts, output_map: OutputMap = SQUARE_MAP) -> float:
     total = counts.sum()
     if total <= 0:
         raise ValueError("counts must have a positive sum")
-    parity = qcore._bit_tables(num_qubits)[3][:, 0]  # zz signs of pair (0, 1)
-    return float(output_map(np.dot(parity, counts / total)))
+    return float(output_map(np.dot(qcore.zz_parity(num_qubits),
+                                   counts / total)))
 
 
 def set_rms_error(pairs, schedule: PiecewiseSchedule, backend: ShotBackend,

@@ -104,7 +104,6 @@ def train(config_path, out_dir, seed, epochs, mode):
     out.mkdir(parents=True, exist_ok=True)
 
     output_map = OUTPUT_MAPS[cfg.output_map]
-    observable = qcore.zz_observable(cfg.num_qubits)
     pairs = witness.build_training_set(cfg.num_qubits, output_map)
 
     tracer = reporting.TraceWriter(schedule, grid.times)
@@ -120,10 +119,10 @@ def train(config_path, out_dir, seed, epochs, mode):
         if cfg.epochs > 0:
             if cfg.mode == "backprop":
                 schedule, log = train_backprop(pairs, schedule, loop,
-                                               observable, output_map, grid)
+                                               output_map, grid)
             elif cfg.mode == "rl":
                 schedule, log = rl_mod.train_rl(pairs, schedule, loop,
-                                                observable, output_map, grid)
+                                                output_map, grid)
             else:
                 schedule, log = circuit_mod.train_circuit_rl(
                     pairs, schedule, loop, backend, output_map)
@@ -183,7 +182,6 @@ def eval_cmd(schedule_path, states_path, out_path, steps, output_map):
     schedule = _load_schedule(schedule_path)
     n = schedule.num_qubits
     grid = qcore.TimeGrid(schedule.T, steps)
-    obs = qcore.zz_observable(n)
     fmap = OUTPUT_MAPS[output_map]
 
     if states_path is not None:
@@ -195,7 +193,7 @@ def eval_cmd(schedule_path, states_path, out_path, steps, output_map):
         thetas, sweep = witness.theta_sweep_states(n)
         states = [(f"theta_{th:.4f}", st) for th, st in zip(thetas, sweep)]
 
-    report = witness.evaluate_witness(schedule, states, obs, fmap, grid)
+    report = witness.evaluate_witness(schedule, states, fmap, grid)
     reporting.write_report_csv(out_path, report.labels, report.oracle,
                                report.outputs)
     click.echo(f"wrote {len(report.labels)} rows; "

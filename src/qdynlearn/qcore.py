@@ -9,6 +9,10 @@ as real Taylor polynomials, accurate and unitary to round-off.  Every solve
 uses those steps: `evolve` keeps the states along the way, `total_propagator`
 multiplies the steps pairwise (`ordered_product`).  The density-matrix
 invariants (Hermiticity, unit trace, positivity) are preserved to round-off.
+
+The one readout is Z_0 Z_1, diagonal in the computational basis: its signs
+are `zz_parity`, and <Z_0 Z_1> is their sum weighted by the final state's
+populations (`zz_expectation`) or by measured counts (`circuit`).
 """
 
 from __future__ import annotations
@@ -35,36 +39,12 @@ def _tick_solve():
     solve_count += 1
 
 
-SIGMA = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-IDENTITY2 = np.eye(2, dtype=complex)
-
-
-class DimensionMismatchError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Hermitian operator on N qubits with a human-readable label."""
-
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("observable must be a square matrix")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError(f"observable {self.label!r} is not Hermitian")
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
+def _check_finite(a, what):
+    """Raise ValueError naming the first NaN or infinity in `a`."""
+    if not np.isfinite(a).all():
+        index = np.argwhere(~np.isfinite(a))[0].tolist()
+        raise ValueError(f"{what} has a non-finite entry {a[tuple(index)]} "
+                         f"at {index}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +58,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
+        _check_finite(m, "density matrix")
         n = int(round(np.log2(m.shape[0])))
         if 2**n != m.shape[0]:
             raise ValueError("dimension must be a power of 2")
@@ -99,6 +80,7 @@ class DensityMatrix:
     @classmethod
     def from_state_vector(cls, psi) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex).ravel()
+        _check_finite(psi, "state vector")
         norm = np.linalg.norm(psi)
         if norm == 0:
             raise ValueError("zero state vector")
@@ -149,18 +131,6 @@ SQUARE_MAP = OutputMap("square", lambda x: x * x, lambda x: 2.0 * x)
 OUTPUT_MAPS = {"identity": IDENTITY_MAP, "square": SQUARE_MAP}
 
 
-def pauli_embed(axis, qubit, num_qubits) -> Observable:
-    """Single-site Pauli sigma_axis on `qubit`, identity elsewhere."""
-    if axis not in SIGMA:
-        raise ValueError(f"unknown Pauli axis {axis!r}")
-    if not 0 <= qubit < num_qubits:
-        raise IndexError(f"qubit {qubit} out of range for {num_qubits} qubits")
-    op = np.array([[1.0 + 0j]])
-    for q in range(num_qubits):
-        op = np.kron(op, SIGMA[axis] if q == qubit else IDENTITY2)
-    return Observable(op, label=f"sigma_{axis}[{qubit}]")
-
-
 def pair_indices(num_qubits):
     """Ordered qubit pairs (i < j) used for the coupling parameters."""
     return list(itertools.combinations(range(num_qubits), 2))
@@ -170,7 +140,7 @@ def pair_indices(num_qubits):
 def _bit_tables(num_qubits):
     """(idx, sigma_x bit masks (N,), sigma_z signs (d, N), zz signs (d, P)).
 
-    Qubit q is bit N-1-q of a basis index, as in `pauli_embed`'s kron order.
+    Qubit q is bit N-1-q of a basis index: kron order, qubit 0 leftmost.
     """
     idx = np.arange(2**num_qubits)
     masks = 1 << (num_qubits - 1 - np.arange(num_qubits))
@@ -180,6 +150,11 @@ def _bit_tables(num_qubits):
     for t in tables:
         t.flags.writeable = False
     return tables
+
+
+def zz_parity(num_qubits):
+    """Read-only diagonal of Z_0 Z_1: the parity of qubits 0 and 1, as +-1."""
+    return _bit_tables(num_qubits)[3][:, 0]
 
 
 def assemble_hamiltonians(tunneling, bias, coupling, num_qubits):
@@ -348,26 +323,18 @@ def final_state(rho0: DensityMatrix, schedule, grid: TimeGrid) -> np.ndarray:
     return u @ rho0.matrix @ u.conj().T
 
 
-def expectation(rho, obs: Observable) -> float:
-    """Re tr(rho O); the imaginary part must vanish for Hermitian inputs."""
-    rm = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if rm.shape != obs.matrix.shape:
-        raise DimensionMismatchError(
-            f"state dim {rm.shape[0]} != observable dim {obs.matrix.shape[0]}"
-        )
-    val = np.trace(rm @ obs.matrix)
+def zz_expectation(rho: np.ndarray) -> float:
+    """<Z_0 Z_1> = tr(rho Z_0 Z_1) of a (d, d) matrix, from its diagonal.
+
+    The sum runs term by term as the trace of the dense product would.  The
+    imaginary part must vanish for a Hermitian input.
+    """
+    val = (np.diagonal(rho) * zz_parity(len(rho).bit_length() - 1)).sum()
     if abs(val.imag) > 1e-10:
         raise ValueError(f"non-real expectation value: {val}")
     return float(val.real)
 
 
-def output_value(rho_f, obs: Observable, output_map: OutputMap) -> float:
-    """f(tr(rho_f O)) for the configured output map."""
-    return float(output_map(expectation(rho_f, obs)))
-
-
-def zz_observable(num_qubits, pair=(0, 1)) -> Observable:
-    """Correlation observable sigma_z sigma_z on the designated pair."""
-    i, j = pair
-    m = pauli_embed("z", i, num_qubits).matrix @ pauli_embed("z", j, num_qubits).matrix
-    return Observable(m, label=f"zz[{i},{j}]")
+def output_value(rho_f, output_map: OutputMap) -> float:
+    """Witness output f(<Z_0 Z_1>) of a final state."""
+    return float(output_map(zz_expectation(rho_f)))

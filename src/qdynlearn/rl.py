@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .qcore import Observable, OutputMap, TimeGrid
+from .qcore import OutputMap, TimeGrid
 from .schedules import CoefficientId, FourierSchedule, list_trainable
 from .train import TrainConfig, descend, run_epochs
 from .witness import TrainingPair
@@ -47,11 +47,11 @@ class RLConfig(TrainConfig):
         return max(self.delta_rel * abs(value), self.delta_abs[kind])
 
 
-def pair_error(pair: TrainingPair, schedule, observable: Observable,
-               output_map: OutputMap, grid: TimeGrid) -> float:
+def pair_error(pair: TrainingPair, schedule, output_map: OutputMap,
+               grid: TimeGrid) -> float:
     """Half-squared output error E = (d - output)^2 / 2 for one pair."""
     out = qcore.output_value(qcore.final_state(pair.rho0, schedule, grid),
-                             observable, output_map)
+                             output_map)
     return 0.5 * (pair.target - out) ** 2
 
 
@@ -72,8 +72,8 @@ def fd_gradient(cid: CoefficientId, schedule, error_fn, e_nom: float,
     return (e_mod - e_nom) / delta
 
 
-def train_rl_epoch(pairs, schedule, config: RLConfig, observable: Observable,
-                   output_map: OutputMap, grid: TimeGrid):
+def train_rl_epoch(pairs, schedule, config: RLConfig, output_map: OutputMap,
+                   grid: TimeGrid):
     """One epoch of deferred per-pair finite-difference updates.
 
     Mutates the schedule in place.  Returns the epoch RMS,
@@ -83,7 +83,7 @@ def train_rl_epoch(pairs, schedule, config: RLConfig, observable: Observable,
     sq_errors = []
     for pair in pairs:
         def error_fn(s):
-            return pair_error(pair, s, observable, output_map, grid)
+            return pair_error(pair, s, output_map, grid)
 
         e_nom = error_fn(schedule)
         sq_errors.append(2.0 * e_nom)
@@ -93,8 +93,8 @@ def train_rl_epoch(pairs, schedule, config: RLConfig, observable: Observable,
     return float(np.sqrt(np.mean(sq_errors)))
 
 
-def train_rl(pairs, schedule, config: RLConfig, observable: Observable,
-             output_map: OutputMap, grid: TimeGrid):
+def train_rl(pairs, schedule, config: RLConfig, output_map: OutputMap,
+             grid: TimeGrid):
     """Full RL training run; returns (trained schedule, EpochLog)."""
     return run_epochs(pairs, schedule, config, lambda s: train_rl_epoch(
-        pairs, s, config, observable, output_map, grid))
+        pairs, s, config, output_map, grid))

@@ -2,7 +2,7 @@
 
 The Wootters concurrence is the independent oracle: training targets are
 derived from it, and a trained schedule is judged by how well its final-time
-output tracks the oracle over a one-parameter family of states.
+output f(<Z_0 Z_1>) tracks the oracle over a one-parameter family of states.
 """
 
 from __future__ import annotations
@@ -12,7 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .qcore import DensityMatrix, Observable, OutputMap, SQUARE_MAP
+from .qcore import DensityMatrix, OutputMap, SQUARE_MAP
+
+# sigma_y (x) sigma_y, the spin flip of the concurrence.
+SIGMA_YY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+                    dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -38,14 +42,13 @@ def concurrence(rho) -> float:
     rm = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if rm.shape != (4, 4):
         raise ValueError("concurrence is defined for two qubits (dim 4)")
-    yy = np.kron(qcore.SIGMA["y"], qcore.SIGMA["y"])
     if abs(np.trace(rm @ rm).real - 1.0) < 1e-12:
         # pure state: C = |<psi| sy x sy |psi*>|, free of the square-root
         # round-off amplification of the mixed-state formula
         w, v = np.linalg.eigh(rm)
         psi = v[:, np.argmax(w)]
-        return float(abs(psi @ yy @ psi))
-    r = rm @ yy @ rm.conj() @ yy
+        return float(abs(psi @ SIGMA_YY @ psi))
+    r = rm @ SIGMA_YY @ rm.conj() @ SIGMA_YY
     evals = np.linalg.eigvals(r).real
     # clip tiny negatives from round-off before the square root
     lam = np.sqrt(np.sort(np.abs(evals))[::-1])
@@ -155,8 +158,8 @@ def _oracle_value(rho: DensityMatrix, theta=None):
     return float(np.sin(2 * theta)) if theta is not None else np.nan
 
 
-def evaluate_witness(schedule, states, observable: Observable,
-                     output_map: OutputMap, grid) -> WitnessReport:
+def evaluate_witness(schedule, states, output_map: OutputMap,
+                     grid) -> WitnessReport:
     """Run each state through the schedule and compare against the oracle.
 
     `states` is a list of (label, DensityMatrix).  The Spearman correlation is
@@ -165,13 +168,11 @@ def evaluate_witness(schedule, states, observable: Observable,
     u = qcore.total_propagator(schedule, grid)
 
     def output(rho):
-        return qcore.output_value(u @ rho.matrix @ u.conj().T, observable, output_map)
+        return qcore.output_value(u @ rho.matrix @ u.conj().T, output_map)
 
     labels = [lbl for lbl, _ in states]
     outs = np.array([output(rho) for _, rho in states])
-    oracle = np.array(
-        [_oracle_value(rho) if rho.num_qubits == 2 else np.nan for _, rho in states]
-    )
+    oracle = np.array([_oracle_value(rho) for _, rho in states])
 
     thetas, sweep = theta_sweep_states(schedule.num_qubits)
     sweep_outs = np.array([output(rho) for rho in sweep])

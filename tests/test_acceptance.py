@@ -33,7 +33,6 @@ from qdynlearn.qcore import (
     SQUARE_MAP,
     TimeGrid,
     evolve,
-    zz_observable,
 )
 from qdynlearn.schedules import FourierSchedule, PiecewiseSchedule, list_trainable
 from qdynlearn.witness import TrainingPair, build_training_set, concurrence
@@ -63,14 +62,13 @@ def test_criterion_1_adjoint_vs_central_difference():
     rng = np.random.default_rng(2024)
     T = 250.0
     grid = TimeGrid(T, 1000)
-    obs = zz_observable(2)
     worst_rel, checked = 0.0, 0
     for _ in range(20):
         sched = random_fourier(rng, T=T)
         pair = TrainingPair(random_state(rng), rng.uniform())
         traj = evolve(pair.rho0, sched, grid)
-        a_final = backprop.adjoint_boundary(traj.final(), obs, pair.target,
-                                           SQUARE_MAP)
+        a_final = backprop.adjoint_boundary(traj.final(), pair.target,
+                                            SQUARE_MAP)
         field = backprop.adjoint_evolve_backward(a_final, traj)
         cids = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
         assert len(cids) == 21
@@ -79,9 +77,9 @@ def test_criterion_1_adjoint_vs_central_difference():
             h = 1e-4 * KIND_SCALES[cid.kind]
             v = sched.get(cid)
             sched.set(cid, v + h)
-            ep = rl.pair_error(pair, sched, obs, SQUARE_MAP, grid)
+            ep = rl.pair_error(pair, sched, SQUARE_MAP, grid)
             sched.set(cid, v - h)
-            em = rl.pair_error(pair, sched, obs, SQUARE_MAP, grid)
+            em = rl.pair_error(pair, sched, SQUARE_MAP, grid)
             sched.set(cid, v)
             fd = (ep - em) / (2 * h)
             checked += 1
@@ -148,8 +146,7 @@ def test_criterion_4_rl_training_defaults():
                                         tunneling=2.5e-3, bias=1e-4,
                                         coupling=1e-4)
     cfg = rl.RLConfig(epochs=2000, rms_target=0.05)  # published rates/deltas
-    trained, log = rl.train_rl(pairs, sched, cfg, zz_observable(2),
-                               SQUARE_MAP, TimeGrid(T, 200))
+    trained, log = rl.train_rl(pairs, sched, cfg, SQUARE_MAP, TimeGrid(T, 200))
     ok = log.rms[-1] <= 0.05 and log.rms[-1] < log.rms[0]
     report(4, ok,
            f"RMS {log.rms[0]:.4f} -> {log.rms[-1]:.4f} "
@@ -190,19 +187,17 @@ def test_criterion_6_staging_benefit():
     sched2 = FourierSchedule.initialized(2, T, n_max=3, tied=True)
     cfg2 = rl.RLConfig(epochs=2000, rms_target=0.05,
                        learning_rates=dict(rates))
-    trained2, log2 = rl.train_rl(pairs2, sched2, cfg2, zz_observable(2),
-                                 SQUARE_MAP, grid)
+    trained2, log2 = rl.train_rl(pairs2, sched2, cfg2, SQUARE_MAP, grid)
     assert log2.rms[-1] <= 0.05, "2-qubit witness did not converge"
 
     pairs3 = build_training_set(3)
-    obs3 = zz_observable(3)
     epochs = {}
     for label, init in (("staged", staging.stage_up(trained2)),
                         ("default", FourierSchedule.initialized(
                             3, T, n_max=3, tied=True))):
         cfg3 = rl.RLConfig(epochs=2000, rms_target=0.1,
                            learning_rates=dict(rates))
-        _, log3 = rl.train_rl(pairs3, init, cfg3, obs3, SQUARE_MAP, grid)
+        _, log3 = rl.train_rl(pairs3, init, cfg3, SQUARE_MAP, grid)
         assert log3.rms[-1] <= 0.1, f"{label} 3-qubit run missed RMS 0.1"
         epochs[label] = len(log3.records)
     report(6, epochs["staged"] < epochs["default"],
@@ -221,14 +216,14 @@ def test_criterion_7_cost_structure():
 
     qcore.solve_count = 0
     rl.train_rl_epoch(pairs, sched.copy(), rl.RLConfig(learning_rates=rates),
-                      zz_observable(2), SQUARE_MAP, grid)
+                      SQUARE_MAP, grid)
     rl_solves = qcore.solve_count
 
     qcore.solve_count = 0
     backprop.train_backprop(pairs, sched,
                             backprop.BackpropConfig(learning_rates=rates,
                                                     epochs=1),
-                            zz_observable(2), SQUARE_MAP, grid)
+                            SQUARE_MAP, grid)
     bp_solves = qcore.solve_count
 
     ok = (rl_solves == len(pairs) * (1 + n_coeffs)
@@ -246,12 +241,11 @@ def test_criterion_8_trained_witness_spearman():
     grid = TimeGrid(T, 200)
     sched = FourierSchedule.initialized(2, T, n_max=3, tied=True)
     cfg = rl.RLConfig(epochs=2000, rms_target=0.05)
-    trained, _ = rl.train_rl(pairs, sched, cfg, zz_observable(2), SQUARE_MAP,
-                             grid)
+    trained, _ = rl.train_rl(pairs, sched, cfg, SQUARE_MAP, grid)
     thetas, states = witness.theta_sweep_states(2)
     assert len(states) == 21
     rep = witness.evaluate_witness(trained, [("s", st) for st in states],
-                                   zz_observable(2), SQUARE_MAP, grid)
+                                   SQUARE_MAP, grid)
     oracle = [concurrence(st) for st in states]
     rho_s = spearmanr(rep.outputs, oracle).statistic
     report(8, rho_s >= 0.95,

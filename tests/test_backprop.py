@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from pauli_reference import pauli, zz
 
 from qdynlearn import qcore
 from qdynlearn.backprop import (
@@ -21,8 +22,6 @@ from qdynlearn.qcore import (
     TimeGrid,
     evolve,
     pair_indices,
-    pauli_embed,
-    zz_observable,
 )
 from qdynlearn.schedules import (
     CoefficientId,
@@ -50,9 +49,9 @@ def random_pair(rng, num_qubits=2):
     return TrainingPair(DensityMatrix.from_state_vector(psi), rng.uniform())
 
 
-def loss(pair, schedule, obs, fmap, grid):
+def loss(pair, schedule, fmap, grid):
     out = qcore.output_value(qcore.final_state(pair.rho0, schedule, grid),
-                             obs, fmap)
+                             fmap)
     return 0.5 * (pair.target - out) ** 2
 
 
@@ -61,21 +60,21 @@ def loss(pair, schedule, obs, fmap, grid):
 
 def test_boundary_zero_when_error_zero():
     rho = DensityMatrix.from_state_vector([1.0, 0, 0, 0])  # <zz> = 1
-    a = adjoint_boundary(rho, zz_observable(2), 1.0, SQUARE_MAP)
+    a = adjoint_boundary(rho.matrix, 1.0, SQUARE_MAP)
     assert np.abs(a).max() == 0.0
 
 
 def test_boundary_identity_map_scale():
     # A(T) = (d - <O>) * 1 * O
     rho = DensityMatrix.from_state_vector([0, 1.0, 0, 0])  # <zz> = -1
-    a = adjoint_boundary(rho, zz_observable(2), 0.5, IDENTITY_MAP)
-    assert np.allclose(a, 1.5 * zz_observable(2).matrix)
+    a = adjoint_boundary(rho.matrix, 0.5, IDENTITY_MAP)
+    assert np.allclose(a, 1.5 * zz(2))
 
 
 def test_boundary_square_map_vanishes_at_zero_expectation():
     # f'(0) = 0 for the square map, so the costate vanishes even with error.
     rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
-    a = adjoint_boundary(rho, zz_observable(2), 0.7, SQUARE_MAP)
+    a = adjoint_boundary(rho.matrix, 0.7, SQUARE_MAP)
     assert np.abs(a).max() == 0.0
 
 
@@ -88,7 +87,7 @@ def test_backward_constant_under_zero_hamiltonian():
     grid = TimeGrid(10.0, 20)
     rho0 = DensityMatrix.from_state_vector([1, 0, 0, 1])
     traj = evolve(rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), zz_observable(2), 0.0, SQUARE_MAP)
+    a_final = adjoint_boundary(traj.final(), 0.0, SQUARE_MAP)
     field = adjoint_evolve_backward(a_final, traj)
     assert np.abs(field - field[-1][None]).max() < 1e-13
 
@@ -100,8 +99,7 @@ def test_backward_pairing_invariant():
     grid = TimeGrid(200.0, 100)
     pair = random_pair(rng)
     traj = evolve(pair.rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), zz_observable(2), pair.target,
-                               SQUARE_MAP)
+    a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
     field = adjoint_evolve_backward(a_final, traj)
     pairing = np.einsum("tij,tji->t", field, traj.states)
     assert np.abs(pairing - pairing[0]).max() < 1e-10
@@ -119,8 +117,7 @@ def test_gradient_zero_for_diagonal_dynamics():
     rho0 = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     pair = TrainingPair(rho0, 0.9)
     traj = evolve(rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), zz_observable(2), pair.target,
-                               SQUARE_MAP)
+    a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
     field = adjoint_evolve_backward(a_final, traj)
     cids = [CoefficientId("coupling", 0, basis) for basis in range(sched.width)]
     for g in all_gradients(cids, traj, field, sched, grid):
@@ -132,12 +129,11 @@ def test_gradient_matches_central_difference():
     # acceptance suite runs the full 20-draw version at M = 1000).
     rng = np.random.default_rng(4)
     grid = TimeGrid(300.0, 400)
-    obs = zz_observable(2)
     for _ in range(3):
         sched = random_schedule(rng, T=300.0)
         pair = random_pair(rng)
         traj = evolve(pair.rho0, sched, grid)
-        a_final = adjoint_boundary(traj.final(), obs, pair.target, SQUARE_MAP)
+        a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
         field = adjoint_evolve_backward(a_final, traj)
         for cid in rng.choice(list_trainable(sched, {"tunneling": 1.0,
                                                      "coupling": 1.0}), 4):
@@ -145,9 +141,9 @@ def test_gradient_matches_central_difference():
             h = 1e-4 * KIND_SCALES[cid.kind]
             v = sched.get(cid)
             sched.set(cid, v + h)
-            ep = loss(pair, sched, obs, SQUARE_MAP, grid)
+            ep = loss(pair, sched, SQUARE_MAP, grid)
             sched.set(cid, v - h)
-            em = loss(pair, sched, obs, SQUARE_MAP, grid)
+            em = loss(pair, sched, SQUARE_MAP, grid)
             sched.set(cid, v)
             fd = (ep - em) / (2 * h)
             assert g == pytest.approx(fd, rel=1e-4, abs=1e-10)
@@ -155,8 +151,8 @@ def test_gradient_matches_central_difference():
 
 def site_generators(num_qubits):
     """Unit generators dH/dP per kind and site, as dense Pauli products."""
-    x = [pauli_embed("x", q, num_qubits).matrix for q in range(num_qubits)]
-    z = [pauli_embed("z", q, num_qubits).matrix for q in range(num_qubits)]
+    x = [pauli("x", q, num_qubits) for q in range(num_qubits)]
+    z = [pauli("z", q, num_qubits) for q in range(num_qubits)]
     return {"tunneling": x, "bias": z,
             "coupling": [z[i] @ z[j] for i, j in pair_indices(num_qubits)]}
 
@@ -189,6 +185,11 @@ def frechet_reference_gradients(sched, traj, field_):
                            for c in cids])
 
 
+def costate_boundary(rho_f, obs, target):
+    """Identity-map boundary (d - tr(rho_f O)) O for a dense observable O."""
+    return (target - np.trace(rho_f @ obs).real) * obs
+
+
 @settings(max_examples=40, deadline=None)
 @given(num_qubits=st.integers(1, 4),
        family=st.sampled_from([FourierSchedule, PiecewiseSchedule]),
@@ -205,11 +206,13 @@ def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
             -1.0, 1.0, sched.coeffs[kind].shape)
     grid = TimeGrid(sched.T, steps)
     pair = random_pair(rng, num_qubits)
-    obs = (zz_observable(num_qubits) if num_qubits > 1
-           else pauli_embed("z", 0, 1))
     traj = evolve(pair.rho0, sched, grid)
-    field_ = adjoint_evolve_backward(
-        adjoint_boundary(traj.final(), obs, pair.target, IDENTITY_MAP), traj)
+    # The sweep takes any Hermitian costate; a single qubit has no Z_0 Z_1
+    # readout, so its boundary is built here with O = Z_0.
+    a_final = (adjoint_boundary(traj.final(), pair.target, IDENTITY_MAP)
+               if num_qubits > 1 else
+               costate_boundary(traj.final(), pauli("z", 0, 1), pair.target))
+    field_ = adjoint_evolve_backward(a_final, traj)
     cids, ref = frechet_reference_gradients(sched, traj, field_)
     grads = all_gradients(cids, traj, field_, sched, grid)
     assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
@@ -226,8 +229,7 @@ def test_all_gradients_bundles_all_coefficients():
     cids = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
     traj = evolve(pair.rho0, sched, grid)
     field = adjoint_evolve_backward(
-        adjoint_boundary(traj.final(), zz_observable(2), pair.target,
-                         SQUARE_MAP), traj)
+        adjoint_boundary(traj.final(), pair.target, SQUARE_MAP), traj)
     grads = all_gradients(cids, traj, field, sched, grid)
     assert grads.shape == (21,)
     # cross-check one entry against a single-coefficient call
@@ -242,8 +244,7 @@ def test_all_gradients_rejects_non_hermitian_costate():
     pair = random_pair(rng)
     traj = evolve(pair.rho0, sched, grid)
     field = adjoint_evolve_backward(
-        adjoint_boundary(traj.final(), zz_observable(2), pair.target,
-                         IDENTITY_MAP), traj)
+        adjoint_boundary(traj.final(), pair.target, IDENTITY_MAP), traj)
     assert abs(np.trace(traj.final() @ field[-1])) > 1e-3
     with pytest.raises(ValueError, match="non-Hermitian costate"):
         all_gradients(sched.coefficient_ids(), traj, 1j * field, sched, grid)
@@ -265,8 +266,8 @@ def test_train_zero_rates_is_a_no_op():
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     cfg = BackpropConfig(learning_rates={"tunneling": 0.0, "bias": 0.0,
                                          "coupling": 0.0}, epochs=3)
-    trained, log = train_backprop(pairs, sched, cfg, zz_observable(2),
-                                  SQUARE_MAP, TimeGrid(250.0, 100))
+    trained, log = train_backprop(pairs, sched, cfg, SQUARE_MAP,
+                                  TimeGrid(250.0, 100))
     for kind in ("tunneling", "bias", "coupling"):
         assert np.array_equal(trained.coeffs[kind], sched.coeffs[kind])
     assert np.allclose(log.rms, log.rms[0])
@@ -276,8 +277,8 @@ def test_train_input_schedule_not_mutated():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     before = {k: sched.coeffs[k].copy() for k in sched.coeffs}
-    train_backprop(pairs, sched, BackpropConfig(epochs=2), zz_observable(2),
-                   SQUARE_MAP, TimeGrid(250.0, 100))
+    train_backprop(pairs, sched, BackpropConfig(epochs=2), SQUARE_MAP,
+                   TimeGrid(250.0, 100))
     for kind, c in before.items():
         assert np.array_equal(sched.coeffs[kind], c)
 
@@ -286,8 +287,8 @@ def test_train_converges_on_default_problem():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     cfg = BackpropConfig(epochs=200, rms_target=0.02)
-    trained, log = train_backprop(pairs, sched, cfg, zz_observable(2),
-                                  SQUARE_MAP, TimeGrid(250.0, 200))
+    trained, log = train_backprop(pairs, sched, cfg, SQUARE_MAP,
+                                  TimeGrid(250.0, 200))
     assert log.rms[-1] <= 0.02
     assert log.rms[-1] < log.rms[0]
 
@@ -299,8 +300,7 @@ def test_config_epochs_default_is_the_run_default():
 def test_train_raises_on_empty_set():
     with pytest.raises(ValueError):
         train_backprop([], FourierSchedule.initialized(2, 10.0),
-                       BackpropConfig(), zz_observable(2), SQUARE_MAP,
-                       TimeGrid(10.0, 5))
+                       BackpropConfig(), SQUARE_MAP, TimeGrid(10.0, 5))
 
 
 def test_divergence_guard():
@@ -311,12 +311,12 @@ def test_divergence_guard():
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     good, _ = train_backprop(pairs, sched,
                              BackpropConfig(epochs=200, rms_target=0.02),
-                             zz_observable(2), SQUARE_MAP, grid)
+                             SQUARE_MAP, grid)
     cfg = BackpropConfig(learning_rates={"tunneling": 1.0, "bias": 0.0,
                                          "coupling": 1.0},
                          epochs=50, accumulate_per_epoch=True)
     with pytest.raises(TrainingDiverged) as exc:
-        train_backprop(pairs, good, cfg, zz_observable(2), SQUARE_MAP, grid)
+        train_backprop(pairs, good, cfg, SQUARE_MAP, grid)
     assert exc.value.log is not None
     assert len(exc.value.log.records) >= 1
 
@@ -325,8 +325,8 @@ def test_epoch_cost_is_two_solves_per_pair():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     qcore.solve_count = 0
-    train_backprop(pairs, sched, BackpropConfig(epochs=1), zz_observable(2),
-                   SQUARE_MAP, TimeGrid(250.0, 50))
+    train_backprop(pairs, sched, BackpropConfig(epochs=1), SQUARE_MAP,
+                   TimeGrid(250.0, 50))
     assert qcore.solve_count == 2 * len(pairs)
 
 
@@ -338,7 +338,6 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     sched = random_schedule(rng, num_qubits=3)
     pair = random_pair(rng, num_qubits=3)
     grid = TimeGrid(100.0, 40)
-    obs = zz_observable(3)
     shapes, assembled = [], []
     eigh = np.linalg.eigh
     assemble = qcore.assemble_hamiltonians
@@ -348,7 +347,7 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
                         lambda *a: assembled.append(len(a[0])) or assemble(*a))
     traj = evolve(pair.rho0, sched, grid)
     field_ = adjoint_evolve_backward(
-        adjoint_boundary(traj.final(), obs, pair.target, SQUARE_MAP), traj)
+        adjoint_boundary(traj.final(), pair.target, SQUARE_MAP), traj)
     all_gradients(sched.coefficient_ids(), traj, field_, sched, grid)
     assert shapes == [(40, 8, 8)]
     assert assembled == [40]

@@ -18,7 +18,6 @@ from qdynlearn.qcore import (
     IDENTITY_MAP,
     SQUARE_MAP,
     TimeGrid,
-    zz_observable,
 )
 from qdynlearn.schedules import PiecewiseSchedule, list_trainable
 from qdynlearn.train import descend
@@ -106,6 +105,10 @@ def test_exact_mode_returns_diagonal():
     expected = np.diag(u @ rho.matrix @ u.conj().T).real
     assert np.abs(probs - expected).max() < 1e-12
     assert probs.sum() == pytest.approx(1.0)
+    # The count readout and the density-matrix readout share one parity.
+    rho_f = qcore.final_state(rho, s, TimeGrid(s.T, s.segments))
+    assert abs(estimate_output(probs, IDENTITY_MAP)
+               - qcore.output_value(rho_f, IDENTITY_MAP)) <= 1e-14
 
 
 def test_fully_randomized_readout_is_uniform():
@@ -265,9 +268,8 @@ def test_exact_mode_training_matches_continuum_loop():
     cfg_b = CircuitRLConfig(epochs=20)
     cids = list_trainable(sched, cfg_b.learning_rates)
     grid = TimeGrid(s.T, 4 * s.segments)
-    obs = zz_observable(2)
     err = lambda sc: np.sqrt(np.mean(
-        [2.0 * rl.pair_error(p, sc, obs, SQUARE_MAP, grid) for p in pairs]))
+        [2.0 * rl.pair_error(p, sc, SQUARE_MAP, grid) for p in pairs]))
     rms_cont = []
     for _ in range(20):
         for cid in cids:

@@ -280,6 +280,7 @@ def test_eval_named_states(runner, tmp_path):
     ["eval", "--schedule", "{two}", "--steps", "0"],
     # a 2-qubit preset against a 3-qubit schedule
     ["eval", "--schedule", "{three}", "--states", "{bell}"],
+    ["eval", "--schedule", "{two}", "--states", "{infinite}"],
     ["export", "--schedule", "{garbage}"],
     ["export", "--schedule", "{two}", "--steps", "0"],
 ])
@@ -292,10 +293,12 @@ def test_eval_and_export_bad_input_exits_2(runner, tmp_path, args):
              "three": tmp_path / "three" / "schedule.json",
              "amplitudes": tmp_path / "amplitudes.json",
              "bell": tmp_path / "bell.json",
+             "infinite": tmp_path / "infinite.json",
              "garbage": tmp_path / "garbage.json",
              "missing": tmp_path / "missing.json"}
     files["amplitudes"].write_text("[0.5, 0.5, 0.5, 0.5]")
     files["bell"].write_text('["bell"]')
+    files["infinite"].write_text("[[Infinity, 0, 0, 1]]")
     files["garbage"].write_text("{not json")
     result = runner.invoke(main, [a.format(**files) for a in args]
                            + ["--out", str(tmp_path / "out.csv")])
@@ -335,7 +338,8 @@ def test_oracle_inline_json(runner):
 
 
 def test_oracle_garbage_exits_2(runner):
-    for state in ("not-a-state", "[1,0,0]", "[1,0,0,0,0,0,0,1]"):
+    for state in ("not-a-state", "[1,0,0]", "[1,0,0,0,0,0,0,1]",
+                  "[NaN, 0, 0, 1]"):
         result = runner.invoke(main, ["oracle", state])
         assert result.exit_code == 2, state
 

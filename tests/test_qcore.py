@@ -7,57 +7,26 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from pauli_reference import pauli, zz
 
 from qdynlearn import qcore
 from qdynlearn.qcore import (
     DensityMatrix,
-    DimensionMismatchError,
     IDENTITY_MAP,
-    Observable,
     SQUARE_MAP,
     TimeGrid,
     evolve,
-    expectation,
     final_state,
     output_value,
     pair_indices,
-    pauli_embed,
     total_propagator,
-    zz_observable,
+    zz_expectation,
 )
 from qdynlearn.schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule
 
 
 def bell_state():
     return DensityMatrix.from_state_vector([1.0, 0.0, 0.0, 1.0])
-
-
-# -- Pauli embeddings --------------------------------------------------------
-
-
-def test_pauli_embed_single_qubit_z():
-    obs = pauli_embed("z", 0, 1)
-    assert np.allclose(obs.matrix, np.diag([1.0, -1.0]))
-
-
-def test_pauli_embed_two_qubit_structure():
-    # sigma_x on qubit 1 of 2 is I (x) sigma_x
-    obs = pauli_embed("x", 1, 2)
-    expected = np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
-    assert np.allclose(obs.matrix, expected)
-
-
-def test_pauli_embed_squares_to_identity():
-    for axis in "xyz":
-        m = pauli_embed(axis, 2, 4).matrix
-        assert np.allclose(m @ m, np.eye(16))
-
-
-def test_pauli_embed_bad_inputs():
-    with pytest.raises(ValueError):
-        pauli_embed("w", 0, 2)
-    with pytest.raises(IndexError):
-        pauli_embed("x", 2, 2)
 
 
 def test_pair_indices_order():
@@ -83,8 +52,8 @@ def test_build_hamiltonian_coupling_only():
 
 def pauli_sum(tunneling, bias, coupling, num_qubits):
     """Reference H = sum K_i X_i + sum eps_i Z_i + sum zeta_ij Z_i Z_j from krons."""
-    x = [pauli_embed("x", q, num_qubits).matrix for q in range(num_qubits)]
-    z = [pauli_embed("z", q, num_qubits).matrix for q in range(num_qubits)]
+    x = [pauli("x", q, num_qubits) for q in range(num_qubits)]
+    z = [pauli("z", q, num_qubits) for q in range(num_qubits)]
     h = sum(tunneling[q] * x[q] + bias[q] * z[q] for q in range(num_qubits))
     for col, (i, j) in enumerate(pair_indices(num_qubits)):
         h = h + coupling[col] * z[i] @ z[j]
@@ -264,6 +233,10 @@ def test_density_matrix_rejects_bad_states():
         DensityMatrix(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
+    # NaN fails every comparison, so only an explicit check rejects it.
+    with pytest.raises(ValueError,
+                       match=r"non-finite entry \(nan\+0j\) at \[0, 1\]"):
+        DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
 
 def test_from_state_vector_normalizes():
@@ -271,6 +244,8 @@ def test_from_state_vector_normalizes():
     assert np.allclose(np.diag(rho.matrix).real, [0.36, 0.64])
     with pytest.raises(ValueError):
         DensityMatrix.from_state_vector([0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix.from_state_vector([np.inf, 1.0])
 
 
 def test_time_grid():
@@ -288,37 +263,42 @@ def test_time_grid():
 
 
 def test_expectation_bell_zz():
-    assert expectation(bell_state(), zz_observable(2)) == pytest.approx(1.0)
+    assert zz_expectation(bell_state().matrix) == pytest.approx(1.0)
 
 
 def test_expectation_antialigned():
     rho = DensityMatrix.from_state_vector([0.0, 1.0, 0.0, 0.0])  # |01>
-    assert expectation(rho, zz_observable(2)) == pytest.approx(-1.0)
+    assert zz_expectation(rho.matrix) == pytest.approx(-1.0)
 
 
 def test_expectation_maximally_mixed():
     rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
-    assert expectation(rho, zz_observable(2)) == pytest.approx(0.0)
+    assert zz_expectation(rho.matrix) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+def test_zz_expectation_equals_dense_trace(num_qubits):
+    # The parity readout against tr(rho Z_0 Z_1) from dense krons, on a
+    # random full-rank mixed state.
+    d = 2**num_qubits
+    rng = np.random.default_rng(num_qubits)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    ref = np.trace(rho.matrix @ zz(num_qubits))
+    assert abs(zz_expectation(rho.matrix) - ref) <= 1e-14
 
 
 def test_expectation_non_real_raises():
-    # tr([[0, 1], [0, 0]] sigma_y) = i: a non-Hermitian input must fail
+    # A diagonal with an imaginary part (not a Hermitian input) must fail
     # loudly, also under python -O.
     with pytest.raises(ValueError, match="non-real"):
-        expectation(np.array([[0, 1], [0, 0]], dtype=complex),
-                    pauli_embed("y", 0, 1))
-
-
-def test_expectation_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        expectation(bell_state(), zz_observable(3))
+        zz_expectation(np.diag([0.5, 0.25j, 0.0, 0.5]))
 
 
 def test_output_maps():
-    rho = DensityMatrix.from_state_vector([0.0, 1.0, 0.0, 0.0])
-    obs = zz_observable(2)
-    assert output_value(rho, obs, IDENTITY_MAP) == pytest.approx(-1.0)
-    assert output_value(rho, obs, SQUARE_MAP) == pytest.approx(1.0)
+    rho = DensityMatrix.from_state_vector([0.0, 1.0, 0.0, 0.0]).matrix
+    assert output_value(rho, IDENTITY_MAP) == pytest.approx(-1.0)
+    assert output_value(rho, SQUARE_MAP) == pytest.approx(1.0)
     assert SQUARE_MAP.derivative(-1.0) == pytest.approx(-2.0)
 
 
@@ -390,9 +370,8 @@ def test_evolve_second_order_convergence():
                if c.kind == "tunneling" and c.basis == 1][0]
     sched.set(cid_sin, 0.01)
     rho0 = bell_state()
-    obs = zz_observable(2)
-    ref = expectation(final_state(rho0, sched, TimeGrid(T, 3200)), obs)
-    errs = [abs(expectation(final_state(rho0, sched, TimeGrid(T, m)), obs) - ref)
+    ref = zz_expectation(final_state(rho0, sched, TimeGrid(T, 3200)))
+    errs = [abs(zz_expectation(final_state(rho0, sched, TimeGrid(T, m))) - ref)
             for m in (100, 200, 400)]
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(order) > 1.8

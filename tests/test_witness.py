@@ -13,7 +13,6 @@ from qdynlearn.qcore import (
     IDENTITY_MAP,
     SQUARE_MAP,
     TimeGrid,
-    zz_observable,
 )
 from qdynlearn.schedules import FourierSchedule
 from qdynlearn.witness import (
@@ -186,8 +185,7 @@ def test_zero_schedule_does_not_discriminate():
                                         tunneling=0.0, bias=0.0, coupling=0.0)
     states = [("zeros", ghz_family_state(2, 1.0, 0.0)),
               ("bell", ghz_family_state(2, 1.0, 1.0))]
-    rep = evaluate_witness(sched, states, zz_observable(2), SQUARE_MAP,
-                           TimeGrid(10.0, 5))
+    rep = evaluate_witness(sched, states, SQUARE_MAP, TimeGrid(10.0, 5))
     assert rep.outputs == pytest.approx([1.0, 1.0])
 
 
@@ -199,7 +197,7 @@ def test_outputs_bounded_for_square_map():
                                            size=sched.coeffs[kind].shape)
     _, states = theta_sweep_states(2)
     rep = evaluate_witness(sched, [("s", st) for st in states],
-                           zz_observable(2), SQUARE_MAP, TimeGrid(100.0, 100))
+                           SQUARE_MAP, TimeGrid(100.0, 100))
     assert np.all(rep.sweep_outputs >= 0.0)
     assert np.all(rep.sweep_outputs <= 1.0)
     assert np.all(rep.outputs >= 0.0) and np.all(rep.outputs <= 1.0)
@@ -214,5 +212,5 @@ def test_witness_output_continuity_in_input_state():
     rho_p = DensityMatrix((1 - eps) * rho.matrix + eps * np.eye(4) / 4)
     assert np.abs(rho_p.matrix - rho.matrix).max() <= 1e-8
     rep = evaluate_witness(sched, [("a", rho), ("b", rho_p)],
-                           zz_observable(2), SQUARE_MAP, grid)
+                           SQUARE_MAP, grid)
     assert abs(rep.outputs[0] - rep.outputs[1]) <= 1e-6
