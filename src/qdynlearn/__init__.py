@@ -11,7 +11,6 @@ from .qcore import (
     zz_expectation,
 )
 from .schedules import (
-    CoefficientId,
     FourierSchedule,
     PiecewiseSchedule,
     list_trainable,
@@ -20,7 +19,7 @@ from .schedules import (
 )
 from .witness import TrainingPair, build_training_set, concurrence, evaluate_witness
 from .train import TrainConfig, TrainingDiverged, run_epochs
-from .backprop import BackpropConfig, all_gradients, train_backprop
+from .backprop import all_gradients, train_backprop
 from .rl import RLConfig, fd_gradient, pair_error, train_rl, train_rl_epoch
 from .circuit import (
     CircuitRLConfig,

@@ -22,13 +22,11 @@ Validated against finite differences and scipy's expm_frechet; see tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import qcore
 from .qcore import OutputMap, TimeGrid, Trajectory
-from .schedules import KIND_ORDER, list_trainable
+from .schedules import list_trainable
 from .train import TrainConfig, descend, run_epochs
 
 IMAG_RESIDUAL_TOL = 1e-8
@@ -83,55 +81,43 @@ def _step_sensitivities(traj: Trajectory, adjoint_field: np.ndarray):
     return v @ (dt * s * im_z.swapaxes(-1, -2)) @ vt
 
 
-def all_gradients(cids, traj: Trajectory, adjoint_field: np.ndarray,
+def all_gradients(idx, traj: Trajectory, adjoint_field: np.ndarray,
                   schedule, grid: TimeGrid):
-    """Gradients of the half-squared output error for the coefficients `cids`.
+    """Gradients of the half-squared output error for `schedule.params[idx]`.
 
     All share one trajectory/adjoint pair.  The step sensitivities are
     contracted once with every site's generator (the transposed assembly),
-    then with each coefficient's basis function over its sites.
+    then with every basis function; a tied row sums over its kind's sites.
     """
     w = _step_sensitivities(traj, adjoint_field)
     sens = qcore.contract_hamiltonians(w, schedule.num_qubits)
     basis = schedule.basis_row(grid.midpoints)  # (M, width)
-    per_site = {kind: -2.0 * basis.T @ s for kind, s in zip(KIND_ORDER, sens)}
-    return np.array([per_site[cid.kind][cid.basis, schedule.sites_for(cid)].sum()
-                     for cid in cids])
+    per_site = [-2.0 * basis.T @ s for s in sens]  # (width, sites) per kind
+    return np.concatenate([(g.sum(axis=1) if schedule.tied else g.T).ravel()
+                           for g in per_site])[idx]
 
 
-@dataclass
-class BackpropConfig(TrainConfig):
-    """Knobs for the adjoint training loop."""
-
-    accumulate_per_epoch: bool = False  # default: update after every pair
-
-
-def train_backprop(pairs, schedule, config: BackpropConfig,
+def train_backprop(pairs, schedule, config: TrainConfig,
                    output_map: OutputMap, grid: TimeGrid):
-    """Adjoint gradient descent over the training set.
+    """Adjoint gradient descent over the training set, updating after every pair.
 
     One epoch costs two trajectory sweeps per pair (forward + backward),
     independent of how many coefficients are trained.  Returns the trained
     schedule and the per-epoch RMS log.
     """
-    cids = list_trainable(schedule, config.learning_rates)
+    rates = schedule.per_index(config.learning_rates)
+    idx = list_trainable(schedule, config.learning_rates)
 
     def epoch(schedule):
         sq_errors = []
-        accum = np.zeros(len(cids))
         for pair in pairs:
             traj = qcore.evolve(pair.rho0, schedule, grid)
             out = qcore.output_value(traj.final(), output_map)
             sq_errors.append((pair.target - out) ** 2)
             a_final = adjoint_boundary(traj.final(), pair.target, output_map)
             field_ = adjoint_evolve_backward(a_final, traj)
-            grads = all_gradients(cids, traj, field_, schedule, grid)
-            if config.accumulate_per_epoch:
-                accum += grads
-            else:
-                descend(schedule, cids, grads, config.learning_rates)
-        if config.accumulate_per_epoch:
-            descend(schedule, cids, accum, config.learning_rates)
+            grads = all_gradients(idx, traj, field_, schedule, grid)
+            descend(schedule, idx, grads, rates)
         return float(np.sqrt(np.mean(sq_errors)))
 
     return run_epochs(pairs, schedule, config, epoch)

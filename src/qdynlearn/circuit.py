@@ -166,14 +166,16 @@ def train_circuit_rl(pairs, schedule: PiecewiseSchedule,
     the weight perturbed; one sweep over all weights is an epoch.  The logged
     per-epoch RMS is a fresh evaluation after the sweep.
     """
-    cids = list_trainable(schedule, config.learning_rates)
+    rates = schedule.per_index(config.learning_rates)
+    idx = list_trainable(schedule, config.learning_rates)
+    floors = schedule.per_index(config.delta_abs)
     error_fn = lambda s: set_rms_error(pairs, s, backend, output_map)
 
     def epoch(schedule):
-        for cid in cids:
-            g = rl.fd_gradient(cid, schedule, error_fn, error_fn(schedule),
-                               config)
-            descend(schedule, [cid], [g], config.learning_rates)
+        for i in idx:
+            delta = config.perturbation(schedule.params[i], floors[i])
+            g = rl.fd_gradient(i, schedule, error_fn, error_fn(schedule), delta)
+            descend(schedule, i, g, rates)
         return error_fn(schedule)
 
     return run_epochs(pairs, schedule, config, epoch)

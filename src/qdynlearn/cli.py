@@ -181,6 +181,8 @@ def eval_cmd(schedule_path, states_path, out_path, steps, output_map):
     """Evaluate a trained witness and report outputs vs the oracle."""
     schedule = _load_schedule(schedule_path)
     n = schedule.num_qubits
+    if n < 2:
+        raise click.UsageError(f"schedule has {n} qubit; the witness reads qubits 0, 1")
     grid = qcore.TimeGrid(schedule.T, steps)
     fmap = OUTPUT_MAPS[output_map]
 

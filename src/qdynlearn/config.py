@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .backprop import BackpropConfig
 from .circuit import CircuitRLConfig, ShotBackend
 from .qcore import OUTPUT_MAPS, TimeGrid
 from .rl import RLConfig
@@ -60,7 +59,7 @@ class RunConfig:
     init: dict = field(default_factory=dict)
     learning_rates: dict = field(default_factory=dict)
     delta_rel: float | None = None  # default depends on mode
-    # default: the mode's loop-config floor for this delta_rel
+    # kinds not given: the mode's loop-config floor for this delta_rel
     delta_abs: dict | None = None
     output_map: str = "square"
     shots: int | str = "exact"
@@ -97,8 +96,7 @@ class RunConfig:
         self.learning_rates = {**loop.learning_rates, **self.learning_rates}
         if self.tied is None:
             self.tied = family.TIED
-        if self.delta_abs is None:
-            self.delta_abs = loop.delta_abs
+        self.delta_abs = {**loop.delta_abs, **(self.delta_abs or {})}
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":
@@ -134,14 +132,15 @@ class RunConfig:
         return TimeGrid(self.T_ns, self.steps)
 
     def build_schedule(self):
+        family = PiecewiseSchedule if self.mode == "circuit" else FourierSchedule
         if self.initial_schedule is not None:
             sched = load_schedule(self.initial_schedule)
-            if sched.num_qubits != self.num_qubits:
-                raise ConfigError(
-                    f"initial schedule has {sched.num_qubits} qubits, "
-                    f"config says {self.num_qubits}")
+            have = (sched.num_qubits, sched.mode, sched.T)
+            want = (self.num_qubits, family.mode, self.T_ns)
+            if have != want:
+                raise ConfigError("initial schedule has {} qubits, mode {} and T_ns "
+                                  "{}; config says {}, {} and {}".format(*have, *want))
             return sched
-        family = PiecewiseSchedule if self.mode == "circuit" else FourierSchedule
         structure = ({"segments": self.segments} if self.mode == "circuit"
                      else {"n_max": self.n_max})
         return family.initialized(
@@ -154,7 +153,7 @@ class RunConfig:
         common = dict(learning_rates=dict(self.learning_rates),
                       epochs=self.epochs, rms_target=self.rms_target)
         if self.mode == "backprop":
-            return BackpropConfig(**common)
+            return TrainConfig(**common)
         return RLConfig(delta_rel=self.delta_rel, delta_abs=dict(self.delta_abs),
                         **common)
 

@@ -81,6 +81,9 @@ class DensityMatrix:
     def from_state_vector(cls, psi) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex).ravel()
         _check_finite(psi, "state vector")
+        # Scale by a power of two first: exact, and the norm cannot overflow.
+        _, exp = np.frexp(np.abs(psi.view(float)).max(initial=0.0))
+        psi = np.ldexp(psi.view(float), -exp).view(complex)
         norm = np.linalg.norm(psi)
         if norm == 0:
             raise ValueError("zero state vector")

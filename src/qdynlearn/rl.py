@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import OutputMap, TimeGrid
-from .schedules import CoefficientId, FourierSchedule, list_trainable
+from .schedules import KIND_ORDER, FourierSchedule, list_trainable
 from .train import TrainConfig, descend, run_epochs
 from .witness import TrainingPair
 
@@ -40,11 +40,12 @@ class RLConfig(TrainConfig):
         if self.delta_abs is None:
             self.delta_abs = {k: self.delta_rel * s
                               for k, s in FourierSchedule.INIT.items()}
-        if any(v <= 0 for v in self.delta_abs.values()):
-            raise ValueError("delta_abs entries must be positive")
+        if self.delta_abs.keys() != {*KIND_ORDER} or min(self.delta_abs.values()) <= 0:
+            raise ValueError("delta_abs needs one positive entry per kind")
 
-    def perturbation(self, kind, value):
-        return max(self.delta_rel * abs(value), self.delta_abs[kind])
+    def perturbation(self, value, floor):
+        """Perturbation size max(delta_rel |value|, floor), elementwise."""
+        return np.maximum(self.delta_rel * np.abs(value), floor)
 
 
 def pair_error(pair: TrainingPair, schedule, output_map: OutputMap,
@@ -55,20 +56,19 @@ def pair_error(pair: TrainingPair, schedule, output_map: OutputMap,
     return 0.5 * (pair.target - out) ** 2
 
 
-def fd_gradient(cid: CoefficientId, schedule, error_fn, e_nom: float,
-                config: RLConfig) -> float:
-    """One-sided difference quotient (E_mod - E_nom) / delta of one coefficient.
+def fd_gradient(i, schedule, error_fn, e_nom: float, delta: float) -> float:
+    """One-sided difference quotient (E_mod - E_nom) / delta of `params[i]`.
 
     `error_fn(schedule)` is the error being descended and `e_nom` its value
     at the unmodified schedule.  The schedule is restored bit-identically.
     """
-    value = schedule.get(cid)
-    delta = config.perturbation(cid.kind, value)
+    params = schedule.params
+    value = params[i]
     try:
-        schedule.set(cid, value + delta)
+        params[i] = value + delta
         e_mod = error_fn(schedule)
     finally:
-        schedule.set(cid, value)
+        params[i] = value
     return (e_mod - e_nom) / delta
 
 
@@ -79,7 +79,9 @@ def train_rl_epoch(pairs, schedule, config: RLConfig, output_map: OutputMap,
     Mutates the schedule in place.  Returns the epoch RMS,
     sqrt(mean (d - output)^2), from each pair's nominal evaluation.
     """
-    cids = list_trainable(schedule, config.learning_rates)
+    rates = schedule.per_index(config.learning_rates)
+    idx = list_trainable(schedule, config.learning_rates)
+    floors = schedule.per_index(config.delta_abs)[idx]
     sq_errors = []
     for pair in pairs:
         def error_fn(s):
@@ -87,9 +89,10 @@ def train_rl_epoch(pairs, schedule, config: RLConfig, output_map: OutputMap,
 
         e_nom = error_fn(schedule)
         sq_errors.append(2.0 * e_nom)
-        grads = [fd_gradient(cid, schedule, error_fn, e_nom, config)
-                 for cid in cids]
-        descend(schedule, cids, grads, config.learning_rates)
+        deltas = config.perturbation(schedule.params[idx], floors)
+        grads = [fd_gradient(i, schedule, error_fn, e_nom, delta)
+                 for i, delta in zip(idx, deltas)]
+        descend(schedule, idx, grads, rates)
     return float(np.sqrt(np.mean(sq_errors)))
 
 

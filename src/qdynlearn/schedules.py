@@ -1,35 +1,20 @@
 """Time-dependent Hamiltonian parameter schedules.
 
 Two families: truncated Fourier series (half-period basis sin/cos(n pi t / T))
-and piecewise-constant segments.  Both expose their trainable coefficients
-through `CoefficientId` handles so the training loops can enumerate, read,
-perturb and update them uniformly.
+and piecewise-constant segments.  Both hold every coefficient in one flat
+vector, `params`, in (kind, site, basis) order, so the training loops read,
+perturb and update coefficients by index.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .qcore import pair_indices
 
 KIND_ORDER = ("tunneling", "bias", "coupling")
-
-
-@dataclass(frozen=True, order=True)
-class CoefficientId:
-    """Handle for one stored coefficient.
-
-    basis meaning: 0 is the constant term; for Fourier schedules 1..n_max are
-    the sine terms and n_max+1..2*n_max the cosine terms; for piecewise
-    schedules the basis index is the segment index.
-    """
-
-    kind: str
-    site: int
-    basis: int
 
 
 class ScheduleError(ValueError):
@@ -44,9 +29,11 @@ def n_sites(num_qubits, kind):
 class _Schedule:
     """Shared storage/evaluation machinery for both schedule families.
 
-    Coefficients live in one array per parameter kind with shape
-    (rows, width): a row per site, or a single shared row when the kind is
-    tied across sites.
+    All coefficients live in one vector, `params`, in (kind, site, basis)
+    order; `coeffs[kind]` is its (rows, width) view: a row per site, or one
+    shared row when the kind is tied.  Basis 0 is the Fourier constant term,
+    then sines 1..n_max and cosines n_max+1..2*n_max; piecewise bases are the
+    segments.  `params` is only ever written in place, so the views hold.
     """
 
     mode = None
@@ -64,7 +51,7 @@ class _Schedule:
         self.num_qubits = int(num_qubits)
         self.T = float(T)
         self.tied = self.TIED if tied is None else bool(tied)
-        self.coeffs = {}
+        arrays = []
         for kind in KIND_ORDER:
             c = np.array(coeffs[kind], dtype=float)
             if c.ndim != 2 or c.shape != (self.rows(kind), self.width):
@@ -74,7 +61,10 @@ class _Schedule:
                 )
             if not np.isfinite(c).all():
                 raise ScheduleError(f"non-finite {kind} coefficient")
-            self.coeffs[kind] = c
+            arrays.append(c.ravel())
+        self.params = np.concatenate(arrays)
+        parts = np.split(self.params, np.cumsum([a.size for a in arrays])[:-1])
+        self.coeffs = {k: v.reshape(-1, self.width) for k, v in zip(KIND_ORDER, parts)}
 
     @classmethod
     def initialized(cls, num_qubits, T, tied=None, tunneling=None, bias=None,
@@ -124,37 +114,14 @@ class _Schedule:
     def rows(self, kind):
         return 1 if self.tied else self.n_sites(kind)
 
-    def coefficient_ids(self, kinds=KIND_ORDER):
-        """All coefficient handles in deterministic (kind, site, basis) order."""
-        out = []
-        for kind in KIND_ORDER:
-            if kind not in kinds:
-                continue
-            for site in range(self.rows(kind)):
-                for basis in range(self.width):
-                    out.append(CoefficientId(kind, site, basis))
-        return out
-
-    def _check(self, cid: CoefficientId):
-        if cid.kind not in KIND_ORDER:
-            raise ScheduleError(f"unknown parameter kind {cid.kind!r}")
-        if not 0 <= cid.site < self.rows(cid.kind):
-            raise ScheduleError(f"site {cid.site} out of range for {cid.kind}")
-        if not 0 <= cid.basis < self.width:
-            raise ScheduleError(f"basis index {cid.basis} out of range")
-
-    def get(self, cid: CoefficientId) -> float:
-        self._check(cid)
-        return float(self.coeffs[cid.kind][cid.site, cid.basis])
-
-    def set(self, cid: CoefficientId, value: float):
-        self._check(cid)
-        self.coeffs[cid.kind][cid.site, cid.basis] = value
+    def per_index(self, values):
+        """Each coefficient's kind's entry of `values` (0 if absent), as a vector."""
+        return np.repeat([float(values.get(k, 0.0)) for k in KIND_ORDER],
+                         [self.coeffs[k].size for k in KIND_ORDER])
 
     def copy(self):
-        return type(self)(self.num_qubits, self.T,
-                          {k: self.coeffs[k].copy() for k in KIND_ORDER},
-                          tied=self.tied, **self.structure())
+        return type(self)(self.num_qubits, self.T, self.coeffs, tied=self.tied,
+                          **self.structure())
 
     # -- evaluation --------------------------------------------------------
 
@@ -180,13 +147,6 @@ class _Schedule:
                 vals = np.repeat(vals, self.n_sites(kind), axis=1)
             out.append(vals)
         return tuple(out)
-
-    def sites_for(self, cid: CoefficientId):
-        """Physical site indices a coefficient feeds (all sites when tied)."""
-        self._check(cid)
-        if self.tied:
-            return list(range(self.n_sites(cid.kind)))
-        return [cid.site]
 
     # -- serialization -----------------------------------------------------
 
@@ -265,14 +225,9 @@ class PiecewiseSchedule(_Schedule):
         return b
 
 
-def list_trainable(schedule, learning_rates) -> list[CoefficientId]:
-    """Trainable coefficients in deterministic order.
-
-    Order is kind (tunneling, bias, coupling), then site, then basis index.
-    Kinds whose learning rate is zero are excluded.
-    """
-    kinds = tuple(k for k in KIND_ORDER if learning_rates.get(k, 0.0) > 0.0)
-    return schedule.coefficient_ids(kinds=kinds)
+def list_trainable(schedule, learning_rates) -> np.ndarray:
+    """Ascending indices into `schedule.params` of kinds with a positive rate."""
+    return np.flatnonzero(schedule.per_index(learning_rates) > 0.0)
 
 
 def schedule_from_dict(d):

@@ -46,10 +46,9 @@ class TrainConfig:
             raise ValueError("learning rates must be nonnegative")
 
 
-def descend(schedule, cids, grads, learning_rates):
-    """One gradient-descent step, w <- w - rate[kind] * g, per coefficient."""
-    for cid, g in zip(cids, grads):
-        schedule.set(cid, schedule.get(cid) - learning_rates[cid.kind] * g)
+def descend(schedule, idx, grads, rates):
+    """One descent step on `schedule.params[idx]`; `rates` is per coefficient."""
+    schedule.params[idx] -= rates[idx] * grads
 
 
 def run_epochs(pairs, schedule, config: TrainConfig, epoch):

@@ -35,6 +35,7 @@ from qdynlearn.qcore import (
     evolve,
 )
 from qdynlearn.schedules import FourierSchedule, PiecewiseSchedule, list_trainable
+from qdynlearn.train import TrainConfig
 from qdynlearn.witness import TrainingPair, build_training_set, concurrence
 
 KIND_SCALES = {"tunneling": 2.5e-3, "bias": 1e-4, "coupling": 1e-4}
@@ -70,17 +71,18 @@ def test_criterion_1_adjoint_vs_central_difference():
         a_final = backprop.adjoint_boundary(traj.final(), pair.target,
                                             SQUARE_MAP)
         field = backprop.adjoint_evolve_backward(a_final, traj)
-        cids = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
-        assert len(cids) == 21
-        for cid in cids:
-            g = backprop.all_gradients([cid], traj, field, sched, grid)[0]
-            h = 1e-4 * KIND_SCALES[cid.kind]
-            v = sched.get(cid)
-            sched.set(cid, v + h)
+        idx = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
+        assert len(idx) == 21
+        scales = sched.per_index(KIND_SCALES)
+        for i in idx:
+            g = backprop.all_gradients([i], traj, field, sched, grid)[0]
+            h = 1e-4 * scales[i]
+            v = sched.params[i]
+            sched.params[i] = v + h
             ep = rl.pair_error(pair, sched, SQUARE_MAP, grid)
-            sched.set(cid, v - h)
+            sched.params[i] = v - h
             em = rl.pair_error(pair, sched, SQUARE_MAP, grid)
-            sched.set(cid, v)
+            sched.params[i] = v
             fd = (ep - em) / (2 * h)
             checked += 1
             if abs(fd) < 1e-10:
@@ -221,8 +223,7 @@ def test_criterion_7_cost_structure():
 
     qcore.solve_count = 0
     backprop.train_backprop(pairs, sched,
-                            backprop.BackpropConfig(learning_rates=rates,
-                                                    epochs=1),
+                            TrainConfig(learning_rates=rates, epochs=1),
                             SQUARE_MAP, grid)
     bp_solves = qcore.solve_count
 

@@ -8,7 +8,6 @@ from pauli_reference import pauli, zz
 
 from qdynlearn import qcore
 from qdynlearn.backprop import (
-    BackpropConfig,
     adjoint_boundary,
     adjoint_evolve_backward,
     all_gradients,
@@ -24,13 +23,12 @@ from qdynlearn.qcore import (
     pair_indices,
 )
 from qdynlearn.schedules import (
-    CoefficientId,
     FourierSchedule,
     KIND_ORDER,
     PiecewiseSchedule,
     list_trainable,
 )
-from qdynlearn.train import TrainingDiverged
+from qdynlearn.train import TrainConfig, TrainingDiverged
 from qdynlearn.witness import TrainingPair, build_training_set
 
 KIND_SCALES = {"tunneling": 2.5e-3, "bias": 1e-4, "coupling": 1e-4}
@@ -119,8 +117,9 @@ def test_gradient_zero_for_diagonal_dynamics():
     traj = evolve(rho0, sched, grid)
     a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
     field = adjoint_evolve_backward(a_final, traj)
-    cids = [CoefficientId("coupling", 0, basis) for basis in range(sched.width)]
-    for g in all_gradients(cids, traj, field, sched, grid):
+    coupling = list_trainable(sched, {"coupling": 1.0})
+    assert len(coupling) == sched.width
+    for g in all_gradients(coupling, traj, field, sched, grid):
         assert abs(g) < 1e-14
 
 
@@ -135,16 +134,17 @@ def test_gradient_matches_central_difference():
         traj = evolve(pair.rho0, sched, grid)
         a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
         field = adjoint_evolve_backward(a_final, traj)
-        for cid in rng.choice(list_trainable(sched, {"tunneling": 1.0,
-                                                     "coupling": 1.0}), 4):
-            g = all_gradients([cid], traj, field, sched, grid)[0]
-            h = 1e-4 * KIND_SCALES[cid.kind]
-            v = sched.get(cid)
-            sched.set(cid, v + h)
+        scales = sched.per_index(KIND_SCALES)
+        for i in rng.choice(list_trainable(sched, {"tunneling": 1.0,
+                                                   "coupling": 1.0}), 4):
+            g = all_gradients([i], traj, field, sched, grid)[0]
+            h = 1e-4 * scales[i]
+            v = sched.params[i]
+            sched.params[i] = v + h
             ep = loss(pair, sched, SQUARE_MAP, grid)
-            sched.set(cid, v - h)
+            sched.params[i] = v - h
             em = loss(pair, sched, SQUARE_MAP, grid)
-            sched.set(cid, v)
+            sched.params[i] = v
             fd = (ep - em) / (2 * h)
             assert g == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
@@ -163,26 +163,28 @@ def frechet_reference_gradients(sched, traj, field_):
     U_k and dU_k come from scipy.linalg.expm_frechet on the dense Pauli-sum
     step Hamiltonian; rho_k and A_{k+1} are the trajectory's and the costate
     field's, so only the per-step derivative and its contraction are checked.
+    The result is in `params` order: kind, then row, then basis function.
     """
     grid = traj.grid
     gens = site_generators(sched.num_qubits)
     hs = np.einsum("ms,sij->mij", np.hstack(sched.eval_many(grid.midpoints)),
                    np.array([g for kind in KIND_ORDER for g in gens[kind]]))
     basis = sched.basis_row(grid.midpoints)
-    cids = sched.coefficient_ids()
-    series = {}
-    for kind, site in {(cid.kind, cid.site) for cid in cids}:
-        sites = sched.sites_for(CoefficientId(kind, site, 0))
-        gen = sum((gens[kind][s] for s in sites), np.zeros_like(hs[0]))
-        terms = []
-        for k, h in enumerate(hs):
-            u, du = scipy.linalg.expm_frechet(-1j * grid.dt * h,
-                                              -1j * grid.dt * gen)
-            half = du @ traj.states[k] @ u.conj().T
-            terms.append(np.trace(field_[k + 1] @ (half + half.conj().T)))
-        series[kind, site] = np.array(terms)
-    return cids, np.array([-np.sum(series[c.kind, c.site] * basis[:, c.basis])
-                           for c in cids])
+    ref = []
+    for kind in KIND_ORDER:
+        for row in range(sched.rows(kind)):
+            # A tied row drives every site of its kind.
+            sites = range(sched.n_sites(kind)) if sched.tied else [row]
+            gen = sum((gens[kind][s] for s in sites), np.zeros_like(hs[0]))
+            terms = []
+            for k, h in enumerate(hs):
+                u, du = scipy.linalg.expm_frechet(-1j * grid.dt * h,
+                                                  -1j * grid.dt * gen)
+                half = du @ traj.states[k] @ u.conj().T
+                terms.append(np.trace(field_[k + 1] @ (half + half.conj().T)))
+            ref += [-np.sum(np.array(terms) * basis[:, b])
+                    for b in range(sched.width)]
+    return np.array(ref)
 
 
 def costate_boundary(rho_f, obs, target):
@@ -213,8 +215,9 @@ def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
                if num_qubits > 1 else
                costate_boundary(traj.final(), pauli("z", 0, 1), pair.target))
     field_ = adjoint_evolve_backward(a_final, traj)
-    cids, ref = frechet_reference_gradients(sched, traj, field_)
-    grads = all_gradients(cids, traj, field_, sched, grid)
+    ref = frechet_reference_gradients(sched, traj, field_)
+    grads = all_gradients(np.arange(sched.params.size), traj, field_, sched,
+                          grid)
     assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(grads - ref.real).max() <= 1e-12 * np.abs(ref).max()
 
@@ -226,14 +229,14 @@ def test_all_gradients_bundles_all_coefficients():
     sched = random_schedule(rng, T=100.0)
     grid = TimeGrid(100.0, 50)
     pair = random_pair(rng)
-    cids = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
+    idx = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
     traj = evolve(pair.rho0, sched, grid)
     field = adjoint_evolve_backward(
         adjoint_boundary(traj.final(), pair.target, SQUARE_MAP), traj)
-    grads = all_gradients(cids, traj, field, sched, grid)
+    grads = all_gradients(idx, traj, field, sched, grid)
     assert grads.shape == (21,)
     # cross-check one entry against a single-coefficient call
-    g0 = all_gradients(cids[:1], traj, field, sched, grid)[0]
+    g0 = all_gradients(idx[:1], traj, field, sched, grid)[0]
     assert grads[0] == pytest.approx(g0, rel=1e-12)
 
 
@@ -247,7 +250,7 @@ def test_all_gradients_rejects_non_hermitian_costate():
         adjoint_boundary(traj.final(), pair.target, IDENTITY_MAP), traj)
     assert abs(np.trace(traj.final() @ field[-1])) > 1e-3
     with pytest.raises(ValueError, match="non-Hermitian costate"):
-        all_gradients(sched.coefficient_ids(), traj, 1j * field, sched, grid)
+        all_gradients(np.arange(sched.params.size), traj, 1j * field, sched, grid)
     # An anti-Hermitian part with zero trace against every rho_k is caught too.
     p = np.diag(np.arange(4.0))
     skew = 1e-3j * (p - np.trace(traj.final() @ p).real * np.eye(4))
@@ -255,7 +258,7 @@ def test_all_gradients_rejects_non_hermitian_costate():
     bad[-1] += skew
     assert abs(np.trace(traj.final() @ skew)) < 1e-15
     with pytest.raises(ValueError, match="non-Hermitian costate"):
-        all_gradients(sched.coefficient_ids(), traj, bad, sched, grid)
+        all_gradients(np.arange(sched.params.size), traj, bad, sched, grid)
 
 
 # -- training loop -----------------------------------------------------------
@@ -264,8 +267,8 @@ def test_all_gradients_rejects_non_hermitian_costate():
 def test_train_zero_rates_is_a_no_op():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
-    cfg = BackpropConfig(learning_rates={"tunneling": 0.0, "bias": 0.0,
-                                         "coupling": 0.0}, epochs=3)
+    cfg = TrainConfig(learning_rates={"tunneling": 0.0, "bias": 0.0,
+                                      "coupling": 0.0}, epochs=3)
     trained, log = train_backprop(pairs, sched, cfg, SQUARE_MAP,
                                   TimeGrid(250.0, 100))
     for kind in ("tunneling", "bias", "coupling"):
@@ -277,7 +280,7 @@ def test_train_input_schedule_not_mutated():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     before = {k: sched.coeffs[k].copy() for k in sched.coeffs}
-    train_backprop(pairs, sched, BackpropConfig(epochs=2), SQUARE_MAP,
+    train_backprop(pairs, sched, TrainConfig(epochs=2), SQUARE_MAP,
                    TimeGrid(250.0, 100))
     for kind, c in before.items():
         assert np.array_equal(sched.coeffs[kind], c)
@@ -286,7 +289,7 @@ def test_train_input_schedule_not_mutated():
 def test_train_converges_on_default_problem():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
-    cfg = BackpropConfig(epochs=200, rms_target=0.02)
+    cfg = TrainConfig(epochs=200, rms_target=0.02)
     trained, log = train_backprop(pairs, sched, cfg, SQUARE_MAP,
                                   TimeGrid(250.0, 200))
     assert log.rms[-1] <= 0.02
@@ -294,38 +297,39 @@ def test_train_converges_on_default_problem():
 
 
 def test_config_epochs_default_is_the_run_default():
-    assert BackpropConfig().epochs == RunConfig(mode="backprop").epochs
+    assert TrainConfig().epochs == RunConfig(mode="backprop").epochs
 
 
 def test_train_raises_on_empty_set():
     with pytest.raises(ValueError):
         train_backprop([], FourierSchedule.initialized(2, 10.0),
-                       BackpropConfig(), SQUARE_MAP, TimeGrid(10.0, 5))
+                       TrainConfig(), SQUARE_MAP, TimeGrid(10.0, 5))
 
 
 def test_divergence_guard():
     # Converge first so the guard's baseline RMS is small, then resume with
-    # absurd learning rates: the first oversized step must trip the guard.
+    # rates about 100x the defaults: the per-pair steps overshoot at epoch 1
+    # and the ratio guard (not the non-finite check) must trip.
     pairs = build_training_set(2)
     grid = TimeGrid(250.0, 100)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     good, _ = train_backprop(pairs, sched,
-                             BackpropConfig(epochs=200, rms_target=0.02),
+                             TrainConfig(epochs=200, rms_target=0.02),
                              SQUARE_MAP, grid)
-    cfg = BackpropConfig(learning_rates={"tunneling": 1.0, "bias": 0.0,
-                                         "coupling": 1.0},
-                         epochs=50, accumulate_per_epoch=True)
+    cfg = TrainConfig(learning_rates={"tunneling": 3e-5, "coupling": 3e-5},
+                      epochs=50)
     with pytest.raises(TrainingDiverged) as exc:
         train_backprop(pairs, good, cfg, SQUARE_MAP, grid)
     assert exc.value.log is not None
     assert len(exc.value.log.records) >= 1
+    assert np.isfinite(exc.value.log.rms).all()
 
 
 def test_epoch_cost_is_two_solves_per_pair():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     qcore.solve_count = 0
-    train_backprop(pairs, sched, BackpropConfig(epochs=1), SQUARE_MAP,
+    train_backprop(pairs, sched, TrainConfig(epochs=1), SQUARE_MAP,
                    TimeGrid(250.0, 50))
     assert qcore.solve_count == 2 * len(pairs)
 
@@ -348,7 +352,7 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     traj = evolve(pair.rho0, sched, grid)
     field_ = adjoint_evolve_backward(
         adjoint_boundary(traj.final(), pair.target, SQUARE_MAP), traj)
-    all_gradients(sched.coefficient_ids(), traj, field_, sched, grid)
+    all_gradients(np.arange(sched.params.size), traj, field_, sched, grid)
     assert shapes == [(40, 8, 8)]
     assert assembled == [40]
     lam, v = eigh(traj.hamiltonians)

@@ -266,15 +266,18 @@ def test_exact_mode_training_matches_continuum_loop():
 
     sched = s.copy()
     cfg_b = CircuitRLConfig(epochs=20)
-    cids = list_trainable(sched, cfg_b.learning_rates)
+    idx = list_trainable(sched, cfg_b.learning_rates)
+    rates = sched.per_index(cfg_b.learning_rates)
+    floors = sched.per_index(cfg_b.delta_abs)
     grid = TimeGrid(s.T, 4 * s.segments)
     err = lambda sc: np.sqrt(np.mean(
         [2.0 * rl.pair_error(p, sc, SQUARE_MAP, grid) for p in pairs]))
     rms_cont = []
     for _ in range(20):
-        for cid in cids:
-            g = rl.fd_gradient(cid, sched, err, err(sched), cfg_b)
-            descend(sched, [cid], [g], cfg_b.learning_rates)
+        for i in idx:
+            delta = cfg_b.perturbation(sched.params[i], floors[i])
+            g = rl.fd_gradient(i, sched, err, err(sched), delta)
+            descend(sched, i, g, rates)
         rms_cont.append(err(sched))
     assert np.abs(log_circuit.rms - np.array(rms_cont)).max() < 1e-9
 

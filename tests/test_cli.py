@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from qdynlearn.cli import main
 from qdynlearn.config import RunConfig
-from qdynlearn.schedules import load_schedule
+from qdynlearn.schedules import FourierSchedule, load_schedule, save_schedule
 
 
 @pytest.fixture
@@ -84,16 +84,24 @@ def test_train_non_finite_number_exits_2(runner, tmp_path, text):
 
 
 def test_train_mismatched_initial_schedule_exits_2(runner, tmp_path):
-    out = tmp_path / "init"
-    runner.invoke(main, ["train", "--config",
-                         str(write_config(tmp_path / "a.json", epochs=0)),
-                         "--out", str(out)])
-    cfg = write_config(tmp_path / "b.json", num_qubits=3,
-                       initial_schedule=str(out / "schedule.json"))
-    result = runner.invoke(main, ["train", "--config", str(cfg),
-                                  "--out", str(tmp_path / "run")])
-    assert result.exit_code == 2, result.output
-    assert "initial schedule has 2 qubits" in result.output
+    for name, T in (("init", 250.0), ("short", 2.0)):
+        runner.invoke(main, ["train", "--config",
+                             str(write_config(tmp_path / f"{name}.json",
+                                              T_ns=T, epochs=0)),
+                             "--out", str(tmp_path / name)])
+    for start, fields, message in (
+            ("init", {"num_qubits": 3}, "initial schedule has 2 qubits"),
+            # a Fourier start file for the piecewise circuit mode
+            ("init", {"mode": "circuit"}, "mode fourier"),
+            # a start file on [0, 2 ns] for a 250 ns run
+            ("short", {}, "T_ns 2.0")):
+        cfg = write_config(tmp_path / "b.json",
+                           initial_schedule=str(tmp_path / start / "schedule.json"),
+                           **fields)
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
 
 
 def test_train_missing_initial_schedule_exits_2(runner, tmp_path):
@@ -281,6 +289,8 @@ def test_eval_named_states(runner, tmp_path):
     # a 2-qubit preset against a 3-qubit schedule
     ["eval", "--schedule", "{three}", "--states", "{bell}"],
     ["eval", "--schedule", "{two}", "--states", "{infinite}"],
+    # the witness reads qubits 0 and 1, which a 1-qubit schedule lacks
+    ["eval", "--schedule", "{one}"],
     ["export", "--schedule", "{garbage}"],
     ["export", "--schedule", "{two}", "--steps", "0"],
 ])
@@ -295,7 +305,9 @@ def test_eval_and_export_bad_input_exits_2(runner, tmp_path, args):
              "bell": tmp_path / "bell.json",
              "infinite": tmp_path / "infinite.json",
              "garbage": tmp_path / "garbage.json",
-             "missing": tmp_path / "missing.json"}
+             "missing": tmp_path / "missing.json",
+             "one": tmp_path / "one.json"}
+    save_schedule(FourierSchedule.initialized(1, 250.0), files["one"])
     files["amplitudes"].write_text("[0.5, 0.5, 0.5, 0.5]")
     files["bell"].write_text('["bell"]')
     files["infinite"].write_text("[[Infinity, 0, 0, 1]]")
@@ -335,6 +347,10 @@ def test_oracle_inline_json(runner):
     result = runner.invoke(main, ["oracle", "[0.6, 0, 0, 0.8]"])
     assert result.exit_code == 0
     assert float(result.output) == pytest.approx(0.96, abs=1e-12)
+    # amplitudes near the float limit, whose plain norm overflows
+    result = runner.invoke(main, ["oracle", "[1e308, 0, 0, 1e308]"])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == "1.000000000000"
 
 
 def test_oracle_garbage_exits_2(runner):

@@ -11,10 +11,11 @@ from qdynlearn.schedules import FourierSchedule, list_trainable
 from qdynlearn.witness import TrainingPair, build_training_set
 
 
-def quotient(cid, pair, sched, cfg, grid):
-    """The RL loop's difference quotient for one pair's error."""
+def quotient(i, pair, sched, cfg, grid):
+    """The RL loop's difference quotient of `params[i]` for one pair's error."""
     error_fn = lambda s: pair_error(pair, s, SQUARE_MAP, grid)
-    return fd_gradient(cid, sched, error_fn, error_fn(sched), cfg)
+    delta = cfg.perturbation(sched.params[i], sched.per_index(cfg.delta_abs)[i])
+    return fd_gradient(i, sched, error_fn, error_fn(sched), delta)
 
 
 def default_problem(T=250.0, steps=200):
@@ -47,6 +48,18 @@ def test_delta_abs_default_is_one_rule(delta_rel, init):
     assert run.train_config().delta_abs == expected
 
 
+@pytest.mark.parametrize("mode", ["rl", "circuit"])
+def test_partial_delta_abs_takes_the_mode_defaults(mode):
+    # Every trained coefficient needs a floor: the run config fills the kinds
+    # a config leaves out, and the loop config rejects an incomplete dict.
+    default = RunConfig(mode=mode).delta_abs
+    run = RunConfig(mode=mode, delta_abs={"tunneling": 1e-6})
+    assert run.delta_abs == {**default, "tunneling": 1e-6}
+    assert run.train_config().delta_abs == run.delta_abs
+    with pytest.raises(ValueError, match="per kind"):
+        RLConfig(delta_abs={"tunneling": 1e-6})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RLConfig(delta_rel=0.0)
@@ -59,10 +72,11 @@ def test_config_validation():
 def test_perturbation_floor():
     cfg = RLConfig()
     # large value: relative perturbation wins
-    assert cfg.perturbation("tunneling", 1.0) == pytest.approx(2e-4)
+    floor = cfg.delta_abs
+    assert cfg.perturbation(1.0, floor["tunneling"]) == pytest.approx(2e-4)
     # zero value: absolute floor keeps the perturbation nonzero
-    assert cfg.perturbation("tunneling", 0.0) == pytest.approx(5e-7)
-    assert cfg.perturbation("coupling", 0.0) == pytest.approx(2e-8)
+    assert cfg.perturbation(0.0, floor["tunneling"]) == pytest.approx(5e-7)
+    assert cfg.perturbation(0.0, floor["coupling"]) == pytest.approx(2e-8)
 
 
 # -- error and quotient ------------------------------------------------------
@@ -82,8 +96,8 @@ def test_fd_gradient_restores_schedule_bit_identically():
     pairs, sched, grid = default_problem(steps=50)
     cfg = RLConfig()
     before = {k: sched.coeffs[k].copy() for k in sched.coeffs}
-    for cid in list_trainable(sched, cfg.learning_rates):
-        quotient(cid, pairs[1], sched, cfg, grid)
+    for i in list_trainable(sched, cfg.learning_rates):
+        quotient(i, pairs[1], sched, cfg, grid)
     for kind, c in before.items():
         assert np.array_equal(sched.coeffs[kind], c)
 
@@ -108,9 +122,9 @@ def test_fd_gradient_agrees_with_adjoint():
     a_final = backprop.adjoint_boundary(traj.final(), pair.target,
                                         SQUARE_MAP)
     field = backprop.adjoint_evolve_backward(a_final, traj)
-    for cid in list_trainable(sched, cfg.learning_rates):
-        exact = backprop.all_gradients([cid], traj, field, sched, grid)[0]
-        quot = quotient(cid, pair, sched, cfg, grid)
+    for i in list_trainable(sched, cfg.learning_rates):
+        exact = backprop.all_gradients([i], traj, field, sched, grid)[0]
+        quot = quotient(i, pair, sched, cfg, grid)
         if abs(exact) > 1e-4:
             assert quot == pytest.approx(exact, rel=1e-2)
 
@@ -118,18 +132,18 @@ def test_fd_gradient_agrees_with_adjoint():
 def test_fd_gradient_first_order_in_delta():
     pairs, sched, grid = default_problem(steps=100)
     pair = pairs[3]
-    cid = list_trainable(sched, RLConfig().learning_rates)[0]
+    i = list_trainable(sched, RLConfig().learning_rates)[0]
     traj = qcore.evolve(pair.rho0, sched, grid)
     a_final = backprop.adjoint_boundary(traj.final(), pair.target,
                                         SQUARE_MAP)
     field = backprop.adjoint_evolve_backward(a_final, traj)
-    exact = backprop.all_gradients([cid], traj, field, sched, grid)[0]
+    exact = backprop.all_gradients([i], traj, field, sched, grid)[0]
     errs = []
     for drel in (1e-3, 1e-4, 1e-5):
         cfg = RLConfig(delta_rel=drel,
                        delta_abs={k: drel * s
                                   for k, s in FourierSchedule.INIT.items()})
-        errs.append(abs(quotient(cid, pair, sched, cfg, grid) - exact))
+        errs.append(abs(quotient(i, pair, sched, cfg, grid) - exact))
     # error shrinks roughly linearly with the perturbation
     assert errs[0] > errs[1] > errs[2]
     assert 4.0 < errs[0] / errs[1] < 25.0

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from qdynlearn.schedules import (
     KIND_ORDER,
-    CoefficientId,
     FourierSchedule,
     PiecewiseSchedule,
     ScheduleError,
@@ -40,7 +39,7 @@ def test_fourier_eval_at_zero_is_constant_plus_cosines():
     s = FourierSchedule.initialized(2, 100.0, n_max=2, tied=True,
                                     tunneling=2.5e-3)
     # add a cosine term: at t=0 every cos is 1 and every sin is 0
-    s.set(CoefficientId("tunneling", 0, 3), 1e-3)  # cos(pi t/T)
+    s.coeffs["tunneling"][0, 3] = 1e-3  # cos(pi t/T)
     k, _, _ = s.eval_many([0.0])
     assert k[0, 0] == pytest.approx(2.5e-3 + 1e-3)
     assert k[0, 1] == pytest.approx(2.5e-3 + 1e-3)  # tied broadcast
@@ -50,7 +49,7 @@ def test_fourier_eval_midpoint_sine():
     T = 100.0
     s = FourierSchedule.initialized(1, T, n_max=1, tied=True, tunneling=2.5e-3,
                                     bias=0.0, coupling=0.0)
-    s.set(CoefficientId("tunneling", 0, 1), 1e-3)  # sin(pi t/T), peaks at T/2
+    s.coeffs["tunneling"][0, 1] = 1e-3  # sin(pi t/T), peaks at T/2
     assert s.eval_many([T / 2])[0][0, 0] == pytest.approx(3.5e-3)
 
 
@@ -63,7 +62,7 @@ def test_fourier_reconstruction_identity():
         basis = s.basis_row([t])[0]
         for site in range(2):
             total = sum(
-                s.get(CoefficientId("tunneling", site, b)) * basis[b]
+                s.coeffs["tunneling"][site, b] * basis[b]
                 for b in range(s.width)
             )
             assert k[site] == pytest.approx(total, abs=1e-14)
@@ -109,23 +108,23 @@ def test_eval_outside_domain_raises():
 
 def test_tied_broadcast_is_uniform():
     s = FourierSchedule.initialized(3, 50.0, n_max=2, tied=True)
-    s.set(CoefficientId("coupling", 0, 2), 3e-4)
+    s.coeffs["coupling"][0, 2] = 3e-4
     k, e, z = s.eval_many(np.linspace(0, 50.0, 7))
     assert np.allclose(k, k[:, :1])
     assert np.allclose(z, z[:, :1])
     assert z.shape == (7, 3)  # three pairs for 3 qubits
 
 
-# -- coefficient handles -----------------------------------------------------
+# -- coefficient vector ------------------------------------------------------
 
 
 def test_list_trainable_counts_untied_fourier():
     s = FourierSchedule.initialized(2, 100.0, n_max=3, tied=False)
     rates = {"tunneling": 2e-7, "bias": 0.0, "coupling": 4e-7}
-    cids = list_trainable(s, rates)
+    idx = list_trainable(s, rates)
     # 2 qubits x 7 tunneling + 1 pair x 7 coupling; bias excluded by zero rate
-    assert len(cids) == 21
-    assert all(c.kind != "bias" for c in cids)
+    assert len(idx) == 21
+    assert list(idx) == [*range(14), *range(28, 35)]  # bias holds 14..27
 
 
 def test_list_trainable_counts_tied_fourier():
@@ -136,39 +135,56 @@ def test_list_trainable_counts_tied_fourier():
 
 def test_list_trainable_counts_piecewise():
     s = PiecewiseSchedule.initialized(2, 2.0, segments=4, tied=False)
-    cids = list_trainable(s, ALL_RATES)
+    idx = list_trainable(s, ALL_RATES)
     # (2 + 2) qubit rows x 4 segments + 1 pair x 4 segments
-    assert len(cids) == 20
+    assert len(idx) == 20
 
 
 def test_list_trainable_deterministic_order():
     s = FourierSchedule.initialized(2, 10.0, n_max=1, tied=False)
-    cids = list_trainable(s, ALL_RATES)
-    kinds = [c.kind for c in cids]
+    idx = list_trainable(s, ALL_RATES)
     # grouped by kind in declaration order, then site, then basis
+    order = [(kind, site, basis) for kind in KIND_ORDER
+             for site in range(s.rows(kind)) for basis in range(s.width)]
+    kinds = [kind for kind, _, _ in order]
     assert kinds == (["tunneling"] * 6 + ["bias"] * 6 + ["coupling"] * 3)
-    assert cids[0] == CoefficientId("tunneling", 0, 0)
-    assert cids[:3] == [CoefficientId("tunneling", 0, b) for b in range(3)]
+    assert list(idx) == list(range(len(order)))
+    for i, (kind, site, basis) in zip(idx, order):
+        s.params[i] = i + 1.0
+        assert s.coeffs[kind][site, basis] == i + 1.0
 
 
-def test_get_set_roundtrip_and_validation():
-    s = FourierSchedule.initialized(2, 10.0, n_max=1, tied=False)
-    cid = CoefficientId("coupling", 0, 2)
-    s.set(cid, 0.125)
-    assert s.get(cid) == 0.125
-    with pytest.raises(ScheduleError):
-        s.get(CoefficientId("tunneling", 5, 0))
-    with pytest.raises(ScheduleError):
-        s.get(CoefficientId("tunneling", 0, 9))
-    with pytest.raises(ScheduleError):
-        s.get(CoefficientId("phase", 0, 0))
+def test_params_has_one_entry_per_coefficient():
+    for family in (FourierSchedule, PiecewiseSchedule):
+        for tied in (True, False):
+            for num_qubits in (1, 2, 4):
+                s = family.initialized(num_qubits, 10.0, tied=tied)
+                size = sum(s.rows(k) * s.width for k in KIND_ORDER)
+                assert s.params.shape == (size,)
+                with pytest.raises(IndexError):
+                    s.params[size]
+
+
+def test_coeffs_are_views_into_params():
+    s = FourierSchedule.initialized(3, 10.0, n_max=2, tied=False)
+    s.coeffs["bias"][1, 4] = 0.125
+    i = s.rows("tunneling") * s.width + 1 * s.width + 4
+    assert s.params[i] == 0.125
+    s.params[-1] = -3.0
+    assert s.coeffs["coupling"][-1, -1] == -3.0
+    c = s.copy()
+    assert not np.shares_memory(c.params, s.params)
+    c.coeffs["bias"][1, 4] = 9.0
+    c.params[0] = 7.0
+    assert s.params[i] == 0.125 and s.params[0] == 2.5e-3
+    assert c.params[i] == 9.0 and c.coeffs["tunneling"][0, 0] == 7.0
 
 
 def test_copy_is_independent():
     s = FourierSchedule.initialized(2, 10.0)
     c = s.copy()
-    c.set(CoefficientId("tunneling", 0, 0), 9.0)
-    assert s.get(CoefficientId("tunneling", 0, 0)) == 2.5e-3
+    c.params[0] = 9.0
+    assert s.coeffs["tunneling"][0, 0] == 2.5e-3
 
 
 # -- serialization -----------------------------------------------------------
