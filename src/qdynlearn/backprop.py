@@ -11,10 +11,14 @@ per-coefficient gradient is the commutator-trace integral
 
 evaluated per step through the exact derivative of each step propagator, so
 the result is the gradient of the discrete loss to round-off rather than a
-quadrature approximation.  Because H is real symmetric, that derivative,
-paired with rho_k and A_{k+1}, collapses to one real step sensitivity W_k
-built in the step's eigenbasis, from one batched `eigh` of the trajectory's
-step Hamiltonians per pair (the program's only eigendecomposition of a
+quadrature approximation.  Both sweeps run on the state's square-root factor
+F (rho = F F^dag, d x r with r = 1 for a pure state): the forward pass
+carries F_k, and the costate enters only through chi_k = A(t_k) F_k, which
+the backward sweep carries (the ket form of the GRAPE adjoint).  Because H is
+real symmetric, the step derivative, paired with F_{k+1} and chi_{k+1},
+collapses to one real step sensitivity W_k built in the step's eigenbasis
+from rank-r products, with one batched `eigh` of the trajectory's step
+Hamiltonians per pair (the program's only eigendecomposition of a
 Hamiltonian).  Every coefficient's gradient is read off W_k by the transposed
 Hamiltonian assembly (`qcore.contract_hamiltonians`).
 Validated against finite differences and scipy's expm_frechet; see tests.
@@ -40,56 +44,65 @@ def adjoint_boundary(rho_f, target: float, output_map: OutputMap) -> np.ndarray:
 
 
 def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray:
-    """Backward costate sweep with the forward pass's unitaries.
+    """Backward costate sweep on the state factors, with the forward unitaries.
 
-    A(t_k) = U_k^dag A(t_{k+1}) U_k; returns the full field, shape (M+1, d, d).
+    The costate A(t_k) = U_k^dag A(t_{k+1}) U_k enters the gradient only
+    through chi_k = A(t_k) F_k, which follows chi_k = U_k^dag chi_{k+1} from
+    chi_M = A(T) F_M.  Returns chi, shape (M+1, d, r).  Raises ValueError if
+    A(T) has an anti-Hermitian part: the gradient formula needs a Hermitian
+    costate and would otherwise silently drop that imaginary residual.
     """
+    residual = np.abs(a_final - a_final.conj().T).max()
+    if residual > IMAG_RESIDUAL_TOL * max(1.0, np.abs(a_final).max()):
+        raise ValueError(f"non-Hermitian costate, residual {residual:.2e}")
     qcore._tick_solve()
-    us = traj.unitaries
-    m = us.shape[0]
-    field_ = np.empty_like(traj.states)
-    field_[m] = a_final
+    us_dag = traj.unitaries.conj().swapaxes(-1, -2)
+    m = us_dag.shape[0]
+    chi = np.empty_like(traj.factors)
+    np.matmul(a_final, traj.factors[m], out=chi[m])
     for k in range(m - 1, -1, -1):
-        field_[k] = us[k].conj().T @ field_[k + 1] @ us[k]
-    return field_
+        np.matmul(us_dag[k], chi[k + 1], out=chi[k])
+    return chi
 
 
-def _step_sensitivities(traj: Trajectory, adjoint_field: np.ndarray):
+def _real_matmul(v, c):
+    """v @ c for real v and complex c, as one real product on c's float view."""
+    return (v @ c.view(float)).view(complex)
+
+
+def _step_sensitivities(traj: Trajectory, chi: np.ndarray):
     """Real W_k with tr(A_{k+1} d(rho_{k+1})/dP) = 2 sum(P * W_k), shape (M, d, d).
 
     Holds for every real symmetric direction P of the step Hamiltonian
-    H = V diag(lam) V^T.  With X = rho_{k+1} A_{k+1}, q = exp(-i lam dt/2) and
-    Z = (V q)^dag X (V q): W = V (dt S * Im Z^T) V^T, where
-    S_ab = sinc(dt (lam_a - lam_b) / 2) is smooth across degenerate pairs.
-    V is real, so Z_ab = conj(q_a) q_b (V^T X V)_ab comes from real products.
+    H = V diag(lam) V^T.  With X = rho_{k+1} A_{k+1} = F chi^dag (F and chi
+    at step k+1), q = exp(-i lam dt/2) and Z = (V q)^dag X (V q):
+    W = V (dt S * Im Z^T) V^T, where S_ab = sinc(dt (lam_a - lam_b) / 2) is
+    smooth across degenerate pairs.  Z = P Q^dag has rank r, with
+    P = conj(q) V^T F and Q = conj(q) V^T chi, so
+    Im Z^T = Re Q (Im P)^T - Im Q (Re P)^T.
     """
     lam, v = np.linalg.eigh(traj.hamiltonians)
     dt = traj.grid.dt
-    a = adjoint_field[1:]
-    # The formula needs a Hermitian costate; its anti-Hermitian part is the
-    # imaginary residual the gradient would otherwise silently drop.
-    residual = np.abs(a - a.conj().swapaxes(-1, -2)).max()
-    if residual > IMAG_RESIDUAL_TOL * max(1.0, np.abs(a).max()):
-        raise ValueError(f"non-Hermitian costate, residual {residual:.2e}")
-    x = traj.states[1:] @ a
     vt = v.swapaxes(-1, -2)
-    y_re, y_im = (vt @ part @ v for part in (x.real, x.imag))
-    half = np.exp(0.5j * dt * lam)
-    phase = half[:, :, None] * half.conj()[:, None, :]  # conj(q_a) q_b
-    im_z = phase.imag * y_re + phase.real * y_im
+    half = np.exp(0.5j * dt * lam)[:, :, None]  # conj(q)
+    p = half * _real_matmul(vt, traj.factors[1:])
+    q = half * _real_matmul(vt, chi[1:])
+    im_zt = (q.real @ p.imag.swapaxes(-1, -2)
+             - q.imag @ p.real.swapaxes(-1, -2))
     s = np.sinc(dt * (lam[:, :, None] - lam[:, None, :]) / (2 * np.pi))
-    return v @ (dt * s * im_z.swapaxes(-1, -2)) @ vt
+    return v @ (dt * s * im_zt) @ vt
 
 
-def all_gradients(idx, traj: Trajectory, adjoint_field: np.ndarray,
-                  schedule, grid: TimeGrid):
+def all_gradients(idx, traj: Trajectory, chi: np.ndarray, schedule,
+                  grid: TimeGrid):
     """Gradients of the half-squared output error for `schedule.params[idx]`.
 
-    All share one trajectory/adjoint pair.  The step sensitivities are
-    contracted once with every site's generator (the transposed assembly),
-    then with every basis function; a tied row sums over its kind's sites.
+    All share one trajectory and its costate sweep `chi`.  The step
+    sensitivities are contracted once with every site's generator (the
+    transposed assembly), then with every basis function; a tied row sums
+    over its kind's sites.
     """
-    w = _step_sensitivities(traj, adjoint_field)
+    w = _step_sensitivities(traj, chi)
     sens = qcore.contract_hamiltonians(w, schedule.num_qubits)
     basis = schedule.basis_row(grid.midpoints)  # (M, width)
     per_site = [-2.0 * basis.T @ s for s in sens]  # (width, sites) per kind
@@ -112,11 +125,12 @@ def train_backprop(pairs, schedule, config: TrainConfig,
         sq_errors = []
         for pair in pairs:
             traj = qcore.evolve(pair.rho0, schedule, grid)
-            out = qcore.output_value(traj.final(), output_map)
+            rho_f = traj.final()
+            out = qcore.output_value(rho_f, output_map)
             sq_errors.append((pair.target - out) ** 2)
-            a_final = adjoint_boundary(traj.final(), pair.target, output_map)
-            field_ = adjoint_evolve_backward(a_final, traj)
-            grads = all_gradients(idx, traj, field_, schedule, grid)
+            a_final = adjoint_boundary(rho_f, pair.target, output_map)
+            chi = adjoint_evolve_backward(a_final, traj)
+            grads = all_gradients(idx, traj, chi, schedule, grid)
             descend(schedule, idx, grads, rates)
         return float(np.sqrt(np.mean(sq_errors)))
 

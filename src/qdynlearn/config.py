@@ -133,16 +133,18 @@ class RunConfig:
 
     def build_schedule(self):
         family = PiecewiseSchedule if self.mode == "circuit" else FourierSchedule
-        if self.initial_schedule is not None:
-            sched = load_schedule(self.initial_schedule)
-            have = (sched.num_qubits, sched.mode, sched.T)
-            want = (self.num_qubits, family.mode, self.T_ns)
-            if have != want:
-                raise ConfigError("initial schedule has {} qubits, mode {} and T_ns "
-                                  "{}; config says {}, {} and {}".format(*have, *want))
-            return sched
         structure = ({"segments": self.segments} if self.mode == "circuit"
                      else {"n_max": self.n_max})
+        if self.initial_schedule is not None:
+            sched = load_schedule(self.initial_schedule)
+            have = (sched.num_qubits, sched.mode, sched.T, sched.structure(),
+                    sched.tied)
+            want = (self.num_qubits, family.mode, self.T_ns, structure, self.tied)
+            if have != want:
+                raise ConfigError("initial schedule has {} qubits, mode {}, T_ns {}, "
+                                  "structure {} and tied {}; config says {}, {}, "
+                                  "{}, {} and {}".format(*have, *want))
+            return sched
         return family.initialized(
             self.num_qubits, self.T_ns, tied=self.tied,
             tunneling=self.init["tunneling"], bias=self.init["bias"],

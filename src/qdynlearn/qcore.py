@@ -7,8 +7,11 @@ matrix exponential of the midpoint Hamiltonians (`step_hamiltonians`), taken
 by `expm_hermitian` without an eigendecomposition: cos(H dt) - i sin(H dt)
 as real Taylor polynomials, accurate and unitary to round-off.  Every solve
 uses those steps: `evolve` keeps the states along the way, `total_propagator`
-multiplies the steps pairwise (`ordered_product`).  The density-matrix
-invariants (Hermiticity, unit trace, positivity) are preserved to round-off.
+multiplies the steps pairwise (`ordered_product`).  `evolve` carries a
+state's square-root factor F (rho = F F^dagger, d x rank) rather than rho, so
+each step is one matrix-vector product for a pure state; rho(t_k) is formed
+from it on demand.  The density-matrix invariants (Hermiticity, unit trace,
+positivity) are preserved to round-off.
 
 The one readout is Z_0 Z_1, diagonal in the computational basis: its signs
 are `zz_parity`, and <Z_0 Z_1> is their sum weighted by the final state's
@@ -20,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,9 +52,14 @@ def _check_finite(a, what):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """2^N x 2^N Hermitian, unit-trace, positive-semidefinite state."""
+    """2^N x 2^N Hermitian, unit-trace, positive-semidefinite state.
+
+    `factor` (d, r) is its square-root factor: matrix = factor factor^dagger
+    to round-off, with r the numerical rank (1 for a pure state).
+    """
 
     matrix: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -66,8 +74,14 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(m).min() < -POSITIVITY_TOL:
+        w, v = np.linalg.eigh(m)
+        if w.min() < -POSITIVITY_TOL:
             raise ValueError("density matrix is not positive semidefinite")
+        # Square-root factor F = V_+ sqrt(w_+): eigenvalues at round-off of
+        # the largest, or tolerated negative ones, are dropped, so a pure
+        # state has rank 1.
+        keep = w > m.shape[0] * np.finfo(float).eps * w.max()
+        object.__setattr__(self, "factor", v[:, keep] * np.sqrt(w[keep]))
 
     @property
     def dim(self):
@@ -285,33 +299,39 @@ def ordered_product(us):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward evolution record: states rho(t_k), step unitaries and Hamiltonians."""
+    """Forward evolution record: state factors, step unitaries and Hamiltonians."""
 
-    states: np.ndarray  # (M+1, d, d)
+    factors: np.ndarray  # (M+1, d, r): rho(t_k) = F_k F_k^dagger
     unitaries: np.ndarray  # (M, d, d)
     grid: TimeGrid
     hamiltonians: np.ndarray  # (M, d, d), real: each step's midpoint H
 
+    @property
+    def states(self) -> np.ndarray:
+        """rho(t_k) for every k, shape (M+1, d, d), formed from the factors."""
+        return self.factors @ self.factors.conj().swapaxes(-1, -2)
+
     def final(self) -> np.ndarray:
-        return self.states[-1]
+        f = self.factors[-1]
+        return f @ f.conj().T
 
 
 def evolve(rho0: DensityMatrix, schedule, grid: TimeGrid) -> Trajectory:
-    """Propagate rho0 through the schedule: rho_{k+1} = U_k rho_k U_k^dagger.
+    """Propagate rho0's factor through the schedule: F_{k+1} = U_k F_k.
 
-    The Hamiltonian is sampled at step midpoints, so piecewise-constant
-    schedules whose segments align with the grid are reproduced exactly and
-    smooth schedules converge at second order in dt.
+    That is rho_{k+1} = U_k rho_k U_k^dagger, at one (d, d) x (d, r) product
+    per step.  The Hamiltonian is sampled at step midpoints, so
+    piecewise-constant schedules whose segments align with the grid are
+    reproduced exactly and smooth schedules converge at second order in dt.
     """
     _tick_solve()
     h = step_hamiltonians(schedule, grid)
     us = expm_hermitian(h, grid.dt)
-    d = us.shape[-1]
-    states = np.empty((grid.steps + 1, d, d), dtype=complex)
-    states[0] = rho0.matrix
+    factors = np.empty((grid.steps + 1, *rho0.factor.shape), dtype=complex)
+    factors[0] = rho0.factor
     for k in range(grid.steps):
-        states[k + 1] = us[k] @ states[k] @ us[k].conj().T
-    return Trajectory(states=states, unitaries=us, grid=grid, hamiltonians=h)
+        np.matmul(us[k], factors[k], out=factors[k + 1])
+    return Trajectory(factors=factors, unitaries=us, grid=grid, hamiltonians=h)
 
 
 def total_propagator(schedule, grid: TimeGrid) -> np.ndarray:

@@ -86,20 +86,21 @@ def test_backward_constant_under_zero_hamiltonian():
     rho0 = DensityMatrix.from_state_vector([1, 0, 0, 1])
     traj = evolve(rho0, sched, grid)
     a_final = adjoint_boundary(traj.final(), 0.0, SQUARE_MAP)
-    field = adjoint_evolve_backward(a_final, traj)
-    assert np.abs(field - field[-1][None]).max() < 1e-13
+    chi = adjoint_evolve_backward(a_final, traj)
+    assert np.abs(chi - chi[-1][None]).max() < 1e-13
 
 
 def test_backward_pairing_invariant():
-    # tr(A(t) rho(t)) is conserved: both sides conjugate with the same U_k.
+    # tr(A(t) rho(t)) = sum chi_k^dag F_k is conserved: chi_k = U_k^dag
+    # chi_{k+1} and F_{k+1} = U_k F_k use the same U_k.
     rng = np.random.default_rng(2)
     sched = random_schedule(rng, T=200.0)
     grid = TimeGrid(200.0, 100)
     pair = random_pair(rng)
     traj = evolve(pair.rho0, sched, grid)
     a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
-    field = adjoint_evolve_backward(a_final, traj)
-    pairing = np.einsum("tij,tji->t", field, traj.states)
+    chi = adjoint_evolve_backward(a_final, traj)
+    pairing = np.einsum("tir,tir->t", chi.conj(), traj.factors)
     assert np.abs(pairing - pairing[0]).max() < 1e-10
 
 
@@ -116,10 +117,10 @@ def test_gradient_zero_for_diagonal_dynamics():
     pair = TrainingPair(rho0, 0.9)
     traj = evolve(rho0, sched, grid)
     a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
-    field = adjoint_evolve_backward(a_final, traj)
+    chi = adjoint_evolve_backward(a_final, traj)
     coupling = list_trainable(sched, {"coupling": 1.0})
     assert len(coupling) == sched.width
-    for g in all_gradients(coupling, traj, field, sched, grid):
+    for g in all_gradients(coupling, traj, chi, sched, grid):
         assert abs(g) < 1e-14
 
 
@@ -133,11 +134,11 @@ def test_gradient_matches_central_difference():
         pair = random_pair(rng)
         traj = evolve(pair.rho0, sched, grid)
         a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
-        field = adjoint_evolve_backward(a_final, traj)
+        chi = adjoint_evolve_backward(a_final, traj)
         scales = sched.per_index(KIND_SCALES)
         for i in rng.choice(list_trainable(sched, {"tunneling": 1.0,
                                                    "coupling": 1.0}), 4):
-            g = all_gradients([i], traj, field, sched, grid)[0]
+            g = all_gradients([i], traj, chi, sched, grid)[0]
             h = 1e-4 * scales[i]
             v = sched.params[i]
             sched.params[i] = v + h
@@ -157,15 +158,26 @@ def site_generators(num_qubits):
             "coupling": [z[i] @ z[j] for i, j in pair_indices(num_qubits)]}
 
 
-def frechet_reference_gradients(sched, traj, field_):
+def costate_field(a_final, traj):
+    """Dense costates A_k = U_k^dag A_{k+1} U_k from A_M = a_final."""
+    field_ = [a_final]
+    for u in traj.unitaries[::-1]:
+        field_.append(u.conj().T @ field_[-1] @ u)
+    return np.array(field_[::-1])
+
+
+def frechet_reference_gradients(sched, traj, a_final):
     """-sum_k tr(A_{k+1} (dU_k rho_k U_k^dag + h.c.)) for every coefficient.
 
     U_k and dU_k come from scipy.linalg.expm_frechet on the dense Pauli-sum
-    step Hamiltonian; rho_k and A_{k+1} are the trajectory's and the costate
-    field's, so only the per-step derivative and its contraction are checked.
+    step Hamiltonian; rho_k is the trajectory's and A_{k+1} is conjugated
+    back from `a_final` here, so only the per-step derivative and its
+    contraction are taken from outside the code under test.
     The result is in `params` order: kind, then row, then basis function.
     """
     grid = traj.grid
+    field_ = costate_field(a_final, traj)
+    states = traj.states
     gens = site_generators(sched.num_qubits)
     hs = np.einsum("ms,sij->mij", np.hstack(sched.eval_many(grid.midpoints)),
                    np.array([g for kind in KIND_ORDER for g in gens[kind]]))
@@ -180,7 +192,7 @@ def frechet_reference_gradients(sched, traj, field_):
             for k, h in enumerate(hs):
                 u, du = scipy.linalg.expm_frechet(-1j * grid.dt * h,
                                                   -1j * grid.dt * gen)
-                half = du @ traj.states[k] @ u.conj().T
+                half = du @ states[k] @ u.conj().T
                 terms.append(np.trace(field_[k + 1] @ (half + half.conj().T)))
             ref += [-np.sum(np.array(terms) * basis[:, b])
                     for b in range(sched.width)]
@@ -192,73 +204,81 @@ def costate_boundary(rho_f, obs, target):
     return (target - np.trace(rho_f @ obs).real) * obs
 
 
+def random_state(rng, num_qubits, rank):
+    """rho0 = G G^dag / tr of a complex Gaussian G of `rank` columns."""
+    g = (rng.normal(size=(2**num_qubits, rank))
+         + 1j * rng.normal(size=(2**num_qubits, rank)))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
 @settings(max_examples=40, deadline=None)
 @given(num_qubits=st.integers(1, 4),
        family=st.sampled_from([FourierSchedule, PiecewiseSchedule]),
        tied=st.booleans(), steps=st.integers(1, 40),
-       log_scale=st.floats(-5.0, 0.0), seed=st.integers(0, 2**32 - 1))
+       log_scale=st.floats(-5.0, 0.0), seed=st.integers(0, 2**32 - 1),
+       rank=st.sampled_from(["pure", "two", "full"]))
 def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
-                                               steps, log_scale, seed):
+                                               steps, log_scale, seed, rank):
     # Tied draws act identically on every qubit, so their step spectra are
-    # exactly degenerate; small scales give nearly degenerate ones.
+    # exactly degenerate; small scales give nearly degenerate ones.  rho0 has
+    # rank 1, 2 or d.
     rng = np.random.default_rng(seed)
     sched = family.initialized(num_qubits, 10.0, tied=tied)
     for kind in KIND_ORDER:
         sched.coeffs[kind][:] = 10.0**log_scale * rng.uniform(
             -1.0, 1.0, sched.coeffs[kind].shape)
     grid = TimeGrid(sched.T, steps)
-    pair = random_pair(rng, num_qubits)
+    r = {"pure": 1, "two": 2, "full": 2**num_qubits}[rank]
+    pair = TrainingPair(random_state(rng, num_qubits, r), rng.uniform())
+    assert pair.rho0.factor.shape == (2**num_qubits, r)
     traj = evolve(pair.rho0, sched, grid)
     # The sweep takes any Hermitian costate; a single qubit has no Z_0 Z_1
     # readout, so its boundary is built here with O = Z_0.
     a_final = (adjoint_boundary(traj.final(), pair.target, IDENTITY_MAP)
                if num_qubits > 1 else
                costate_boundary(traj.final(), pauli("z", 0, 1), pair.target))
-    field_ = adjoint_evolve_backward(a_final, traj)
-    ref = frechet_reference_gradients(sched, traj, field_)
-    grads = all_gradients(np.arange(sched.params.size), traj, field_, sched,
+    chi = adjoint_evolve_backward(a_final, traj)
+    ref = frechet_reference_gradients(sched, traj, a_final)
+    grads = all_gradients(np.arange(sched.params.size), traj, chi, sched,
                           grid)
     assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(grads - ref.real).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_all_gradients_bundles_all_coefficients():
-    # all_gradients raises if the costate's anti-Hermitian part exceeds
-    # backprop.IMAG_RESIDUAL_TOL, so returning at all checks the costate.
     rng = np.random.default_rng(6)
     sched = random_schedule(rng, T=100.0)
     grid = TimeGrid(100.0, 50)
     pair = random_pair(rng)
     idx = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
     traj = evolve(pair.rho0, sched, grid)
-    field = adjoint_evolve_backward(
+    chi = adjoint_evolve_backward(
         adjoint_boundary(traj.final(), pair.target, SQUARE_MAP), traj)
-    grads = all_gradients(idx, traj, field, sched, grid)
+    grads = all_gradients(idx, traj, chi, sched, grid)
     assert grads.shape == (21,)
     # cross-check one entry against a single-coefficient call
-    g0 = all_gradients(idx[:1], traj, field, sched, grid)[0]
+    g0 = all_gradients(idx[:1], traj, chi, sched, grid)[0]
     assert grads[0] == pytest.approx(g0, rel=1e-12)
 
 
 def test_all_gradients_rejects_non_hermitian_costate():
+    # The backward sweep checks its boundary A_M, which it never forms again.
     rng = np.random.default_rng(6)
     sched = random_schedule(rng, T=100.0)
     grid = TimeGrid(100.0, 50)
     pair = random_pair(rng)
     traj = evolve(pair.rho0, sched, grid)
-    field = adjoint_evolve_backward(
-        adjoint_boundary(traj.final(), pair.target, IDENTITY_MAP), traj)
-    assert abs(np.trace(traj.final() @ field[-1])) > 1e-3
+    a_final = adjoint_boundary(traj.final(), pair.target, IDENTITY_MAP)
+    assert abs(np.trace(traj.final() @ a_final)) > 1e-3
     with pytest.raises(ValueError, match="non-Hermitian costate"):
-        all_gradients(np.arange(sched.params.size), traj, 1j * field, sched, grid)
-    # An anti-Hermitian part with zero trace against every rho_k is caught too.
+        adjoint_evolve_backward(1j * a_final, traj)
+    # An anti-Hermitian part with zero trace against rho_M is caught too.
     p = np.diag(np.arange(4.0))
     skew = 1e-3j * (p - np.trace(traj.final() @ p).real * np.eye(4))
-    bad = field.copy()
-    bad[-1] += skew
     assert abs(np.trace(traj.final() @ skew)) < 1e-15
     with pytest.raises(ValueError, match="non-Hermitian costate"):
-        all_gradients(np.arange(sched.params.size), traj, bad, sched, grid)
+        adjoint_evolve_backward(a_final + skew, traj)
 
 
 # -- training loop -----------------------------------------------------------
@@ -334,6 +354,23 @@ def test_epoch_cost_is_two_solves_per_pair():
     assert qcore.solve_count == 2 * len(pairs)
 
 
+def test_epoch_diagonalises_once_per_pair(monkeypatch):
+    # One epoch at N = 4: one eigh per pair for the gradient and none for
+    # the states, whose factors were taken when the training set was built.
+    pairs = build_training_set(4)
+    sched = FourierSchedule.initialized(4, 250.0, n_max=3, tied=True)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: calls.append(h.shape) or eigh(h))
+    qcore.solve_count = 0
+    train_backprop(pairs, sched, TrainConfig(epochs=1), SQUARE_MAP,
+                   TimeGrid(250.0, 50))
+    assert len(pairs) == 4
+    assert calls == [(50, 16, 16)] * 4
+    assert qcore.solve_count == 8
+
+
 def test_backprop_pair_diagonalises_once(monkeypatch):
     # The gradient diagonalises the forward pass's step Hamiltonians once,
     # and reads every coefficient off the step sensitivities without
@@ -350,9 +387,9 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     monkeypatch.setattr(qcore, "assemble_hamiltonians",
                         lambda *a: assembled.append(len(a[0])) or assemble(*a))
     traj = evolve(pair.rho0, sched, grid)
-    field_ = adjoint_evolve_backward(
+    chi = adjoint_evolve_backward(
         adjoint_boundary(traj.final(), pair.target, SQUARE_MAP), traj)
-    all_gradients(np.arange(sched.params.size), traj, field_, sched, grid)
+    all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
     assert shapes == [(40, 8, 8)]
     assert assembled == [40]
     lam, v = eigh(traj.hamiltonians)

@@ -84,17 +84,23 @@ def test_train_non_finite_number_exits_2(runner, tmp_path, text):
 
 
 def test_train_mismatched_initial_schedule_exits_2(runner, tmp_path):
-    for name, T in (("init", 250.0), ("short", 2.0)):
+    for name, fields in (("init", {}), ("short", {"T_ns": 2.0}),
+                         ("circuit", {"mode": "circuit", "T_ns": 2.0})):
         runner.invoke(main, ["train", "--config",
                              str(write_config(tmp_path / f"{name}.json",
-                                              T_ns=T, epochs=0)),
+                                              epochs=0, **fields)),
                              "--out", str(tmp_path / name)])
     for start, fields, message in (
             ("init", {"num_qubits": 3}, "initial schedule has 2 qubits"),
             # a Fourier start file for the piecewise circuit mode
             ("init", {"mode": "circuit"}, "mode fourier"),
             # a start file on [0, 2 ns] for a 250 ns run
-            ("short", {}, "T_ns 2.0")):
+            ("short", {}, "T_ns 2.0"),
+            # a start file with another basis size, or untied weights
+            ("init", {"n_max": 5}, "structure {'n_max': 3}"),
+            ("init", {"tied": False}, "tied True"),
+            ("circuit", {"mode": "circuit", "T_ns": 2.0, "segments": 8},
+             "structure {'segments': 4}")):
         cfg = write_config(tmp_path / "b.json",
                            initial_schedule=str(tmp_path / start / "schedule.json"),
                            **fields)

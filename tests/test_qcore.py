@@ -133,7 +133,11 @@ def test_expm_hermitian_matches_scipy_expm(sched, theta):
     k, e, z = sched.eval_many(np.linspace(0.0, sched.T, 3))
     h = qcore.assemble_hamiltonians(k, e, z, sched.num_qubits)
     norm = theta_norm(h)
-    assert_matches_expm(h, theta / norm if norm > 0 else 1.0)
+    # Scale h, not dt: theta / norm overflows for a subnormal norm.
+    if norm > 0:
+        assert_matches_expm(h / norm, theta)
+    else:
+        assert_matches_expm(h, 1.0)
 
 
 @pytest.mark.parametrize("num_qubits", range(1, 7))
@@ -249,6 +253,28 @@ def test_from_state_vector_normalizes():
         DensityMatrix.from_state_vector([0.0, 0.0])
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix.from_state_vector([np.inf, 1.0])
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 4, 6])
+def test_density_matrix_factor(num_qubits):
+    # factor factor^dagger reproduces the matrix, at the matrix's rank.
+    rng = np.random.default_rng(num_qubits)
+    d = 2**num_qubits
+    for rank in sorted({1, 2, d}):
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho = DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
+        f = rho.factor
+        assert f.shape == (d, rank)
+        assert np.abs(f @ f.conj().T - rho.matrix).max() <= 1e-12
+    for psi in (rng.normal(size=d) + 1j * rng.normal(size=d),
+                np.eye(d)[0], np.ones(d)):
+        rho = DensityMatrix.from_state_vector(psi)
+        assert rho.factor.shape == (d, 1)
+        assert np.abs(rho.factor @ rho.factor.conj().T
+                      - rho.matrix).max() <= 1e-12
+    # A tolerated negative eigenvalue is dropped from the factor.
+    rho = DensityMatrix(np.diag(np.r_[1.0 + 1e-10, -1e-10, np.zeros(d - 2)]))
+    assert rho.factor.shape == (d, 1)
 
 
 def test_time_grid():
