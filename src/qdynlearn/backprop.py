@@ -17,10 +17,12 @@ carries F_k, and the costate enters only through chi_k = A(t_k) F_k, which
 the backward sweep carries (the ket form of the GRAPE adjoint).  Because H is
 real symmetric, the step derivative, paired with F_{k+1} and chi_{k+1},
 collapses to one real step sensitivity W_k built in the step's eigenbasis
-from rank-r products, with one batched `eigh` of the trajectory's step
-Hamiltonians per pair (the program's only eigendecomposition of a
-Hamiltonian).  Every coefficient's gradient is read off W_k by the transposed
-Hamiltonian assembly (`qcore.contract_hamiltonians`).
+from rank-r products.  The eigenbasis comes from one batched `eigh` of the
+trajectory's step Hamiltonians per pair and per block: a tied schedule's
+steps commute with every qubit permutation, so they are diagonalised on one
+block per distinct total spin of `qcore.spin_basis`; an untied schedule's on
+the whole register.  Every coefficient's gradient is read off W_k by the
+transposed Hamiltonian assembly (`qcore.contract_hamiltonians`).
 Validated against finite differences and scipy's expm_frechet; see tests.
 """
 
@@ -70,7 +72,32 @@ def _real_matmul(v, c):
     return (v @ c.view(float)).view(complex)
 
 
-def _step_sensitivities(traj: Trajectory, chi: np.ndarray):
+def _step_eigh(h, tied):
+    """(lam (M, d), V (M, d, d)) with h = V diag(lam) V^T, one `eigh` per block.
+
+    A tied schedule's steps are block diagonal in `qcore.spin_basis`: each
+    distinct spin's first copy Q_j is diagonalised once, as Q_j^T h Q_j, and
+    every copy's columns of V are that copy's Q times the block's vectors.
+    An untied one takes Q = I as its one block.
+    """
+    m, d = h.shape[:2]
+    q, blocks = (qcore.spin_basis(d.bit_length() - 1) if tied
+                 else (np.eye(d), ((d, 1),)))
+    lam, v = np.empty((m, d)), np.empty_like(h)
+    start = 0
+    for n, copies in blocks:
+        stop = start + n * copies
+        first = q[:, start:start + n]
+        lam_j, v_j = np.linalg.eigh(first.T @ h @ first)
+        lam[:, start:stop] = np.tile(lam_j, copies)
+        # Rows (r, copy) of Q times v_j: V[:, r, copy * n + b] in one matmul.
+        cols = q[:, start:stop].reshape(d * copies, n)
+        v[:, :, start:stop] = (cols @ v_j).reshape(m, d, stop - start)
+        start = stop
+    return lam, v
+
+
+def _step_sensitivities(traj: Trajectory, chi: np.ndarray, tied: bool):
     """Real W_k with tr(A_{k+1} d(rho_{k+1})/dP) = 2 sum(P * W_k), shape (M, d, d).
 
     Holds for every real symmetric direction P of the step Hamiltonian
@@ -81,7 +108,7 @@ def _step_sensitivities(traj: Trajectory, chi: np.ndarray):
     P = conj(q) V^T F and Q = conj(q) V^T chi, so
     Im Z^T = Re Q (Im P)^T - Im Q (Re P)^T.
     """
-    lam, v = np.linalg.eigh(traj.hamiltonians)
+    lam, v = _step_eigh(traj.hamiltonians, tied)
     dt = traj.grid.dt
     vt = v.swapaxes(-1, -2)
     half = np.exp(0.5j * dt * lam)[:, :, None]  # conj(q)
@@ -102,7 +129,7 @@ def all_gradients(idx, traj: Trajectory, chi: np.ndarray, schedule,
     transposed assembly), then with every basis function; a tied row sums
     over its kind's sites.
     """
-    w = _step_sensitivities(traj, chi)
+    w = _step_sensitivities(traj, chi, schedule.tied)
     sens = qcore.contract_hamiltonians(w, schedule.num_qubits)
     basis = schedule.basis_row(grid.midpoints)  # (M, width)
     per_site = [-2.0 * basis.T @ s for s in sens]  # (width, sites) per kind

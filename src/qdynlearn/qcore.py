@@ -11,7 +11,9 @@ multiplies the steps pairwise (`ordered_product`).  `evolve` carries a
 state's square-root factor F (rho = F F^dagger, d x rank) rather than rho, so
 each step is one matrix-vector product for a pure state; rho(t_k) is formed
 from it on demand.  The density-matrix invariants (Hermiticity, unit trace,
-positivity) are preserved to round-off.
+positivity) are preserved to round-off.  No solve diagonalises a
+Hamiltonian; backprop's step sensitivities do, in the total-spin basis of
+`spin_basis` when the schedule is tied.
 
 The one readout is Z_0 Z_1, diagonal in the computational basis: its signs
 are `zz_parity`, and <Z_0 Z_1> is their sum weighted by the final state's
@@ -23,13 +25,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
+SPIN_BASIS_TOL = 1e-13
 
 # Trajectory-solve counter (forward evolutions, fast final-state solves and
 # backward adjoint sweeps all count as one solve).  Single-threaded bookkeeping
@@ -52,14 +55,9 @@ def _check_finite(a, what):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """2^N x 2^N Hermitian, unit-trace, positive-semidefinite state.
-
-    `factor` (d, r) is its square-root factor: matrix = factor factor^dagger
-    to round-off, with r the numerical rank (1 for a pure state).
-    """
+    """2^N x 2^N Hermitian, unit-trace, positive-semidefinite state."""
 
     matrix: np.ndarray
-    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -74,14 +72,20 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise ValueError("density matrix trace differs from 1")
-        w, v = np.linalg.eigh(m)
-        if w.min() < -POSITIVITY_TOL:
+        if np.linalg.eigvalsh(m).min() < -POSITIVITY_TOL:
             raise ValueError("density matrix is not positive semidefinite")
-        # Square-root factor F = V_+ sqrt(w_+): eigenvalues at round-off of
-        # the largest, or tolerated negative ones, are dropped, so a pure
-        # state has rank 1.
-        keep = w > m.shape[0] * np.finfo(float).eps * w.max()
-        object.__setattr__(self, "factor", v[:, keep] * np.sqrt(w[keep]))
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        """Square-root factor F (d, r): matrix = F F^dagger to round-off.
+
+        F = V_+ sqrt(w_+), taken on first read (only `evolve` needs it).
+        Eigenvalues at round-off of the largest, or tolerated negative ones,
+        are dropped, so r is the numerical rank: 1 for a pure state.
+        """
+        w, v = np.linalg.eigh(self.matrix)
+        keep = w > self.dim * np.finfo(float).eps * w.max()
+        return v[:, keep] * np.sqrt(w[keep])
 
     @property
     def dim(self):
@@ -186,6 +190,84 @@ def assemble_hamiltonians(tunneling, bias, coupling, num_qubits):
     for q, mask in enumerate(masks):
         h[:, idx, idx ^ mask] = tunneling[:, q, None]
     return h
+
+
+@functools.lru_cache(maxsize=None)
+def spin_basis(num_qubits):
+    """Total-spin basis of the register: (Q, ((2j+1, copies), ...)).
+
+    Q (d, d) is orthogonal.  Its columns run over the distinct spins j,
+    largest first, copy by copy, each copy ordered by 2 J_z from -2j to 2j
+    with <m+1| J_+ |m> > 0, so that every copy of j carries the same blocks
+    of sum sigma_x, sum sigma_z and sum sigma_z sigma_z: a Hamiltonian with
+    the same terms on every qubit and pair has one distinct block per j.
+    Built on first use, from Q = I: each group of columns is split by the
+    integer spectra of the partial Casimirs 4 J^2 of qubits 0..k,
+    3 (k+1) I + 2 sum_{p<q<=k} (2 SWAP_pq - I), for k = 1..N-1.  Raises
+    LinAlgError if `check_spin_basis` finds a residual above its tolerance.
+    """
+    idx, masks, _, _ = _bit_tables(num_qubits)
+    groups = [np.eye(idx.size)]
+    for k in range(1, num_qubits):
+        casimir = np.diag(np.full(idx.size, (k + 1) * (3.0 - k)))
+        for mp, mq in itertools.combinations(masks[:k + 1], 2):  # SWAP_pq
+            differ = (idx & mp == 0) != (idx & mq == 0)
+            casimir[idx, np.where(differ, idx ^ mp ^ mq, idx)] += 4.0
+        split = []
+        for g in groups:
+            w, u = np.linalg.eigh(g.T @ casimir @ g)
+            w = np.rint(w)
+            split += [g @ u[:, w == x] for x in sorted(set(w.tolist()))]
+        groups = split
+    ops = _spin_operators(num_qubits)
+    copies = []
+    for g in sorted(groups, key=lambda g: -g.shape[1]):  # largest j first
+        c = g @ np.linalg.eigh(g.T @ ops[1] @ g)[1]  # ascending 2 J_z
+        # <m+1| sum sigma_x |m> = <m+1| J_+ |m>: make each one positive.
+        steps = np.sign(np.diagonal(c.T @ ops[0] @ c, offset=1))
+        copies.append(c * np.cumprod(np.r_[1.0, steps]))
+    sizes = [c.shape[1] for c in copies]
+    blocks = tuple((n, sizes.count(n)) for n in sorted(set(sizes))[::-1])
+    q = np.hstack(copies)
+    check_spin_basis(q, blocks, num_qubits)
+    q.flags.writeable = False
+    return q, blocks
+
+
+def _spin_operators(num_qubits):
+    """sum sigma_x / N, sum sigma_z / N and sum_{i<j} sigma_z sigma_z / pairs.
+
+    Each is divided by its spectral norm, so its residuals are relative.
+    """
+    n, pairs = num_qubits, len(pair_indices(num_qubits))
+    return assemble_hamiltonians(np.outer([1.0 / n, 0.0, 0.0], np.ones(n)),
+                                 np.outer([0.0, 1.0 / n, 0.0], np.ones(n)),
+                                 np.outer([0.0, 0.0, 1.0 / max(pairs, 1)],
+                                          np.ones(pairs)), n)
+
+
+def check_spin_basis(q, blocks, num_qubits):
+    """(|Q^T Q - I|, block residual) of a `spin_basis`, as maxima.
+
+    The block residual is the largest entry of Q^T op Q, over the three
+    `_spin_operators`, off identical per-copy blocks.  Raises LinAlgError if
+    either exceeds SPIN_BASIS_TOL.
+    """
+    orth = np.abs(q.T @ q - np.eye(len(q))).max()
+    rotated = q.T @ _spin_operators(num_qubits) @ q
+    expected = np.zeros_like(rotated)
+    start = 0
+    for n, copies in blocks:
+        stop = start + n * copies
+        first = rotated[:, start:start + n, start:start + n]
+        expected[:, start:stop, start:stop] = np.kron(np.eye(copies), first)
+        start = stop
+    block = np.abs(rotated - expected).max()
+    if not max(orth, block) <= SPIN_BASIS_TOL:
+        raise np.linalg.LinAlgError(
+            f"spin basis at N = {num_qubits}: orthogonality residual "
+            f"{orth:.1e}, block residual {block:.1e}")
+    return orth, block
 
 
 def contract_hamiltonians(w, num_qubits):

@@ -212,19 +212,13 @@ def random_state(rng, num_qubits, rank):
     return DensityMatrix(rho / np.trace(rho).real)
 
 
-@settings(max_examples=40, deadline=None)
-@given(num_qubits=st.integers(1, 4),
-       family=st.sampled_from([FourierSchedule, PiecewiseSchedule]),
-       tied=st.booleans(), steps=st.integers(1, 40),
-       log_scale=st.floats(-5.0, 0.0), seed=st.integers(0, 2**32 - 1),
-       rank=st.sampled_from(["pure", "two", "full"]))
-def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
-                                               steps, log_scale, seed, rank):
-    # Tied draws act identically on every qubit, so their step spectra are
-    # exactly degenerate; small scales give nearly degenerate ones.  rho0 has
-    # rank 1, 2 or d.
+def check_against_frechet(sched, log_scale, steps, seed, rank):
+    """all_gradients equals the Frechet reference to 1e-12 of its largest entry.
+
+    Every coefficient is drawn from +-10^log_scale; rho0 has rank 1, 2 or d.
+    """
     rng = np.random.default_rng(seed)
-    sched = family.initialized(num_qubits, 10.0, tied=tied)
+    num_qubits = sched.num_qubits
     for kind in KIND_ORDER:
         sched.coeffs[kind][:] = 10.0**log_scale * rng.uniform(
             -1.0, 1.0, sched.coeffs[kind].shape)
@@ -244,6 +238,35 @@ def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
                           grid)
     assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(grads - ref.real).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_qubits=st.integers(1, 4),
+       family=st.sampled_from([FourierSchedule, PiecewiseSchedule]),
+       tied=st.booleans(), steps=st.integers(1, 40),
+       log_scale=st.floats(-5.0, 0.0), seed=st.integers(0, 2**32 - 1),
+       rank=st.sampled_from(["pure", "two", "full"]))
+def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
+                                               steps, log_scale, seed, rank):
+    # Tied draws act identically on every qubit, so their step spectra are
+    # exactly degenerate and their eigh runs per total spin; small scales
+    # give nearly degenerate ones.
+    check_against_frechet(family.initialized(num_qubits, 10.0, tied=tied),
+                          log_scale, steps, seed, rank)
+
+
+@settings(max_examples=10, deadline=None)
+@given(num_qubits=st.integers(5, 6),
+       family=st.sampled_from([FourierSchedule, PiecewiseSchedule]),
+       steps=st.integers(1, 10), log_scale=st.floats(-5.0, 0.0),
+       seed=st.integers(0, 2**32 - 1),
+       rank=st.sampled_from(["pure", "two", "full"]))
+def test_tied_gradients_match_frechet_reference_large_registers(
+        num_qubits, family, steps, log_scale, seed, rank):
+    # N = 5 and 6 hold spin blocks of 6, 4, 2 and 7, 5, 3, 1, with up to
+    # nine copies each.
+    check_against_frechet(family.initialized(num_qubits, 10.0, tied=True),
+                          log_scale, steps, seed, rank)
 
 
 def test_all_gradients_bundles_all_coefficients():
@@ -355,10 +378,14 @@ def test_epoch_cost_is_two_solves_per_pair():
 
 
 def test_epoch_diagonalises_once_per_pair(monkeypatch):
-    # One epoch at N = 4: one eigh per pair for the gradient and none for
-    # the states, whose factors were taken when the training set was built.
+    # One tied epoch at N = 4: per pair, one eigh per distinct total spin
+    # (blocks of 5, 3 and 1) for the gradient and none for the states.  The
+    # spin basis and the states' factors are built first, once per process.
     pairs = build_training_set(4)
     sched = FourierSchedule.initialized(4, 250.0, n_max=3, tied=True)
+    qcore.spin_basis(4)
+    for pair in pairs:
+        pair.rho0.factor
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
@@ -367,7 +394,7 @@ def test_epoch_diagonalises_once_per_pair(monkeypatch):
     train_backprop(pairs, sched, TrainConfig(epochs=1), SQUARE_MAP,
                    TimeGrid(250.0, 50))
     assert len(pairs) == 4
-    assert calls == [(50, 16, 16)] * 4
+    assert calls == [(50, 5, 5), (50, 3, 3), (50, 1, 1)] * 4
     assert qcore.solve_count == 8
 
 
@@ -378,6 +405,7 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     rng = np.random.default_rng(21)
     sched = random_schedule(rng, num_qubits=3)
     pair = random_pair(rng, num_qubits=3)
+    pair.rho0.factor  # the state's own eigh, taken on first read
     grid = TimeGrid(100.0, 40)
     shapes, assembled = [], []
     eigh = np.linalg.eigh

@@ -1,6 +1,10 @@
 """Core linear algebra and evolution tests against closed-form oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +279,88 @@ def test_density_matrix_factor(num_qubits):
     # A tolerated negative eigenvalue is dropped from the factor.
     rho = DensityMatrix(np.diag(np.r_[1.0 + 1e-10, -1e-10, np.zeros(d - 2)]))
     assert rho.factor.shape == (d, 1)
+
+
+def test_density_matrix_factor_is_taken_on_first_read(monkeypatch):
+    # Construction checks positivity from the eigenvalues alone; only a read
+    # of `factor` (the backprop path) computes eigenvectors, once.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: calls.append(h.shape) or eigh(h))
+    rho = DensityMatrix.from_state_vector([1.0, 0.0, 0.0, 1.0j])
+    output_value(rho.matrix, SQUARE_MAP)
+    assert calls == []
+    f = rho.factor
+    assert rho.factor is f
+    assert calls == [(4, 4)]
+
+
+# -- total-spin basis --------------------------------------------------------
+
+
+def spin_copies(num_qubits, n):
+    """Copies of spin j = (n - 1) / 2: C(N, N/2 - j) - C(N, N/2 - j - 1)."""
+    k = (num_qubits - n + 1) // 2
+    return math.comb(num_qubits, k) - (math.comb(num_qubits, k - 1) if k else 0)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_spin_basis_blocks_symmetric_operators(num_qubits):
+    q, blocks = qcore.spin_basis(num_qubits)
+    d = 2**num_qubits
+    assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-14
+    assert [n for n, _ in blocks] == list(range(num_qubits + 1, 0, -2))
+    assert all(copies == spin_copies(num_qubits, n) for n, copies in blocks)
+    assert sum(n * copies for n, copies in blocks) == d
+    x = sum(pauli("x", i, num_qubits) for i in range(num_qubits)).real
+    z = sum(pauli("z", i, num_qubits) for i in range(num_qubits)).real
+    zz_sum = sum((pauli("z", i, num_qubits) @ pauli("z", j, num_qubits)).real
+                 for i, j in pair_indices(num_qubits))
+    for op in (x, z, zz_sum + np.zeros((d, d))):
+        rotated = q.T @ op @ q
+        expected = np.zeros((d, d))
+        start = 0
+        for n, copies in blocks:
+            stop = start + n * copies
+            first = rotated[start:start + n, start:start + n]
+            expected[start:stop, start:stop] = np.kron(np.eye(copies), first)
+            start = stop
+        scale = max(1.0, np.abs(np.linalg.eigvalsh(op)).max())
+        assert np.abs(rotated - expected).max() <= 1e-14 * scale
+    # Each copy runs over 2 J_z = -2j..2j with <m+1| J_+ |m> > 0.
+    start = 0
+    for n, copies in blocks:
+        block = slice(start, start + n)
+        assert np.allclose(q[:, block].T @ z @ q[:, block],
+                           np.diag(np.arange(1.0 - n, n, 2)), atol=1e-14)
+        assert (np.diagonal(q[:, block].T @ x @ q[:, block], 1) > 0.5).all()
+        start += n * copies
+
+
+def test_spin_basis_check_raises_on_mixed_copies():
+    q, blocks = qcore.spin_basis(4)
+    assert blocks == ((5, 1), (3, 3), (1, 2))
+    # Rotate the m = 0 columns of two spin-1 copies into each other: Q stays
+    # orthogonal, but the copies no longer carry the same blocks.
+    mixed = q.copy()
+    a, b = 5 + 1, 5 + 3 + 1
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    mixed[:, [a, b]] = q[:, [a, b]] @ np.array([[c, -s], [s, c]])
+    assert np.abs(mixed.T @ mixed - np.eye(16)).max() <= 1e-14
+    with pytest.raises(np.linalg.LinAlgError, match="spin basis at N = 4"):
+        qcore.check_spin_basis(mixed, blocks, 4)
+    with pytest.raises(np.linalg.LinAlgError, match="spin basis at N = 4"):
+        qcore.check_spin_basis(1.0001 * q, blocks, 4)
+
+
+def test_spin_basis_is_not_built_at_import():
+    code = ("import qdynlearn.cli, qdynlearn.qcore as q; "
+            "print(q.spin_basis.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(qcore.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "0"
 
 
 def test_time_grid():
