@@ -2,10 +2,7 @@
 
 from .qcore import (
     DensityMatrix,
-    OutputMap,
     TimeGrid,
-    IDENTITY_MAP,
-    SQUARE_MAP,
     evolve,
     output_value,
     zz_expectation,

@@ -3,8 +3,8 @@
 The output error at the final time is pulled backward through the same step
 unitaries as the forward pass, giving every coefficient gradient from a single
 backward sweep: the costate matrix A(t) satisfies the boundary condition
-A(T) = [d - f(<O>)] f'(<O>) O, with O = Z_0 Z_1 the diagonal readout, and
-propagates by inverse conjugation, A(t_k) = U_k^dag A(t_{k+1}) U_k.  The
+A(T) = [d - <O>^2] 2<O> O, with O = Z_0 Z_1 the diagonal readout (the
+derivative of the half-squared error of the output <O>^2), and propagates by inverse conjugation, A(t_k) = U_k^dag A(t_{k+1}) U_k.  The
 per-coefficient gradient is the commutator-trace integral
 
     dL/dw = i * integral_0^T tr( A(t) [dH/dw(t), rho(t)] ) dt
@@ -31,17 +31,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import qcore
-from .qcore import OutputMap, TimeGrid, Trajectory
+from .qcore import TimeGrid, Trajectory
 from .schedules import list_trainable
 from .train import TrainConfig, descend, run_epochs
 
 IMAG_RESIDUAL_TOL = 1e-8
 
 
-def adjoint_boundary(rho_f, target: float, output_map: OutputMap) -> np.ndarray:
-    """Final-time costate A(T) = [d - f(<O>)] f'(<O>) O for O = Z_0 Z_1."""
+def adjoint_boundary(rho_f, target: float) -> np.ndarray:
+    """Final-time costate A(T) = [d - <O>^2] 2<O> O for O = Z_0 Z_1."""
     theta = qcore.zz_expectation(rho_f)
-    scale = (target - output_map(theta)) * output_map.derivative(theta)
+    scale = (target - theta * theta) * (2.0 * theta)
     return np.diag(scale * qcore.zz_parity(len(rho_f).bit_length() - 1))
 
 
@@ -137,8 +137,7 @@ def all_gradients(idx, traj: Trajectory, chi: np.ndarray, schedule,
                            for g in per_site])[idx]
 
 
-def train_backprop(pairs, schedule, config: TrainConfig,
-                   output_map: OutputMap, grid: TimeGrid):
+def train_backprop(pairs, schedule, config: TrainConfig, grid: TimeGrid):
     """Adjoint gradient descent over the training set, updating after every pair.
 
     One epoch costs two trajectory sweeps per pair (forward + backward),
@@ -153,9 +152,9 @@ def train_backprop(pairs, schedule, config: TrainConfig,
         for pair in pairs:
             traj = qcore.evolve(pair.rho0, schedule, grid)
             rho_f = traj.final()
-            out = qcore.output_value(rho_f, output_map)
+            out = qcore.output_value(rho_f)
             sq_errors.append((pair.target - out) ** 2)
-            a_final = adjoint_boundary(rho_f, pair.target, output_map)
+            a_final = adjoint_boundary(rho_f, pair.target)
             chi = adjoint_evolve_backward(a_final, traj)
             grads = all_gradients(idx, traj, chi, schedule, grid)
             descend(schedule, idx, grads, rates)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore, rl
-from .qcore import DensityMatrix, OutputMap, SQUARE_MAP, TimeGrid
+from .qcore import DensityMatrix, TimeGrid
 from .schedules import PiecewiseSchedule, list_trainable
 from .train import descend, run_epochs
 
@@ -104,8 +104,8 @@ def run_shots(circuit: SegmentedCircuit, rho0: DensityMatrix,
     return backend._rng.multinomial(backend.shots, probs)
 
 
-def estimate_output(counts, output_map: OutputMap = SQUARE_MAP) -> float:
-    """Witness output f(<zz>) from a count or probability vector.
+def estimate_output(counts) -> float:
+    """Witness output <zz>^2 from a count or probability vector.
 
     `counts` has one entry per basis state, as `run_shots` returns it, so
     its length 2^N gives the qubit count N >= 2; it is normalised by its
@@ -119,18 +119,17 @@ def estimate_output(counts, output_map: OutputMap = SQUARE_MAP) -> float:
     total = counts.sum()
     if total <= 0:
         raise ValueError("counts must have a positive sum")
-    return float(output_map(np.dot(qcore.zz_parity(num_qubits),
-                                   counts / total)))
+    zz = np.dot(qcore.zz_parity(num_qubits), counts / total)
+    return float(zz * zz)
 
 
-def set_rms_error(pairs, schedule: PiecewiseSchedule, backend: ShotBackend,
-                  output_map: OutputMap = SQUARE_MAP) -> float:
+def set_rms_error(pairs, schedule: PiecewiseSchedule,
+                  backend: ShotBackend) -> float:
     """Whole-set RMS error through the compile -> measure -> estimate path."""
     circuit = compile_segments(schedule)
     sq = []
     for pair in pairs:
-        out = estimate_output(run_shots(circuit, pair.rho0, backend),
-                              output_map)
+        out = estimate_output(run_shots(circuit, pair.rho0, backend))
         sq.append((pair.target - out) ** 2)
     return float(np.sqrt(np.mean(sq)))
 
@@ -158,8 +157,7 @@ class CircuitRLConfig(rl.RLConfig):
 
 
 def train_circuit_rl(pairs, schedule: PiecewiseSchedule,
-                     config: rl.RLConfig, backend: ShotBackend,
-                     output_map: OutputMap = SQUARE_MAP):
+                     config: rl.RLConfig, backend: ShotBackend):
     """Per-weight finite-difference training on the circuit pipeline.
 
     Each weight update evaluates the whole-set RMS error nominally and with
@@ -169,7 +167,7 @@ def train_circuit_rl(pairs, schedule: PiecewiseSchedule,
     rates = schedule.per_index(config.learning_rates)
     idx = list_trainable(schedule, config.learning_rates)
     floors = schedule.per_index(config.delta_abs)
-    error_fn = lambda s: set_rms_error(pairs, s, backend, output_map)
+    error_fn = lambda s: set_rms_error(pairs, s, backend)
 
     def epoch(schedule):
         for i in idx:

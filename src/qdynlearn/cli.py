@@ -15,8 +15,8 @@ import click
 from . import circuit as circuit_mod
 from . import qcore, reporting, rl as rl_mod, staging, witness
 from .backprop import train_backprop
-from .config import DEFAULT_STEPS, RunConfig, default_config
-from .qcore import OUTPUT_MAPS, DensityMatrix
+from .config import DEFAULT_STEPS, RunConfig
+from .qcore import DensityMatrix
 from .schedules import load_schedule, save_schedule
 from .train import TrainingDiverged
 
@@ -103,8 +103,7 @@ def train(config_path, out_dir, seed, epochs, mode):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    output_map = OUTPUT_MAPS[cfg.output_map]
-    pairs = witness.build_training_set(cfg.num_qubits, output_map)
+    pairs = witness.build_training_set(cfg.num_qubits)
 
     tracer = reporting.TraceWriter(schedule, grid.times)
     tracer.snapshot(0, schedule)
@@ -118,14 +117,12 @@ def train(config_path, out_dir, seed, epochs, mode):
     try:
         if cfg.epochs > 0:
             if cfg.mode == "backprop":
-                schedule, log = train_backprop(pairs, schedule, loop,
-                                               output_map, grid)
+                schedule, log = train_backprop(pairs, schedule, loop, grid)
             elif cfg.mode == "rl":
-                schedule, log = rl_mod.train_rl(pairs, schedule, loop,
-                                                output_map, grid)
+                schedule, log = rl_mod.train_rl(pairs, schedule, loop, grid)
             else:
                 schedule, log = circuit_mod.train_circuit_rl(
-                    pairs, schedule, loop, backend, output_map)
+                    pairs, schedule, loop, backend)
     except TrainingDiverged as exc:
         if exc.log is not None:
             exc.log.write_csv(out / "epochs.csv")
@@ -161,6 +158,7 @@ def stage(in_schedule, out_schedule, target):
     if target <= n:
         raise click.UsageError(
             f"target qubit count {target} must exceed the input's {n}")
+    qcore.check_num_qubits(target, "target qubit count", click.UsageError)
     staged = trained
     while staged.num_qubits < target:
         staged = staging.stage_up(staged)
@@ -175,16 +173,12 @@ def stage(in_schedule, out_schedule, target):
 @click.option("--out", "out_path", required=True, type=click.Path(),
               help="Report CSV (label, oracle, witness output).")
 @click.option("--steps", type=click.IntRange(min=1), default=DEFAULT_STEPS)
-@click.option("--output-map", type=click.Choice(list(OUTPUT_MAPS)),
-              default="square")
-def eval_cmd(schedule_path, states_path, out_path, steps, output_map):
+def eval_cmd(schedule_path, states_path, out_path, steps):
     """Evaluate a trained witness and report outputs vs the oracle."""
     schedule = _load_schedule(schedule_path)
     n = schedule.num_qubits
-    if n < 2:
-        raise click.UsageError(f"schedule has {n} qubit; the witness reads qubits 0, 1")
+    qcore.check_num_qubits(n, "schedule num_qubits", click.UsageError)
     grid = qcore.TimeGrid(schedule.T, steps)
-    fmap = OUTPUT_MAPS[output_map]
 
     if states_path is not None:
         entries = _read_json(states_path)
@@ -195,7 +189,7 @@ def eval_cmd(schedule_path, states_path, out_path, steps, output_map):
         thetas, sweep = witness.theta_sweep_states(n)
         states = [(f"theta_{th:.4f}", st) for th, st in zip(thetas, sweep)]
 
-    report = witness.evaluate_witness(schedule, states, fmap, grid)
+    report = witness.evaluate_witness(schedule, states, grid)
     reporting.write_report_csv(out_path, report.labels, report.oracle,
                                report.outputs)
     click.echo(f"wrote {len(report.labels)} rows; "
@@ -237,7 +231,7 @@ def export(schedule_path, template_mode, out_path, steps):
             "pass exactly one of --schedule or --config-template")
     if template_mode is not None:
         with open(out_path, "w") as fh:
-            json.dump(default_config(template_mode).resolved(), fh, indent=2)
+            json.dump(RunConfig(mode=template_mode).resolved(), fh, indent=2)
         click.echo(f"wrote default {template_mode} config to {out_path}")
         return
     schedule = _load_schedule(schedule_path)

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .circuit import CircuitRLConfig, ShotBackend
-from .qcore import OUTPUT_MAPS, TimeGrid
+from .qcore import TimeGrid, check_num_qubits
 from .rl import RLConfig
 from .schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule, load_schedule
 from .train import TrainConfig
@@ -42,6 +42,11 @@ DEFAULT_T_NS = {"rl": 250.0, "backprop": 250.0, "circuit": 2.0}
 DEFAULT_STEPS = 200
 DEFAULT_SEGMENTS = 4
 
+# The type of each word of a field's annotation.  A bool passes only where
+# the annotation names bool: it is neither an int nor a float here.
+JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+              "dict": dict, "None": type(None)}
+
 
 @dataclass
 class RunConfig:
@@ -61,7 +66,6 @@ class RunConfig:
     delta_rel: float | None = None  # default depends on mode
     # kinds not given: the mode's loop-config floor for this delta_rel
     delta_abs: dict | None = None
-    output_map: str = "square"
     shots: int | str = "exact"
     p_dep: float = 0.0
     p_ro: float = 0.0
@@ -70,20 +74,24 @@ class RunConfig:
     initial_schedule: str | None = None  # path; overrides init values
 
     def __post_init__(self):
+        for name, f in self.__dataclass_fields__.items():
+            value, types = getattr(self, name), f.type.split(" | ")
+            if (not any(isinstance(value, JSON_TYPES[t]) for t in types)
+                    or isinstance(value, bool) and "bool" not in types):
+                raise ConfigError(f"{name} must be {f.type}, got {value!r}")
+        for name in ("init", "learning_rates", "delta_abs"):
+            for kind, value in (getattr(self, name) or {}).items():
+                if kind not in KIND_ORDER:
+                    raise ConfigError(f"unknown config fields: {name}.{kind}")
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigError(f"{name}.{kind} must be float, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (expected {MODES})")
-        if self.output_map not in OUTPUT_MAPS:
-            raise ConfigError(f"unknown output map {self.output_map!r}")
-        if self.num_qubits < 2 or self.num_qubits > 6:
-            raise ConfigError("num_qubits must be in 2..6")
+        check_num_qubits(self.num_qubits, error=ConfigError)
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if isinstance(self.shots, str) and self.shots != "exact":
             raise ConfigError('shots must be a positive integer or "exact"')
-        unknown = [f"{name}.{kind}" for name in ("init", "learning_rates", "delta_abs")
-                   for kind in getattr(self, name) or {} if kind not in KIND_ORDER]
-        if unknown:
-            raise ConfigError(f"unknown config fields: {unknown}")
         circuit = self.mode == "circuit"
         family = PiecewiseSchedule if circuit else FourierSchedule
         loop_cls = CircuitRLConfig if circuit else RLConfig
@@ -160,10 +168,6 @@ class RunConfig:
                         **common)
 
     def backend(self) -> ShotBackend:
-        shots = None if self.shots == "exact" else int(self.shots)
+        shots = None if self.shots == "exact" else self.shots
         return ShotBackend(shots=shots, p_dep=self.p_dep, p_ro=self.p_ro,
                            seed=self.seed)
-
-
-def default_config(mode) -> RunConfig:
-    return RunConfig(mode=mode)

@@ -17,7 +17,8 @@ Hamiltonian; backprop's step sensitivities do, in the total-spin basis of
 
 The one readout is Z_0 Z_1, diagonal in the computational basis: its signs
 are `zz_parity`, and <Z_0 Z_1> is their sum weighted by the final state's
-populations (`zz_expectation`) or by measured counts (`circuit`).
+populations (`zz_expectation`) or by measured counts (`circuit`).  The
+witness output is its square, <Z_0 Z_1>^2 (`output_value`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
 SPIN_BASIS_TOL = 1e-13
 
+# Register sizes a witness is trained or evaluated on: the readout needs
+# qubits 0 and 1, and every solve is dense in 2^N.
+QUBIT_RANGE = range(2, 7)
+
 # Trajectory-solve counter (forward evolutions, fast final-state solves and
 # backward adjoint sweeps all count as one solve).  Single-threaded bookkeeping
 # used by the cost-structure tests; reset freely.
@@ -43,6 +48,13 @@ solve_count = 0
 def _tick_solve():
     global solve_count
     solve_count += 1
+
+
+def check_num_qubits(n, what="num_qubits", error=ValueError):
+    """Raise `error` unless `n` is an integer (not a bool) in QUBIT_RANGE."""
+    if isinstance(n, bool) or not isinstance(n, int) or n not in QUBIT_RANGE:
+        raise error(f"{what} must be an integer in {QUBIT_RANGE.start}.."
+                    f"{QUBIT_RANGE.stop - 1}, got {n!r}")
 
 
 def _check_finite(a, what):
@@ -133,23 +145,6 @@ class TimeGrid:
     @property
     def midpoints(self):
         return self.times[:-1] + 0.5 * self.dt
-
-
-@dataclass(frozen=True)
-class OutputMap:
-    """Scalar map applied to the final-time expectation value."""
-
-    name: str
-    apply: callable
-    derivative: callable
-
-    def __call__(self, x):
-        return self.apply(x)
-
-
-IDENTITY_MAP = OutputMap("identity", lambda x: x, lambda x: 1.0)
-SQUARE_MAP = OutputMap("square", lambda x: x * x, lambda x: 2.0 * x)
-OUTPUT_MAPS = {"identity": IDENTITY_MAP, "square": SQUARE_MAP}
 
 
 def pair_indices(num_qubits):
@@ -440,6 +435,7 @@ def zz_expectation(rho: np.ndarray) -> float:
     return float(val.real)
 
 
-def output_value(rho_f, output_map: OutputMap) -> float:
-    """Witness output f(<Z_0 Z_1>) of a final state."""
-    return float(output_map(zz_expectation(rho_f)))
+def output_value(rho_f) -> float:
+    """Witness output <Z_0 Z_1>^2 of a final state."""
+    zz = zz_expectation(rho_f)
+    return zz * zz

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .qcore import OutputMap, TimeGrid
+from .qcore import TimeGrid
 from .schedules import KIND_ORDER, FourierSchedule, list_trainable
 from .train import TrainConfig, descend, run_epochs
 from .witness import TrainingPair
@@ -48,11 +48,9 @@ class RLConfig(TrainConfig):
         return np.maximum(self.delta_rel * np.abs(value), floor)
 
 
-def pair_error(pair: TrainingPair, schedule, output_map: OutputMap,
-               grid: TimeGrid) -> float:
+def pair_error(pair: TrainingPair, schedule, grid: TimeGrid) -> float:
     """Half-squared output error E = (d - output)^2 / 2 for one pair."""
-    out = qcore.output_value(qcore.final_state(pair.rho0, schedule, grid),
-                             output_map)
+    out = qcore.output_value(qcore.final_state(pair.rho0, schedule, grid))
     return 0.5 * (pair.target - out) ** 2
 
 
@@ -72,8 +70,7 @@ def fd_gradient(i, schedule, error_fn, e_nom: float, delta: float) -> float:
     return (e_mod - e_nom) / delta
 
 
-def train_rl_epoch(pairs, schedule, config: RLConfig, output_map: OutputMap,
-                   grid: TimeGrid):
+def train_rl_epoch(pairs, schedule, config: RLConfig, grid: TimeGrid):
     """One epoch of deferred per-pair finite-difference updates.
 
     Mutates the schedule in place.  Returns the epoch RMS,
@@ -85,7 +82,7 @@ def train_rl_epoch(pairs, schedule, config: RLConfig, output_map: OutputMap,
     sq_errors = []
     for pair in pairs:
         def error_fn(s):
-            return pair_error(pair, s, output_map, grid)
+            return pair_error(pair, s, grid)
 
         e_nom = error_fn(schedule)
         sq_errors.append(2.0 * e_nom)
@@ -96,8 +93,7 @@ def train_rl_epoch(pairs, schedule, config: RLConfig, output_map: OutputMap,
     return float(np.sqrt(np.mean(sq_errors)))
 
 
-def train_rl(pairs, schedule, config: RLConfig, output_map: OutputMap,
-             grid: TimeGrid):
+def train_rl(pairs, schedule, config: RLConfig, grid: TimeGrid):
     """Full RL training run; returns (trained schedule, EpochLog)."""
-    return run_epochs(pairs, schedule, config, lambda s: train_rl_epoch(
-        pairs, s, config, output_map, grid))
+    return run_epochs(pairs, schedule, config,
+                      lambda s: train_rl_epoch(pairs, s, config, grid))

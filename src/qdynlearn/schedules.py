@@ -9,6 +9,7 @@ perturb and update coefficients by index.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -19,6 +20,12 @@ KIND_ORDER = ("tunneling", "bias", "coupling")
 
 class ScheduleError(ValueError):
     pass
+
+
+def _check_int(name, value, low):
+    """Raise ScheduleError unless `value` is an int (not a bool) >= `low`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def n_sites(num_qubits, kind):
@@ -44,16 +51,21 @@ class _Schedule:
 
     def __init__(self, num_qubits, T, coeffs, tied=None, **structure):
         self._set_structure(**structure)
-        if num_qubits < 1:
-            raise ScheduleError("need at least one qubit")
-        if T <= 0:
-            raise ScheduleError("T must be positive")
-        self.num_qubits = int(num_qubits)
+        _check_int("num_qubits", num_qubits, 1)
+        if (isinstance(T, bool) or not isinstance(T, (int, float))
+                or not 0 < T < math.inf):
+            raise ScheduleError(f"T_ns must be a positive number, got {T!r}")
+        if tied is not None and not isinstance(tied, bool):
+            raise ScheduleError(f"tied must be a bool, got {tied!r}")
+        self.num_qubits = num_qubits
         self.T = float(T)
-        self.tied = self.TIED if tied is None else bool(tied)
+        self.tied = self.TIED if tied is None else tied
         arrays = []
         for kind in KIND_ORDER:
-            c = np.array(coeffs[kind], dtype=float)
+            c = np.array(coeffs[kind])
+            if c.dtype.kind not in "iuf":
+                raise ScheduleError(f"{kind} coefficients must be numbers")
+            c = c.astype(float)
             if c.ndim != 2 or c.shape != (self.rows(kind), self.width):
                 raise ScheduleError(
                     f"{kind} coefficients must have shape "
@@ -170,9 +182,8 @@ class FourierSchedule(_Schedule):
     TIED = True
 
     def _set_structure(self, n_max=3):
-        if n_max < 0:
-            raise ScheduleError("n_max must be >= 0")
-        self.n_max = int(n_max)
+        _check_int("n_max", n_max, 0)
+        self.n_max = n_max
 
     def structure(self):
         return {"n_max": self.n_max}
@@ -201,9 +212,8 @@ class PiecewiseSchedule(_Schedule):
     TIED = False
 
     def _set_structure(self, segments=4):
-        if segments < 1:
-            raise ScheduleError("need at least one segment")
-        self.segments = int(segments)
+        _check_int("segments", segments, 1)
+        self.segments = segments
 
     def structure(self):
         return {"segments": self.segments}

@@ -2,7 +2,7 @@
 
 The Wootters concurrence is the independent oracle: training targets are
 derived from it, and a trained schedule is judged by how well its final-time
-output f(<Z_0 Z_1>) tracks the oracle over a one-parameter family of states.
+output <Z_0 Z_1>^2 tracks the oracle over a one-parameter family of states.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .qcore import DensityMatrix, OutputMap, SQUARE_MAP
+from .qcore import DensityMatrix
 
 # sigma_y (x) sigma_y, the spin flip of the concurrence.
 SIGMA_YY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
@@ -70,20 +70,17 @@ def ghz_family_state(num_qubits, a, b):
     return DensityMatrix.from_state_vector(psi)
 
 
-def build_training_set(num_qubits, output_map: OutputMap = SQUARE_MAP):
+def build_training_set(num_qubits):
     """The four-pure-state training set.
 
     Two separable states (target 0), the maximally entangled state (target 1)
-    and a partially entangled a|0..0> + b|1..1> whose target is the oracle
-    concurrence 2ab, squared when the output map is the squared expectation.
+    and a partially entangled a|0..0> + b|1..1> whose target is the squared
+    oracle concurrence (2ab)^2, as the output is the squared correlation.
     """
-    if not 2 <= num_qubits <= 6:
-        raise ValueError("training sets are defined for 2..6 qubits")
+    qcore.check_num_qubits(num_qubits)
     n = num_qubits
     a, b = 0.6, 0.8
-    raw_partial = 2 * a * b
-    squared = output_map.name == "square"
-    partial_target = raw_partial**2 if squared else raw_partial
+    concurrence_partial = 2 * a * b
 
     zeros = _basis_state([0] * n)
     superpos = np.zeros(2**n, dtype=complex)
@@ -97,7 +94,8 @@ def build_training_set(num_qubits, output_map: OutputMap = SQUARE_MAP):
                      "bell" if n == 2 else "ghz"),
         TrainingPair(DensityMatrix.from_state_vector(superpos), 0.0,
                      "product_superposition"),
-        TrainingPair(ghz_family_state(n, a, b), partial_target, "partial"),
+        TrainingPair(ghz_family_state(n, a, b),
+                     concurrence_partial * concurrence_partial, "partial"),
     ]
 
 
@@ -138,9 +136,6 @@ class WitnessReport:
     labels: list
     oracle: np.ndarray
     outputs: np.ndarray
-    sweep_thetas: np.ndarray
-    sweep_oracle: np.ndarray
-    sweep_outputs: np.ndarray
     spearman: float
 
 
@@ -158,8 +153,7 @@ def _oracle_value(rho: DensityMatrix, theta=None):
     return float(np.sin(2 * theta)) if theta is not None else np.nan
 
 
-def evaluate_witness(schedule, states, output_map: OutputMap,
-                     grid) -> WitnessReport:
+def evaluate_witness(schedule, states, grid) -> WitnessReport:
     """Run each state through the schedule and compare against the oracle.
 
     `states` is a list of (label, DensityMatrix).  The Spearman correlation is
@@ -168,18 +162,14 @@ def evaluate_witness(schedule, states, output_map: OutputMap,
     u = qcore.total_propagator(schedule, grid)
 
     def output(rho):
-        return qcore.output_value(u @ rho.matrix @ u.conj().T, output_map)
+        return qcore.output_value(u @ rho.matrix @ u.conj().T)
 
     labels = [lbl for lbl, _ in states]
     outs = np.array([output(rho) for _, rho in states])
     oracle = np.array([_oracle_value(rho) for _, rho in states])
 
     thetas, sweep = theta_sweep_states(schedule.num_qubits)
-    sweep_outs = np.array([output(rho) for rho in sweep])
-    sweep_oracle = np.array(
-        [_oracle_value(rho, th) for th, rho in zip(thetas, sweep)]
-    )
+    sweep_outs = [output(rho) for rho in sweep]
+    sweep_oracle = [_oracle_value(rho, th) for th, rho in zip(thetas, sweep)]
     return WitnessReport(labels=labels, oracle=oracle, outputs=outs,
-                         sweep_thetas=thetas, sweep_oracle=sweep_oracle,
-                         sweep_outputs=sweep_outs,
                          spearman=spearman_rho(sweep_outs, sweep_oracle))

@@ -30,7 +30,6 @@ from scipy.stats import spearmanr
 from qdynlearn import backprop, circuit, qcore, rl, staging, witness
 from qdynlearn.qcore import (
     DensityMatrix,
-    SQUARE_MAP,
     TimeGrid,
     evolve,
 )
@@ -68,8 +67,7 @@ def test_criterion_1_adjoint_vs_central_difference():
         sched = random_fourier(rng, T=T)
         pair = TrainingPair(random_state(rng), rng.uniform())
         traj = evolve(pair.rho0, sched, grid)
-        a_final = backprop.adjoint_boundary(traj.final(), pair.target,
-                                            SQUARE_MAP)
+        a_final = backprop.adjoint_boundary(traj.final(), pair.target)
         field = backprop.adjoint_evolve_backward(a_final, traj)
         idx = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
         assert len(idx) == 21
@@ -79,9 +77,9 @@ def test_criterion_1_adjoint_vs_central_difference():
             h = 1e-4 * scales[i]
             v = sched.params[i]
             sched.params[i] = v + h
-            ep = rl.pair_error(pair, sched, SQUARE_MAP, grid)
+            ep = rl.pair_error(pair, sched, grid)
             sched.params[i] = v - h
-            em = rl.pair_error(pair, sched, SQUARE_MAP, grid)
+            em = rl.pair_error(pair, sched, grid)
             sched.params[i] = v
             fd = (ep - em) / (2 * h)
             checked += 1
@@ -148,7 +146,7 @@ def test_criterion_4_rl_training_defaults():
                                         tunneling=2.5e-3, bias=1e-4,
                                         coupling=1e-4)
     cfg = rl.RLConfig(epochs=2000, rms_target=0.05)  # published rates/deltas
-    trained, log = rl.train_rl(pairs, sched, cfg, SQUARE_MAP, TimeGrid(T, 200))
+    trained, log = rl.train_rl(pairs, sched, cfg, TimeGrid(T, 200))
     ok = log.rms[-1] <= 0.05 and log.rms[-1] < log.rms[0]
     report(4, ok,
            f"RMS {log.rms[0]:.4f} -> {log.rms[-1]:.4f} "
@@ -161,13 +159,12 @@ def test_criterion_5_circuit_training_exact_and_shots():
 
     cfg = circuit.CircuitRLConfig(epochs=2000, rms_target=0.03)
     _, log_exact = circuit.train_circuit_rl(pairs, sched, cfg,
-                                            circuit.ShotBackend(), SQUARE_MAP)
+                                            circuit.ShotBackend())
     exact_ok = log_exact.rms.min() <= 0.03 and len(log_exact.records) <= 2000
 
     cfg_shots = circuit.CircuitRLConfig(epochs=800)
     backend = circuit.ShotBackend(shots=8192, p_ro=0.01, seed=1)
-    _, log_shots = circuit.train_circuit_rl(pairs, sched, cfg_shots, backend,
-                                            SQUARE_MAP)
+    _, log_shots = circuit.train_circuit_rl(pairs, sched, cfg_shots, backend)
     plateau = float(np.median(log_shots.rms[-200:]))
     shots_ok = 0.01 <= plateau <= 0.10
     report(5, exact_ok and shots_ok,
@@ -189,7 +186,7 @@ def test_criterion_6_staging_benefit():
     sched2 = FourierSchedule.initialized(2, T, n_max=3, tied=True)
     cfg2 = rl.RLConfig(epochs=2000, rms_target=0.05,
                        learning_rates=dict(rates))
-    trained2, log2 = rl.train_rl(pairs2, sched2, cfg2, SQUARE_MAP, grid)
+    trained2, log2 = rl.train_rl(pairs2, sched2, cfg2, grid)
     assert log2.rms[-1] <= 0.05, "2-qubit witness did not converge"
 
     pairs3 = build_training_set(3)
@@ -199,7 +196,7 @@ def test_criterion_6_staging_benefit():
                             3, T, n_max=3, tied=True))):
         cfg3 = rl.RLConfig(epochs=2000, rms_target=0.1,
                            learning_rates=dict(rates))
-        _, log3 = rl.train_rl(pairs3, init, cfg3, SQUARE_MAP, grid)
+        _, log3 = rl.train_rl(pairs3, init, cfg3, grid)
         assert log3.rms[-1] <= 0.1, f"{label} 3-qubit run missed RMS 0.1"
         epochs[label] = len(log3.records)
     report(6, epochs["staged"] < epochs["default"],
@@ -217,14 +214,12 @@ def test_criterion_7_cost_structure():
     assert n_coeffs == 21
 
     qcore.solve_count = 0
-    rl.train_rl_epoch(pairs, sched.copy(), rl.RLConfig(learning_rates=rates),
-                      SQUARE_MAP, grid)
+    rl.train_rl_epoch(pairs, sched.copy(), rl.RLConfig(learning_rates=rates), grid)
     rl_solves = qcore.solve_count
 
     qcore.solve_count = 0
     backprop.train_backprop(pairs, sched,
-                            TrainConfig(learning_rates=rates, epochs=1),
-                            SQUARE_MAP, grid)
+                            TrainConfig(learning_rates=rates, epochs=1), grid)
     bp_solves = qcore.solve_count
 
     ok = (rl_solves == len(pairs) * (1 + n_coeffs)
@@ -242,11 +237,10 @@ def test_criterion_8_trained_witness_spearman():
     grid = TimeGrid(T, 200)
     sched = FourierSchedule.initialized(2, T, n_max=3, tied=True)
     cfg = rl.RLConfig(epochs=2000, rms_target=0.05)
-    trained, _ = rl.train_rl(pairs, sched, cfg, SQUARE_MAP, grid)
+    trained, _ = rl.train_rl(pairs, sched, cfg, grid)
     thetas, states = witness.theta_sweep_states(2)
     assert len(states) == 21
-    rep = witness.evaluate_witness(trained, [("s", st) for st in states],
-                                   SQUARE_MAP, grid)
+    rep = witness.evaluate_witness(trained, [("s", st) for st in states], grid)
     oracle = [concurrence(st) for st in states]
     rho_s = spearmanr(rep.outputs, oracle).statistic
     report(8, rho_s >= 0.95,

@@ -16,8 +16,6 @@ from qdynlearn.backprop import (
 from qdynlearn.config import RunConfig
 from qdynlearn.qcore import (
     DensityMatrix,
-    IDENTITY_MAP,
-    SQUARE_MAP,
     TimeGrid,
     evolve,
     pair_indices,
@@ -47,9 +45,8 @@ def random_pair(rng, num_qubits=2):
     return TrainingPair(DensityMatrix.from_state_vector(psi), rng.uniform())
 
 
-def loss(pair, schedule, fmap, grid):
-    out = qcore.output_value(qcore.final_state(pair.rho0, schedule, grid),
-                             fmap)
+def loss(pair, schedule, grid):
+    out = qcore.output_value(qcore.final_state(pair.rho0, schedule, grid))
     return 0.5 * (pair.target - out) ** 2
 
 
@@ -58,21 +55,22 @@ def loss(pair, schedule, fmap, grid):
 
 def test_boundary_zero_when_error_zero():
     rho = DensityMatrix.from_state_vector([1.0, 0, 0, 0])  # <zz> = 1
-    a = adjoint_boundary(rho.matrix, 1.0, SQUARE_MAP)
+    a = adjoint_boundary(rho.matrix, 1.0)
     assert np.abs(a).max() == 0.0
 
 
-def test_boundary_identity_map_scale():
-    # A(T) = (d - <O>) * 1 * O
-    rho = DensityMatrix.from_state_vector([0, 1.0, 0, 0])  # <zz> = -1
-    a = adjoint_boundary(rho.matrix, 0.5, IDENTITY_MAP)
-    assert np.allclose(a, 1.5 * zz(2))
+def test_boundary_square_map_scale():
+    # A(T) = (d - <O>^2) * 2<O> * O = (0.5 - 0.36) * 1.2 * O
+    rho = DensityMatrix(np.diag([0.8, 0.2, 0.0, 0.0]).astype(complex))
+    a = adjoint_boundary(rho.matrix, 0.5)  # <zz> = 0.6
+    assert np.allclose(a, 0.168 * zz(2))
 
 
 def test_boundary_square_map_vanishes_at_zero_expectation():
-    # f'(0) = 0 for the square map, so the costate vanishes even with error.
+    # The squared output has zero slope at <zz> = 0, so the costate vanishes
+    # even with error.
     rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
-    a = adjoint_boundary(rho.matrix, 0.7, SQUARE_MAP)
+    a = adjoint_boundary(rho.matrix, 0.7)
     assert np.abs(a).max() == 0.0
 
 
@@ -85,7 +83,7 @@ def test_backward_constant_under_zero_hamiltonian():
     grid = TimeGrid(10.0, 20)
     rho0 = DensityMatrix.from_state_vector([1, 0, 0, 1])
     traj = evolve(rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), 0.0, SQUARE_MAP)
+    a_final = adjoint_boundary(traj.final(), 0.0)
     chi = adjoint_evolve_backward(a_final, traj)
     assert np.abs(chi - chi[-1][None]).max() < 1e-13
 
@@ -98,7 +96,7 @@ def test_backward_pairing_invariant():
     grid = TimeGrid(200.0, 100)
     pair = random_pair(rng)
     traj = evolve(pair.rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
+    a_final = adjoint_boundary(traj.final(), pair.target)
     chi = adjoint_evolve_backward(a_final, traj)
     pairing = np.einsum("tir,tir->t", chi.conj(), traj.factors)
     assert np.abs(pairing - pairing[0]).max() < 1e-10
@@ -116,7 +114,7 @@ def test_gradient_zero_for_diagonal_dynamics():
     rho0 = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     pair = TrainingPair(rho0, 0.9)
     traj = evolve(rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
+    a_final = adjoint_boundary(traj.final(), pair.target)
     chi = adjoint_evolve_backward(a_final, traj)
     coupling = list_trainable(sched, {"coupling": 1.0})
     assert len(coupling) == sched.width
@@ -133,7 +131,7 @@ def test_gradient_matches_central_difference():
         sched = random_schedule(rng, T=300.0)
         pair = random_pair(rng)
         traj = evolve(pair.rho0, sched, grid)
-        a_final = adjoint_boundary(traj.final(), pair.target, SQUARE_MAP)
+        a_final = adjoint_boundary(traj.final(), pair.target)
         chi = adjoint_evolve_backward(a_final, traj)
         scales = sched.per_index(KIND_SCALES)
         for i in rng.choice(list_trainable(sched, {"tunneling": 1.0,
@@ -142,9 +140,9 @@ def test_gradient_matches_central_difference():
             h = 1e-4 * scales[i]
             v = sched.params[i]
             sched.params[i] = v + h
-            ep = loss(pair, sched, SQUARE_MAP, grid)
+            ep = loss(pair, sched, grid)
             sched.params[i] = v - h
-            em = loss(pair, sched, SQUARE_MAP, grid)
+            em = loss(pair, sched, grid)
             sched.params[i] = v
             fd = (ep - em) / (2 * h)
             assert g == pytest.approx(fd, rel=1e-4, abs=1e-10)
@@ -200,7 +198,7 @@ def frechet_reference_gradients(sched, traj, a_final):
 
 
 def costate_boundary(rho_f, obs, target):
-    """Identity-map boundary (d - tr(rho_f O)) O for a dense observable O."""
+    """Linear-readout boundary (d - tr(rho_f O)) O for a dense observable O."""
     return (target - np.trace(rho_f @ obs).real) * obs
 
 
@@ -229,9 +227,8 @@ def check_against_frechet(sched, log_scale, steps, seed, rank):
     traj = evolve(pair.rho0, sched, grid)
     # The sweep takes any Hermitian costate; a single qubit has no Z_0 Z_1
     # readout, so its boundary is built here with O = Z_0.
-    a_final = (adjoint_boundary(traj.final(), pair.target, IDENTITY_MAP)
-               if num_qubits > 1 else
-               costate_boundary(traj.final(), pauli("z", 0, 1), pair.target))
+    obs = zz(num_qubits) if num_qubits > 1 else pauli("z", 0, 1)
+    a_final = costate_boundary(traj.final(), obs, pair.target)
     chi = adjoint_evolve_backward(a_final, traj)
     ref = frechet_reference_gradients(sched, traj, a_final)
     grads = all_gradients(np.arange(sched.params.size), traj, chi, sched,
@@ -277,7 +274,7 @@ def test_all_gradients_bundles_all_coefficients():
     idx = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
     traj = evolve(pair.rho0, sched, grid)
     chi = adjoint_evolve_backward(
-        adjoint_boundary(traj.final(), pair.target, SQUARE_MAP), traj)
+        adjoint_boundary(traj.final(), pair.target), traj)
     grads = all_gradients(idx, traj, chi, sched, grid)
     assert grads.shape == (21,)
     # cross-check one entry against a single-coefficient call
@@ -292,7 +289,7 @@ def test_all_gradients_rejects_non_hermitian_costate():
     grid = TimeGrid(100.0, 50)
     pair = random_pair(rng)
     traj = evolve(pair.rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), pair.target, IDENTITY_MAP)
+    a_final = costate_boundary(traj.final(), zz(2), pair.target)
     assert abs(np.trace(traj.final() @ a_final)) > 1e-3
     with pytest.raises(ValueError, match="non-Hermitian costate"):
         adjoint_evolve_backward(1j * a_final, traj)
@@ -312,7 +309,7 @@ def test_train_zero_rates_is_a_no_op():
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     cfg = TrainConfig(learning_rates={"tunneling": 0.0, "bias": 0.0,
                                       "coupling": 0.0}, epochs=3)
-    trained, log = train_backprop(pairs, sched, cfg, SQUARE_MAP,
+    trained, log = train_backprop(pairs, sched, cfg,
                                   TimeGrid(250.0, 100))
     for kind in ("tunneling", "bias", "coupling"):
         assert np.array_equal(trained.coeffs[kind], sched.coeffs[kind])
@@ -323,7 +320,7 @@ def test_train_input_schedule_not_mutated():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     before = {k: sched.coeffs[k].copy() for k in sched.coeffs}
-    train_backprop(pairs, sched, TrainConfig(epochs=2), SQUARE_MAP,
+    train_backprop(pairs, sched, TrainConfig(epochs=2),
                    TimeGrid(250.0, 100))
     for kind, c in before.items():
         assert np.array_equal(sched.coeffs[kind], c)
@@ -333,7 +330,7 @@ def test_train_converges_on_default_problem():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     cfg = TrainConfig(epochs=200, rms_target=0.02)
-    trained, log = train_backprop(pairs, sched, cfg, SQUARE_MAP,
+    trained, log = train_backprop(pairs, sched, cfg,
                                   TimeGrid(250.0, 200))
     assert log.rms[-1] <= 0.02
     assert log.rms[-1] < log.rms[0]
@@ -346,7 +343,7 @@ def test_config_epochs_default_is_the_run_default():
 def test_train_raises_on_empty_set():
     with pytest.raises(ValueError):
         train_backprop([], FourierSchedule.initialized(2, 10.0),
-                       TrainConfig(), SQUARE_MAP, TimeGrid(10.0, 5))
+                       TrainConfig(), TimeGrid(10.0, 5))
 
 
 def test_divergence_guard():
@@ -357,12 +354,11 @@ def test_divergence_guard():
     grid = TimeGrid(250.0, 100)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     good, _ = train_backprop(pairs, sched,
-                             TrainConfig(epochs=200, rms_target=0.02),
-                             SQUARE_MAP, grid)
+                             TrainConfig(epochs=200, rms_target=0.02), grid)
     cfg = TrainConfig(learning_rates={"tunneling": 3e-5, "coupling": 3e-5},
                       epochs=50)
     with pytest.raises(TrainingDiverged) as exc:
-        train_backprop(pairs, good, cfg, SQUARE_MAP, grid)
+        train_backprop(pairs, good, cfg, grid)
     assert exc.value.log is not None
     assert len(exc.value.log.records) >= 1
     assert np.isfinite(exc.value.log.rms).all()
@@ -372,7 +368,7 @@ def test_epoch_cost_is_two_solves_per_pair():
     pairs = build_training_set(2)
     sched = FourierSchedule.initialized(2, 250.0, n_max=3, tied=True)
     qcore.solve_count = 0
-    train_backprop(pairs, sched, TrainConfig(epochs=1), SQUARE_MAP,
+    train_backprop(pairs, sched, TrainConfig(epochs=1),
                    TimeGrid(250.0, 50))
     assert qcore.solve_count == 2 * len(pairs)
 
@@ -391,7 +387,7 @@ def test_epoch_diagonalises_once_per_pair(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: calls.append(h.shape) or eigh(h))
     qcore.solve_count = 0
-    train_backprop(pairs, sched, TrainConfig(epochs=1), SQUARE_MAP,
+    train_backprop(pairs, sched, TrainConfig(epochs=1),
                    TimeGrid(250.0, 50))
     assert len(pairs) == 4
     assert calls == [(50, 5, 5), (50, 3, 3), (50, 1, 1)] * 4
@@ -416,7 +412,7 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
                         lambda *a: assembled.append(len(a[0])) or assemble(*a))
     traj = evolve(pair.rho0, sched, grid)
     chi = adjoint_evolve_backward(
-        adjoint_boundary(traj.final(), pair.target, SQUARE_MAP), traj)
+        adjoint_boundary(traj.final(), pair.target), traj)
     all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
     assert shapes == [(40, 8, 8)]
     assert assembled == [40]

@@ -15,8 +15,6 @@ from qdynlearn.circuit import (
 )
 from qdynlearn.qcore import (
     DensityMatrix,
-    IDENTITY_MAP,
-    SQUARE_MAP,
     TimeGrid,
 )
 from qdynlearn.schedules import PiecewiseSchedule, list_trainable
@@ -107,8 +105,7 @@ def test_exact_mode_returns_diagonal():
     assert probs.sum() == pytest.approx(1.0)
     # The count readout and the density-matrix readout share one parity.
     rho_f = qcore.final_state(rho, s, TimeGrid(s.T, s.segments))
-    assert abs(estimate_output(probs, IDENTITY_MAP)
-               - qcore.output_value(rho_f, IDENTITY_MAP)) <= 1e-14
+    assert abs(estimate_output(probs) - qcore.output_value(rho_f)) <= 1e-14
 
 
 def test_fully_randomized_readout_is_uniform():
@@ -172,7 +169,7 @@ def test_shot_noise_scales_as_inverse_sqrt_shots():
     sigmas = []
     for shots in shot_counts:
         backend = ShotBackend(shots=shots, seed=7)
-        ests = [estimate_output(run_shots(c, rho, backend), SQUARE_MAP)
+        ests = [estimate_output(run_shots(c, rho, backend))
                 for _ in range(200)]
         sigmas.append(np.std(ests))
     slope = np.polyfit(np.log(shot_counts), np.log(sigmas), 1)[0]
@@ -184,9 +181,8 @@ def test_depolarizing_noise_shrinks_correlation():
     s = random_schedule(rng)
     c = compile_segments(s)
     rho = ghz_family_state(2, 1.0, 1.0)
-    clean = estimate_output(run_shots(c, rho, ShotBackend()), SQUARE_MAP)
-    noisy = estimate_output(run_shots(c, rho, ShotBackend(p_dep=0.1)),
-                            SQUARE_MAP)
+    clean = estimate_output(run_shots(c, rho, ShotBackend()))
+    noisy = estimate_output(run_shots(c, rho, ShotBackend(p_dep=0.1)))
     assert noisy <= clean + 1e-12
 
 
@@ -217,13 +213,13 @@ def test_closed_form_depolarizing_equals_per_segment_channels(
 
 
 def test_estimate_output_examples():
-    assert estimate_output([800, 0, 0, 0], SQUARE_MAP) == pytest.approx(1.0)
-    assert estimate_output([500, 500, 0, 0], SQUARE_MAP) == pytest.approx(0.0)
-    assert estimate_output([0, 300, 300, 0], SQUARE_MAP) == pytest.approx(1.0)
+    assert estimate_output([800, 0, 0, 0]) == pytest.approx(1.0)
+    assert estimate_output([500, 500, 0, 0]) == pytest.approx(0.0)
+    assert estimate_output([0, 300, 300, 0]) == pytest.approx(1.0)
     # exact-mode Bell through identity circuit
     c = compile_segments(zero_schedule())
     probs = run_shots(c, ghz_family_state(2, 1.0, 1.0), ShotBackend())
-    assert estimate_output(probs, SQUARE_MAP) == pytest.approx(1.0)
+    assert estimate_output(probs) == pytest.approx(1.0)
 
 
 def test_estimate_output_rejects_bad_input():
@@ -239,17 +235,19 @@ def test_estimate_output_measures_designated_pair_of_larger_register():
     # three qubits: parity of the first two only
     probs = np.zeros(8)
     probs[0b011] = 1.0  # qubits (0, 1) anti-aligned
-    assert estimate_output(probs, SQUARE_MAP) == pytest.approx(1.0)
+    assert estimate_output(probs) == pytest.approx(1.0)
     probs = np.zeros(8)
     probs[0b110] = 1.0
-    assert estimate_output(probs, SQUARE_MAP) == pytest.approx(1.0)
+    assert estimate_output(probs) == pytest.approx(1.0)
+    # 3/4 on one outcome and 1/4 on |0..0>: <zz> is 1 if the outcome's
+    # qubits (0, 1) are aligned and -1/2 if not, read as 1 or 1/4.
     for n in range(4, 7):
         for index in range(2**n):
             probs = np.zeros(2**n)
-            probs[index] = 1.0
+            probs[index] += 0.75
+            probs[0] += 0.25
             aligned = (index >> (n - 1) & 1) == (index >> (n - 2) & 1)
-            assert estimate_output(probs, IDENTITY_MAP) == (
-                1.0 if aligned else -1.0)
+            assert estimate_output(probs) == (1.0 if aligned else 0.25)
 
 
 # -- training ----------------------------------------------------------------
@@ -258,11 +256,10 @@ def test_estimate_output_measures_designated_pair_of_larger_register():
 def test_exact_mode_training_matches_continuum_loop():
     # The circuit pipeline and the continuum integrator drive the same
     # finite-difference sweep identically when measurement is exact.
-    pairs = build_training_set(2, SQUARE_MAP)
+    pairs = build_training_set(2)
     s = PiecewiseSchedule.initialized(2, 2.0, segments=4, tied=False)
     cfg_a = CircuitRLConfig(epochs=20)
-    _, log_circuit = train_circuit_rl(pairs, s, cfg_a, ShotBackend(),
-                                      SQUARE_MAP)
+    _, log_circuit = train_circuit_rl(pairs, s, cfg_a, ShotBackend())
 
     sched = s.copy()
     cfg_b = CircuitRLConfig(epochs=20)
@@ -271,7 +268,7 @@ def test_exact_mode_training_matches_continuum_loop():
     floors = sched.per_index(cfg_b.delta_abs)
     grid = TimeGrid(s.T, 4 * s.segments)
     err = lambda sc: np.sqrt(np.mean(
-        [2.0 * rl.pair_error(p, sc, SQUARE_MAP, grid) for p in pairs]))
+        [2.0 * rl.pair_error(p, sc, grid) for p in pairs]))
     rms_cont = []
     for _ in range(20):
         for i in idx:
@@ -283,10 +280,10 @@ def test_exact_mode_training_matches_continuum_loop():
 
 
 def test_training_reduces_error_exact_mode():
-    pairs = build_training_set(2, SQUARE_MAP)
+    pairs = build_training_set(2)
     s = PiecewiseSchedule.initialized(2, 2.0, segments=4, tied=False)
     cfg = CircuitRLConfig(epochs=400, rms_target=0.2)
-    trained, log = train_circuit_rl(pairs, s, cfg, ShotBackend(), SQUARE_MAP)
+    trained, log = train_circuit_rl(pairs, s, cfg, ShotBackend())
     assert log.rms[-1] < log.rms[0]
     assert log.rms[-1] <= 0.2
 

@@ -59,6 +59,7 @@ def test_train_unknown_field_exits_2(runner, tmp_path):
         ({"delta_abs": {"tunneling": 1e-6, "bias": 1e-6, "coupling": 1e-6,
                         "biass": 1e-6}}, "delta_abs.biass"),
         ({"update_mode": "sequential"}, "update_mode"),
+        ({"output_map": "square"}, "output_map"),
     ]:
         cfg.write_text(json.dumps({"mode": "rl", **fields}))
         result = runner.invoke(main, ["train", "--config", str(cfg),
@@ -81,6 +82,33 @@ def test_train_non_finite_number_exits_2(runner, tmp_path, text):
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert "non-finite number" in result.output
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"num_qubits": 2.5}, "num_qubits"),
+    ({"num_qubits": True}, "num_qubits"),
+    ({"num_qubits": 7}, "num_qubits"),
+    ({"num_qubits": 1}, "num_qubits"),
+    ({"epochs": 2.5}, "epochs"),
+    ({"steps": 2.5}, "steps"),
+    ({"rms_target": "x"}, "rms_target"),
+    ({"shots": 1.5}, "shots"),
+    ({"shots": True}, "shots"),
+    ({"n_max": 1.5}, "n_max"),
+    ({"mode": "circuit", "segments": 2.5}, "segments"),
+    ({"tied": "no"}, "tied"),
+    ({"init": {"bias": "x"}}, "init.bias"),
+    ({"initial_schedule": 0}, "initial_schedule"),
+])
+def test_train_wrong_type_or_range_exits_2(runner, tmp_path, fields, name):
+    # Nothing is coerced: each of these would otherwise train something
+    # other than what manifest.json records, or end in a traceback.
+    cfg = write_config(tmp_path / "bad.json", **fields)
+    result = runner.invoke(main, ["train", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert name in result.output
 
 
 def test_train_mismatched_initial_schedule_exits_2(runner, tmp_path):
@@ -240,6 +268,19 @@ def test_stage_rejects_non_growing_target(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_stage_rejects_more_than_six_qubits(runner, tmp_path):
+    # Rejected before staging: nothing of 2^7 is ever built.
+    two, six = tmp_path / "two.json", tmp_path / "six.json"
+    save_schedule(FourierSchedule.initialized(2, 250.0), two)
+    save_schedule(FourierSchedule.initialized(6, 250.0), six)
+    for args in ([str(two), "--to", "7"], [str(six)]):
+        out = tmp_path / "s.json"
+        result = runner.invoke(main, ["stage", args[0], str(out), *args[1:]])
+        assert result.exit_code == 2, result.output
+        assert "target qubit count must be an integer in 2..6" in result.output
+        assert not out.exists()
+
+
 def test_stage_missing_input(runner, tmp_path):
     result = runner.invoke(main, ["stage", str(tmp_path / "no.json"),
                                   str(tmp_path / "s.json")])
@@ -299,6 +340,12 @@ def test_eval_named_states(runner, tmp_path):
     ["eval", "--schedule", "{one}"],
     ["export", "--schedule", "{garbage}"],
     ["export", "--schedule", "{two}", "--steps", "0"],
+    # schedule fields of the wrong type, and more qubits than the limit
+    ["eval", "--schedule", "{num_qubits}"],
+    ["eval", "--schedule", "{n_max}"],
+    ["eval", "--schedule", "{tied}"],
+    ["eval", "--schedule", "{T_ns}"],
+    ["eval", "--schedule", "{seven}"],
 ])
 def test_eval_and_export_bad_input_exits_2(runner, tmp_path, args):
     for name, n in (("two", 2), ("three", 3)):
@@ -318,9 +365,17 @@ def test_eval_and_export_bad_input_exits_2(runner, tmp_path, args):
     files["bell"].write_text('["bell"]')
     files["infinite"].write_text("[[Infinity, 0, 0, 1]]")
     files["garbage"].write_text("{not json")
+    base = json.loads(files["two"].read_text())  # tied: one row per kind
+    for name, field, value in (("num_qubits", "num_qubits", 2.5),
+                               ("n_max", "n_max", 3.7), ("tied", "tied", "no"),
+                               ("T_ns", "T_ns", True),
+                               ("seven", "num_qubits", 7)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({**base, field: value}))
     result = runner.invoke(main, [a.format(**files) for a in args]
                            + ["--out", str(tmp_path / "out.csv")])
     assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_eval_without_oracle_writes_nan(runner, tmp_path):
@@ -377,6 +432,20 @@ def test_export_config_template(runner, tmp_path):
     cfg = json.loads(out.read_text())
     assert cfg["mode"] == "circuit"
     assert cfg["T_ns"] == 2.0
+
+
+@pytest.mark.parametrize("mode", ["rl", "backprop", "circuit"])
+def test_config_template_trains(runner, tmp_path, mode):
+    template = tmp_path / "template.json"
+    assert runner.invoke(main, ["export", "--config-template", mode,
+                                "--out", str(template)]).exit_code == 0
+    result = runner.invoke(main, ["train", "--config", str(template),
+                                  "--out", str(tmp_path / "run"),
+                                  "--epochs", "0"])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["config"] == {**json.loads(template.read_text()),
+                                  "epochs": 0}
 
 
 def test_readme_config_block_names_every_field():

@@ -16,8 +16,6 @@ from pauli_reference import pauli, zz
 from qdynlearn import qcore
 from qdynlearn.qcore import (
     DensityMatrix,
-    IDENTITY_MAP,
-    SQUARE_MAP,
     TimeGrid,
     evolve,
     final_state,
@@ -289,7 +287,7 @@ def test_density_matrix_factor_is_taken_on_first_read(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: calls.append(h.shape) or eigh(h))
     rho = DensityMatrix.from_state_vector([1.0, 0.0, 0.0, 1.0j])
-    output_value(rho.matrix, SQUARE_MAP)
+    output_value(rho.matrix)
     assert calls == []
     f = rho.factor
     assert rho.factor is f
@@ -410,11 +408,12 @@ def test_expectation_non_real_raises():
         zz_expectation(np.diag([0.5, 0.25j, 0.0, 0.5]))
 
 
-def test_output_maps():
+def test_output_value_squares_the_correlation():
     rho = DensityMatrix.from_state_vector([0.0, 1.0, 0.0, 0.0]).matrix
-    assert output_value(rho, IDENTITY_MAP) == pytest.approx(-1.0)
-    assert output_value(rho, SQUARE_MAP) == pytest.approx(1.0)
-    assert SQUARE_MAP.derivative(-1.0) == pytest.approx(-2.0)
+    assert zz_expectation(rho) == pytest.approx(-1.0)
+    assert output_value(rho) == pytest.approx(1.0)
+    rho = np.diag([0.8, 0.2, 0.0, 0.0]).astype(complex)  # <zz> = 0.6
+    assert output_value(rho) == pytest.approx(0.36)
 
 
 # -- evolution ---------------------------------------------------------------

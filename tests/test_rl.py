@@ -5,7 +5,7 @@ import pytest
 
 from qdynlearn import backprop, qcore
 from qdynlearn.config import RunConfig
-from qdynlearn.qcore import DensityMatrix, SQUARE_MAP, TimeGrid
+from qdynlearn.qcore import DensityMatrix, TimeGrid
 from qdynlearn.rl import RLConfig, fd_gradient, pair_error, train_rl, train_rl_epoch
 from qdynlearn.schedules import FourierSchedule, list_trainable
 from qdynlearn.witness import TrainingPair, build_training_set
@@ -13,7 +13,7 @@ from qdynlearn.witness import TrainingPair, build_training_set
 
 def quotient(i, pair, sched, cfg, grid):
     """The RL loop's difference quotient of `params[i]` for one pair's error."""
-    error_fn = lambda s: pair_error(pair, s, SQUARE_MAP, grid)
+    error_fn = lambda s: pair_error(pair, s, grid)
     delta = cfg.perturbation(sched.params[i], sched.per_index(cfg.delta_abs)[i])
     return fd_gradient(i, sched, error_fn, error_fn(sched), delta)
 
@@ -83,12 +83,12 @@ def test_perturbation_floor():
 
 
 def test_pair_error_closed_form():
-    # Zero Hamiltonian leaves |00> alone: output f(<zz>) = 1, so the error
+    # Zero Hamiltonian leaves |00> alone: output <zz>^2 = 1, so the error
     # against target d is (d - 1)^2 / 2.
     sched = FourierSchedule.initialized(2, 10.0, n_max=0, tied=True,
                                         tunneling=0.0, bias=0.0, coupling=0.0)
     pair = TrainingPair(DensityMatrix.from_state_vector([1, 0, 0, 0]), 0.25)
-    e = pair_error(pair, sched, SQUARE_MAP, TimeGrid(10.0, 5))
+    e = pair_error(pair, sched, TimeGrid(10.0, 5))
     assert e == pytest.approx(0.5 * 0.75**2)
 
 
@@ -119,8 +119,7 @@ def test_fd_gradient_agrees_with_adjoint():
     cfg = RLConfig()
 
     traj = qcore.evolve(pair.rho0, sched, grid)
-    a_final = backprop.adjoint_boundary(traj.final(), pair.target,
-                                        SQUARE_MAP)
+    a_final = backprop.adjoint_boundary(traj.final(), pair.target)
     field = backprop.adjoint_evolve_backward(a_final, traj)
     for i in list_trainable(sched, cfg.learning_rates):
         exact = backprop.all_gradients([i], traj, field, sched, grid)[0]
@@ -134,8 +133,7 @@ def test_fd_gradient_first_order_in_delta():
     pair = pairs[3]
     i = list_trainable(sched, RLConfig().learning_rates)[0]
     traj = qcore.evolve(pair.rho0, sched, grid)
-    a_final = backprop.adjoint_boundary(traj.final(), pair.target,
-                                        SQUARE_MAP)
+    a_final = backprop.adjoint_boundary(traj.final(), pair.target)
     field = backprop.adjoint_evolve_backward(a_final, traj)
     exact = backprop.all_gradients([i], traj, field, sched, grid)[0]
     errs = []
@@ -157,7 +155,7 @@ def test_epoch_zero_rates_leaves_schedule_unchanged():
     cfg = RLConfig(learning_rates={"tunneling": 0.0, "bias": 0.0,
                                    "coupling": 0.0})
     before = {k: sched.coeffs[k].copy() for k in sched.coeffs}
-    train_rl_epoch(pairs, sched, cfg, SQUARE_MAP, grid)
+    train_rl_epoch(pairs, sched, cfg, grid)
     for kind, c in before.items():
         assert np.array_equal(sched.coeffs[kind], c)
 
@@ -167,34 +165,33 @@ def test_epoch_solve_count_deferred():
     cfg = RLConfig()
     n = len(list_trainable(sched, cfg.learning_rates))
     qcore.solve_count = 0
-    train_rl_epoch(pairs, sched, cfg, SQUARE_MAP, grid)
+    train_rl_epoch(pairs, sched, cfg, grid)
     assert qcore.solve_count == len(pairs) * (1 + n)
 
 
 def test_epoch_rms_matches_direct_evaluation():
     pairs, sched, grid = default_problem(steps=50)
-    expected = np.sqrt(np.mean([2.0 * pair_error(p, sched, SQUARE_MAP, grid)
+    expected = np.sqrt(np.mean([2.0 * pair_error(p, sched, grid)
                                 for p in pairs]))
     rms = train_rl_epoch(pairs, sched.copy(),
                          RLConfig(learning_rates={"tunneling": 0.0,
                                                   "bias": 0.0,
-                                                  "coupling": 0.0}),
-                         SQUARE_MAP, grid)
+                                                  "coupling": 0.0}), grid)
     assert rms == pytest.approx(expected, abs=1e-12)
 
 
 def test_train_is_deterministic():
     pairs, sched, grid = default_problem(steps=50)
     cfg = RLConfig(epochs=5)
-    _, log_a = train_rl(pairs, sched, cfg, SQUARE_MAP, grid)
-    _, log_b = train_rl(pairs, sched, cfg, SQUARE_MAP, grid)
+    _, log_a = train_rl(pairs, sched, cfg, grid)
+    _, log_b = train_rl(pairs, sched, cfg, grid)
     assert np.array_equal(log_a.rms, log_b.rms)
 
 
 def test_train_empty_set_raises():
     _, sched, grid = default_problem()
     with pytest.raises(ValueError):
-        train_rl([], sched, RLConfig(epochs=1), SQUARE_MAP, grid)
+        train_rl([], sched, RLConfig(epochs=1), grid)
 
 
 # -- convergence -------------------------------------------------------------
@@ -203,6 +200,6 @@ def test_train_empty_set_raises():
 def test_train_reaches_target_quickly():
     pairs, sched, grid = default_problem()
     cfg = RLConfig(epochs=100, rms_target=0.05)
-    trained, log = train_rl(pairs, sched, cfg, SQUARE_MAP, grid)
+    trained, log = train_rl(pairs, sched, cfg, grid)
     assert log.rms[-1] <= 0.05
     assert log.rms[-1] < log.rms[0]

@@ -1,5 +1,7 @@
 """Schedule evaluation, coefficient bookkeeping and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,6 +212,28 @@ def test_schedule_from_dict_rejects_unknown_mode():
     with pytest.raises(ScheduleError):
         schedule_from_dict({"mode": "spline", "num_qubits": 2, "T_ns": 1.0,
                             "tied": True, "coefficients": {}})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("num_qubits", 2.5), ("num_qubits", True), ("n_max", 3.7),
+    ("n_max", False), ("tied", "no"), ("tied", 1), ("T_ns", True),
+    ("T_ns", "250"),
+])
+def test_load_schedule_rejects_wrong_types(tmp_path, field, value):
+    # Nothing is coerced: a float qubit count or basis size, a non-bool
+    # `tied` or a bool T would otherwise load as some other schedule.
+    path = tmp_path / "s.json"
+    save_schedule(FourierSchedule.initialized(2, 250.0), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    with pytest.raises(ScheduleError, match=field):
+        load_schedule(path)
+
+
+def test_non_numeric_coefficients_rejected():
+    coeffs = {"tunneling": np.zeros((1, 3)), "bias": [[True, False, True]],
+              "coupling": np.zeros((1, 3))}
+    with pytest.raises(ScheduleError, match="bias coefficients"):
+        FourierSchedule(2, 10.0, coeffs, tied=True, n_max=1)
 
 
 def test_bad_coefficient_shape_rejected():

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from qdynlearn.qcore import (
     DensityMatrix,
-    IDENTITY_MAP,
-    SQUARE_MAP,
     TimeGrid,
 )
 from qdynlearn.schedules import FourierSchedule
@@ -108,12 +106,10 @@ def test_training_set_two_qubits():
 
 
 def test_training_set_targets_match_oracle():
-    # With the square map, each target is the squared concurrence of its state.
-    for pair in build_training_set(2, SQUARE_MAP):
+    # Each target is the squared concurrence of its state.
+    for pair in build_training_set(2):
         assert pair.target == pytest.approx(concurrence(pair.rho0) ** 2,
                                             abs=1e-12)
-    for pair in build_training_set(2, IDENTITY_MAP):
-        assert pair.target == pytest.approx(concurrence(pair.rho0), abs=1e-12)
 
 
 def test_training_set_three_qubits():
@@ -185,7 +181,7 @@ def test_zero_schedule_does_not_discriminate():
                                         tunneling=0.0, bias=0.0, coupling=0.0)
     states = [("zeros", ghz_family_state(2, 1.0, 0.0)),
               ("bell", ghz_family_state(2, 1.0, 1.0))]
-    rep = evaluate_witness(sched, states, SQUARE_MAP, TimeGrid(10.0, 5))
+    rep = evaluate_witness(sched, states, TimeGrid(10.0, 5))
     assert rep.outputs == pytest.approx([1.0, 1.0])
 
 
@@ -197,9 +193,7 @@ def test_outputs_bounded_for_square_map():
                                            size=sched.coeffs[kind].shape)
     _, states = theta_sweep_states(2)
     rep = evaluate_witness(sched, [("s", st) for st in states],
-                           SQUARE_MAP, TimeGrid(100.0, 100))
-    assert np.all(rep.sweep_outputs >= 0.0)
-    assert np.all(rep.sweep_outputs <= 1.0)
+                           TimeGrid(100.0, 100))
     assert np.all(rep.outputs >= 0.0) and np.all(rep.outputs <= 1.0)
 
 
@@ -211,6 +205,5 @@ def test_witness_output_continuity_in_input_state():
     eps = 1e-8
     rho_p = DensityMatrix((1 - eps) * rho.matrix + eps * np.eye(4) / 4)
     assert np.abs(rho_p.matrix - rho.matrix).max() <= 1e-8
-    rep = evaluate_witness(sched, [("a", rho), ("b", rho_p)],
-                           SQUARE_MAP, grid)
+    rep = evaluate_witness(sched, [("a", rho), ("b", rho_p)], grid)
     assert abs(rep.outputs[0] - rep.outputs[1]) <= 1e-6
