@@ -22,7 +22,7 @@ trajectory's step Hamiltonians per pair and per block: a tied schedule's
 steps commute with every qubit permutation, so they are diagonalised on one
 block per distinct total spin of `qcore.spin_basis`; an untied schedule's on
 the whole register.  Every coefficient's gradient is read off W_k by the
-transposed Hamiltonian assembly (`qcore.contract_hamiltonians`).
+transposed Hamiltonian assembly: W_k contracted with `qcore.generators`.
 Validated against finite differences and scipy's expm_frechet; see tests.
 """
 
@@ -125,16 +125,15 @@ def all_gradients(idx, traj: Trajectory, chi: np.ndarray, schedule,
     """Gradients of the half-squared output error for `schedule.params[idx]`.
 
     All share one trajectory and its costate sweep `chi`.  The step
-    sensitivities are contracted once with every site's generator (the
-    transposed assembly), then with every basis function; a tied row sums
-    over its kind's sites.
+    sensitivities are contracted once with every unit generator (the
+    transposed assembly), then with every basis function, which gives the
+    (rows, width) gradient in `params` order.
     """
     w = _step_sensitivities(traj, chi, schedule.tied)
-    sens = qcore.contract_hamiltonians(w, schedule.num_qubits)
+    gens = qcore.generators(schedule.num_qubits, schedule.tied)
+    sens = w.reshape(len(w), -1) @ gens.reshape(len(gens), -1).T  # (M, rows)
     basis = schedule.basis_row(grid.midpoints)  # (M, width)
-    per_site = [-2.0 * basis.T @ s for s in sens]  # (width, sites) per kind
-    return np.concatenate([(g.sum(axis=1) if schedule.tied else g.T).ravel()
-                           for g in per_site])[idx]
+    return (-2.0 * sens.T @ basis).ravel()[idx]
 
 
 def train_backprop(pairs, schedule, config: TrainConfig, grid: TimeGrid):

@@ -88,8 +88,9 @@ class RunConfig:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (expected {MODES})")
         check_num_qubits(self.num_qubits, error=ConfigError)
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        for name in ("epochs", "trace_every", "rms_target"):
+            if not (getattr(self, name) or 0) >= 0:  # None: no target
+                raise ConfigError(f"{name} must be >= 0")
         if isinstance(self.shots, str) and self.shots != "exact":
             raise ConfigError('shots must be a positive integer or "exact"')
         circuit = self.mode == "circuit"

@@ -1,19 +1,19 @@
 """Dense N-qubit linear algebra and unitary time evolution of density matrices.
 
 Everything here works on small dense matrices (dim = 2^N, N <= 6).  H is
-real symmetric, assembled from bit masks (each sigma_x^(i) flips one bit of
-the basis index; the sigma_z terms are diagonal).  Evolution is a stepwise
-matrix exponential of the midpoint Hamiltonians (`step_hamiltonians`), taken
-by `expm_hermitian` without an eigendecomposition: cos(H dt) - i sin(H dt)
-as real Taylor polynomials, accurate and unitary to round-off.  Every solve
-uses those steps: `evolve` keeps the states along the way, `total_propagator`
-multiplies the steps pairwise (`ordered_product`).  `evolve` carries a
-state's square-root factor F (rho = F F^dagger, d x rank) rather than rho, so
-each step is one matrix-vector product for a pure state; rho(t_k) is formed
-from it on demand.  The density-matrix invariants (Hermiticity, unit trace,
-positivity) are preserved to round-off.  No solve diagonalises a
-Hamiltonian; backprop's step sensitivities do, in the total-spin basis of
-`spin_basis` when the schedule is tied.
+real symmetric, a schedule's coefficients times one stack of unit generators
+(`generators`).  Evolution is a stepwise matrix exponential of the midpoint
+Hamiltonians (`step_hamiltonians`), taken by `expm_hermitian` without an
+eigendecomposition: cos(H dt) - i sin(H dt) as real Taylor polynomials,
+accurate and unitary to round-off.  Every solve uses those steps: `evolve`
+keeps the states along the way, `total_propagator` multiplies the steps
+pairwise (`ordered_product`).  `evolve` carries a state's square-root factor
+F (rho = F F^dagger, d x rank) rather than rho, so each step is one
+matrix-vector product for a pure state; rho(t_k) is formed from it on
+demand.  The density-matrix invariants (Hermiticity, unit trace, positivity)
+are preserved to round-off.  No solve diagonalises a Hamiltonian; backprop's
+step sensitivities do, in the total-spin basis of `spin_basis` when the
+schedule is tied.
 
 The one readout is Z_0 Z_1, diagonal in the computational basis: its signs
 are `zz_parity`, and <Z_0 Z_1> is their sum weighted by the final state's
@@ -173,18 +173,29 @@ def zz_parity(num_qubits):
     return _bit_tables(num_qubits)[3][:, 0]
 
 
-def assemble_hamiltonians(tunneling, bias, coupling, num_qubits):
-    """Batch Hamiltonian assembly from bit masks.
+@functools.lru_cache(maxsize=None)
+def generators(num_qubits, tied):
+    """Read-only unit generators G, real (n_gen, d, d), built on first use.
 
-    Parameters are arrays over a time batch: tunneling/bias of shape (M, N)
-    and coupling of shape (M, P) in `pair_indices` order.  Returns real (M, d, d).
+    Row g is dH/dc_g for column g of a schedule's `eval_many`, i.e. row g of
+    its `params.reshape(-1, width)`.  Untied: sigma_x of each qubit, sigma_z
+    of each qubit, then sigma_z sigma_z of each pair in `pair_indices` order.
+    Tied: the three sums over sites of those kinds.
     """
     idx, masks, zsigns, zzsigns = _bit_tables(num_qubits)
-    h = np.zeros((len(tunneling), idx.size, idx.size))
-    h[:, idx, idx] = bias @ zsigns.T + coupling @ zzsigns.T
-    for q, mask in enumerate(masks):
-        h[:, idx, idx ^ mask] = tunneling[:, q, None]
-    return h
+    x = np.zeros((num_qubits, idx.size, idx.size))
+    x[np.arange(num_qubits)[:, None], idx, idx ^ masks[:, None]] = 1.0  # bit flip
+    z, zz = (np.eye(idx.size) * s.T[:, None, :] for s in (zsigns, zzsigns))
+    g = (np.stack([x.sum(0), z.sum(0), zz.sum(0)]) if tied
+         else np.concatenate([x, z, zz]))
+    g.flags.writeable = False
+    return g
+
+
+def assemble_hamiltonians(coef, gens):
+    """H_m = sum_g coef[m, g] gens[g]: (M, n_gen) coefficients to (M, d, d)."""
+    d = gens.shape[-1]
+    return (coef @ gens.reshape(len(gens), d * d)).reshape(len(coef), d, d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,12 +225,12 @@ def spin_basis(num_qubits):
             w = np.rint(w)
             split += [g @ u[:, w == x] for x in sorted(set(w.tolist()))]
         groups = split
-    ops = _spin_operators(num_qubits)
+    x, z, _ = generators(num_qubits, True)
     copies = []
     for g in sorted(groups, key=lambda g: -g.shape[1]):  # largest j first
-        c = g @ np.linalg.eigh(g.T @ ops[1] @ g)[1]  # ascending 2 J_z
+        c = g @ np.linalg.eigh(g.T @ z @ g)[1]  # ascending 2 J_z
         # <m+1| sum sigma_x |m> = <m+1| J_+ |m>: make each one positive.
-        steps = np.sign(np.diagonal(c.T @ ops[0] @ c, offset=1))
+        steps = np.sign(np.diagonal(c.T @ x @ c, offset=1))
         copies.append(c * np.cumprod(np.r_[1.0, steps]))
     sizes = [c.shape[1] for c in copies]
     blocks = tuple((n, sizes.count(n)) for n in sorted(set(sizes))[::-1])
@@ -229,27 +240,17 @@ def spin_basis(num_qubits):
     return q, blocks
 
 
-def _spin_operators(num_qubits):
-    """sum sigma_x / N, sum sigma_z / N and sum_{i<j} sigma_z sigma_z / pairs.
-
-    Each is divided by its spectral norm, so its residuals are relative.
-    """
-    n, pairs = num_qubits, len(pair_indices(num_qubits))
-    return assemble_hamiltonians(np.outer([1.0 / n, 0.0, 0.0], np.ones(n)),
-                                 np.outer([0.0, 1.0 / n, 0.0], np.ones(n)),
-                                 np.outer([0.0, 0.0, 1.0 / max(pairs, 1)],
-                                          np.ones(pairs)), n)
-
-
 def check_spin_basis(q, blocks, num_qubits):
     """(|Q^T Q - I|, block residual) of a `spin_basis`, as maxima.
 
-    The block residual is the largest entry of Q^T op Q, over the three
-    `_spin_operators`, off identical per-copy blocks.  Raises LinAlgError if
-    either exceeds SPIN_BASIS_TOL.
+    The block residual is the largest entry of Q^T op Q off identical
+    per-copy blocks, over the tied `generators` divided by their spectral
+    norms N, N and P.  Raises LinAlgError if either exceeds SPIN_BASIS_TOL.
     """
     orth = np.abs(q.T @ q - np.eye(len(q))).max()
-    rotated = q.T @ _spin_operators(num_qubits) @ q
+    norms = [num_qubits, num_qubits, max(len(pair_indices(num_qubits)), 1)]
+    ops = generators(num_qubits, True) / np.array(norms)[:, None, None]
+    rotated = q.T @ ops @ q
     expected = np.zeros_like(rotated)
     start = 0
     for n, copies in blocks:
@@ -263,19 +264,6 @@ def check_spin_basis(q, blocks, num_qubits):
             f"spin basis at N = {num_qubits}: orthogonality residual "
             f"{orth:.1e}, block residual {block:.1e}")
     return orth, block
-
-
-def contract_hamiltonians(w, num_qubits):
-    """Transpose of `assemble_hamiltonians`: sum(G_site * w) for every site.
-
-    For a stack w of shape (M, d, d), returns the contractions with each
-    unit generator G_site as tunneling (M, N), bias (M, N) and coupling
-    (M, P) arrays, in the same site order as the assembly's inputs.
-    """
-    idx, masks, zsigns, zzsigns = _bit_tables(num_qubits)
-    diag = w[:, idx, idx]
-    tunneling = w[:, idx[:, None], idx[:, None] ^ masks].sum(axis=1)
-    return tunneling, diag @ zsigns, diag @ zzsigns
 
 
 def _taylor_table():
@@ -357,8 +345,9 @@ def expm_hermitian(h, dt):
 
 def step_hamiltonians(schedule, grid: TimeGrid):
     """Real midpoint Hamiltonians H(t_k + dt/2), shape (M, d, d)."""
-    k, e, z = schedule.eval_many(grid.midpoints)
-    return assemble_hamiltonians(k, e, z, schedule.num_qubits)
+    return assemble_hamiltonians(
+        schedule.eval_many(grid.midpoints),
+        generators(schedule.num_qubits, schedule.tied))
 
 
 def step_unitaries(schedule, grid: TimeGrid):

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .qcore import pair_indices
+
 
 @dataclass
 class EpochRecord:
@@ -45,29 +47,26 @@ class EpochLog:
                 w.writerow([r.epoch, repr(r.rms), f"{r.wall_seconds:.3f}"])
 
 
-def trace_header(schedule):
-    cols = ["epoch", "t_ns"]
-    cols += [f"K_{i}" for i in range(schedule.num_qubits)]
-    cols += [f"eps_{i}" for i in range(schedule.num_qubits)]
-    cols += [f"zeta_{i}_{j}" for i, j in schedule.pairs]
-    return cols
-
-
 class TraceWriter:
-    """Accumulates parameter-vs-time snapshots (one block per logged epoch)."""
+    """Accumulates parameter-vs-time snapshots (one block per logged epoch).
+
+    A row holds every site's value: a tied column repeats over its kind's sites.
+    """
 
     def __init__(self, schedule, times):
         self.times = np.asarray(times, dtype=float)
-        self.header = trace_header(schedule)
+        n = schedule.num_qubits
+        self.sites = [[f"K_{i}" for i in range(n)], [f"eps_{i}" for i in range(n)],
+                      [f"zeta_{i}_{j}" for i, j in pair_indices(n)]]
+        self.header = ["epoch", "t_ns", *sum(self.sites, [])]
         self.rows = []
 
     def snapshot(self, epoch, schedule):
-        k, e, z = schedule.eval_many(self.times)
-        for m, t in enumerate(self.times):
-            self.rows.append([epoch, repr(float(t))]
-                             + [repr(v) for v in k[m]]
-                             + [repr(v) for v in e[m]]
-                             + [repr(v) for v in z[m]])
+        values = schedule.eval_many(self.times)
+        if schedule.tied:
+            values = np.repeat(values, [len(s) for s in self.sites], axis=1)
+        for t, row in zip(self.times.tolist(), values.tolist()):
+            self.rows.append([epoch, repr(t)] + [repr(v) for v in row])
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:

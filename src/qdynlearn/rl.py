@@ -12,6 +12,7 @@ against hardware-style (shot-sampled) evaluations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,14 @@ class RLConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.delta_rel <= 0:
-            raise ValueError("delta_rel must be positive")
+        if not 0 < self.delta_rel < math.inf:
+            raise ValueError("delta_rel must be positive and finite")
         if self.delta_abs is None:
             self.delta_abs = {k: self.delta_rel * s
                               for k, s in FourierSchedule.INIT.items()}
-        if self.delta_abs.keys() != {*KIND_ORDER} or min(self.delta_abs.values()) <= 0:
-            raise ValueError("delta_abs needs one positive entry per kind")
+        if (self.delta_abs.keys() != {*KIND_ORDER}
+                or not all(0 < v < math.inf for v in self.delta_abs.values())):
+            raise ValueError("delta_abs needs one positive, finite entry per kind")
 
     def perturbation(self, value, floor):
         """Perturbation size max(delta_rel |value|, floor), elementwise."""

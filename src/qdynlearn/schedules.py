@@ -116,10 +116,6 @@ class _Schedule:
         """Mask of the basis functions that sum to the constant 1."""
         raise NotImplementedError
 
-    @property
-    def pairs(self):
-        return pair_indices(self.num_qubits)
-
     def n_sites(self, kind):
         return n_sites(self.num_qubits, kind)
 
@@ -142,23 +138,15 @@ class _Schedule:
         raise NotImplementedError
 
     def eval_many(self, ts):
-        """Parameter values at times ts.
+        """Each row of `params.reshape(-1, width)` at times ts, shape (M, rows).
 
-        Returns (tunneling (M, N), bias (M, N), coupling (M, P)) with the
-        coupling columns in `pair_indices` order; tied rows are broadcast to
-        every site.
+        Column g multiplies row g of `qcore.generators(num_qubits, tied)`:
+        per site, or one column per kind when tied.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < -1e-12 or ts.max() > self.T + 1e-12):
             raise ScheduleError("evaluation time outside [0, T]")
-        b = self.basis_row(ts)
-        out = []
-        for kind in KIND_ORDER:
-            vals = b @ self.coeffs[kind].T  # (M, rows)
-            if self.tied:
-                vals = np.repeat(vals, self.n_sites(kind), axis=1)
-            out.append(vals)
-        return tuple(out)
+        return self.basis_row(ts) @ self.params.reshape(-1, self.width).T
 
     # -- serialization -----------------------------------------------------
 

@@ -42,8 +42,9 @@ class TrainConfig:
     epoch_callback: object = None  # callable(epoch, rms, schedule)
 
     def __post_init__(self):
-        if any(v < 0 for v in self.learning_rates.values()):
-            raise ValueError("learning rates must be nonnegative")
+        for kind, rate in self.learning_rates.items():
+            if not 0 <= rate < math.inf:
+                raise ValueError(f"learning_rates.{kind} must be finite and >= 0")
 
 
 def descend(schedule, idx, grads, rates):

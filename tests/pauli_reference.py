@@ -1,7 +1,7 @@
 """Dense Pauli operators built from Kronecker factors.
 
-The program assembles Hamiltonians from bit masks and reads <Z_0 Z_1> from
-a parity vector; these dense krons are the tests' independent reference.
+The program builds its unit generators from bit tables and reads <Z_0 Z_1>
+from a parity vector; these dense krons are the tests' independent reference.
 """
 
 import numpy as np

@@ -177,23 +177,24 @@ def frechet_reference_gradients(sched, traj, a_final):
     field_ = costate_field(a_final, traj)
     states = traj.states
     gens = site_generators(sched.num_qubits)
-    hs = np.einsum("ms,sij->mij", np.hstack(sched.eval_many(grid.midpoints)),
-                   np.array([g for kind in KIND_ORDER for g in gens[kind]]))
+    row_gens = []  # dH/dP per row of `params`
+    for kind in KIND_ORDER:
+        # A tied row drives every site of its kind.
+        row_gens += ([sum(gens[kind], np.zeros_like(field_[0]))] if sched.tied
+                     else gens[kind])
+    hs = np.einsum("mg,gij->mij", sched.eval_many(grid.midpoints),
+                   np.array(row_gens))
     basis = sched.basis_row(grid.midpoints)
     ref = []
-    for kind in KIND_ORDER:
-        for row in range(sched.rows(kind)):
-            # A tied row drives every site of its kind.
-            sites = range(sched.n_sites(kind)) if sched.tied else [row]
-            gen = sum((gens[kind][s] for s in sites), np.zeros_like(hs[0]))
-            terms = []
-            for k, h in enumerate(hs):
-                u, du = scipy.linalg.expm_frechet(-1j * grid.dt * h,
-                                                  -1j * grid.dt * gen)
-                half = du @ states[k] @ u.conj().T
-                terms.append(np.trace(field_[k + 1] @ (half + half.conj().T)))
-            ref += [-np.sum(np.array(terms) * basis[:, b])
-                    for b in range(sched.width)]
+    for gen in row_gens:
+        terms = []
+        for k, h in enumerate(hs):
+            u, du = scipy.linalg.expm_frechet(-1j * grid.dt * h,
+                                              -1j * grid.dt * gen)
+            half = du @ states[k] @ u.conj().T
+            terms.append(np.trace(field_[k + 1] @ (half + half.conj().T)))
+        ref += [-np.sum(np.array(terms) * basis[:, b])
+                for b in range(sched.width)]
     return np.array(ref)
 
 
@@ -419,5 +420,6 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     lam, v = eigh(traj.hamiltonians)
     rebuilt = (v * np.exp(-1j * grid.dt * lam)[:, None, :]) @ v.swapaxes(1, 2)
     assert np.abs(rebuilt - traj.unitaries).max() <= 1e-13
-    h = assemble(*sched.eval_many(grid.midpoints), 3)
+    h = assemble(sched.eval_many(grid.midpoints),
+                 qcore.generators(3, sched.tied))
     assert np.abs((v * lam[:, None, :]) @ v.swapaxes(1, 2) - h).max() <= 1e-13

@@ -10,7 +10,12 @@ from click.testing import CliRunner
 
 from qdynlearn.cli import main
 from qdynlearn.config import RunConfig
-from qdynlearn.schedules import FourierSchedule, load_schedule, save_schedule
+from qdynlearn.schedules import (
+    KIND_ORDER,
+    FourierSchedule,
+    load_schedule,
+    save_schedule,
+)
 
 
 @pytest.fixture
@@ -99,6 +104,8 @@ def test_train_non_finite_number_exits_2(runner, tmp_path, text):
     ({"tied": "no"}, "tied"),
     ({"init": {"bias": "x"}}, "init.bias"),
     ({"initial_schedule": 0}, "initial_schedule"),
+    ({"trace_every": -1}, "trace_every"),
+    ({"rms_target": -0.5}, "rms_target"),
 ])
 def test_train_wrong_type_or_range_exits_2(runner, tmp_path, fields, name):
     # Nothing is coerced: each of these would otherwise train something
@@ -163,6 +170,36 @@ def test_train_writes_all_artifacts(runner, tmp_path):
     assert manifest["final_rms"] == float(rows[-1][1])
     sched = load_schedule(out / "schedule.json")
     assert sched.num_qubits == 2
+
+
+@pytest.mark.parametrize("mode,fields", [("rl", {}),
+                                         ("circuit", {"T_ns": 2.0})])
+def test_traces_csv_is_numeric_and_matches_the_schedule(runner, tmp_path,
+                                                        mode, fields):
+    # Every cell is a plain number, and the final block holds the trained
+    # schedule's value for every site: a tied row (rl) drives all sites of
+    # its kind, an untied one (circuit) its own site.
+    cfg = write_config(tmp_path / "cfg.json", mode=mode, num_qubits=3,
+                       epochs=2, trace_every=1, **fields)
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    header, *rows = read_csv(out / "traces.csv")
+    assert header == ["epoch", "t_ns", "K_0", "K_1", "K_2", "eps_0", "eps_1",
+                      "eps_2", "zeta_0_1", "zeta_0_2", "zeta_1_2"]
+    values = np.array([[float(cell) for cell in row] for row in rows])
+    sched = load_schedule(out / "schedule.json")
+    steps = 50
+    assert len(values) == 4 * (steps + 1)  # start, epochs 1, 2 and the end
+    last = values[-(steps + 1):]
+    assert (last[:, 0] == 2).all()
+    basis = sched.basis_row(last[:, 1])
+    columns = [(kind, site) for kind in KIND_ORDER
+               for site in range(sched.n_sites(kind))]
+    for col, (kind, site) in enumerate(columns, start=2):
+        row = sched.coeffs[kind][0 if sched.tied else site]
+        assert np.allclose(last[:, col], basis @ row, rtol=1e-13, atol=0.0)
 
 
 def test_train_zero_epochs_writes_initial_artifacts(runner, tmp_path):
@@ -469,6 +506,8 @@ def test_export_schedule_trace(runner, tmp_path):
     rows = read_csv(trace)
     assert rows[0][:2] == ["epoch", "t_ns"]
     assert len(rows) == 1 + 11
+    assert all(np.isfinite([float(cell) for cell in row]).all()
+               for row in rows[1:])
 
 
 def test_export_requires_exactly_one_source(runner, tmp_path):

@@ -41,14 +41,14 @@ def test_pair_indices_order():
 
 
 def test_build_hamiltonian_single_qubit():
-    h = qcore.assemble_hamiltonians(np.array([[0.3]]), np.array([[0.7]]),
-                                    np.zeros((1, 0)), 1)
+    h = qcore.assemble_hamiltonians(np.array([[0.3, 0.7]]),
+                                    qcore.generators(1, False))
     assert np.allclose(h[0], [[0.7, 0.3], [0.3, -0.7]])
 
 
 def test_build_hamiltonian_coupling_only():
-    h = qcore.assemble_hamiltonians(np.zeros((1, 2)), np.zeros((1, 2)),
-                                    np.array([[0.5]]), 2)
+    h = qcore.assemble_hamiltonians(np.array([[0.0, 0.0, 0.0, 0.0, 0.5]]),
+                                    qcore.generators(2, False))
     assert np.allclose(h[0], np.diag([0.5, -0.5, -0.5, 0.5]))
 
 
@@ -60,6 +60,17 @@ def pauli_sum(tunneling, bias, coupling, num_qubits):
     for col, (i, j) in enumerate(pair_indices(num_qubits)):
         h = h + coupling[col] * z[i] @ z[j]
     return h
+
+
+def site_values(sched, coef):
+    """Per-site (tunneling, bias, coupling) rows of `eval_many` columns.
+
+    A tied column drives every site of its kind.
+    """
+    sites = [sched.n_sites(kind) for kind in KIND_ORDER]
+    if sched.tied:
+        coef = np.repeat(coef, sites, axis=1)
+    return np.split(coef, np.cumsum(sites)[:-1], axis=1)
 
 
 @st.composite
@@ -77,26 +88,33 @@ def random_schedules(draw):
 @settings(max_examples=40, deadline=None)
 @given(sched=random_schedules())
 def test_assemble_hamiltonians_matches_pauli_sum(sched):
-    k, e, z = sched.eval_many(np.linspace(0.0, sched.T, 5))
-    h = qcore.assemble_hamiltonians(k, e, z, sched.num_qubits)
+    coef = sched.eval_many(np.linspace(0.0, sched.T, 5))
+    h = qcore.assemble_hamiltonians(
+        coef, qcore.generators(sched.num_qubits, sched.tied))
+    k, e, z = site_values(sched, coef)
     ref = np.stack([pauli_sum(*row, sched.num_qubits) for row in zip(k, e, z)])
     assert h.dtype == np.float64
     assert np.abs(h - ref).max() <= 1e-12
 
 
-@settings(max_examples=40, deadline=None)
-@given(sched=random_schedules(), seed=st.integers(0, 2**32 - 1))
-def test_contract_hamiltonians_is_the_transposed_assembly(sched, seed):
-    # <assemble(k, e, z), w> = <(k, e, z), contract(w)> for any stack w.
-    k, e, z = sched.eval_many(np.linspace(0.0, sched.T, 3))
-    d = 2**sched.num_qubits
-    w = np.random.default_rng(seed).normal(size=(3, d, d))
-    lhs = np.sum(qcore.assemble_hamiltonians(k, e, z, sched.num_qubits) * w,
-                 axis=(1, 2))
-    tk, te, tz = qcore.contract_hamiltonians(w, sched.num_qubits)
-    assert (tk.shape, te.shape, tz.shape) == (k.shape, e.shape, z.shape)
-    rhs = np.sum(k * tk, 1) + np.sum(e * te, 1) + np.sum(z * tz, 1)
-    assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_generators_are_the_pauli_terms(num_qubits):
+    # Untied: one dense Pauli product per site, in `params` row order; tied:
+    # each kind's sum over its sites.
+    x = [pauli("x", q, num_qubits) for q in range(num_qubits)]
+    z = [pauli("z", q, num_qubits) for q in range(num_qubits)]
+    zz_ = [z[i] @ z[j] for i, j in pair_indices(num_qubits)]
+    zero = np.zeros((2**num_qubits,) * 2)
+    for tied, ref in ((False, x + z + zz_),
+                      (True, [sum(kind, zero) for kind in (x, z, zz_)])):
+        g = qcore.generators(num_qubits, tied)
+        assert g.dtype == np.float64
+        assert g.shape == (len(ref), *zero.shape)
+        assert np.array_equal(g, np.array(ref).real)
+        assert not g.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, 0, 0] = 1.0
+        assert qcore.generators(num_qubits, tied) is g
 
 
 @settings(max_examples=20, deadline=None)
@@ -132,8 +150,9 @@ def assert_matches_expm(h, dt):
 def test_expm_hermitian_matches_scipy_expm(sched, theta):
     # theta = ||H dt||_1 from the identity (0) through every Taylor degree
     # and, above 2.656, the scaling-and-squaring branch.
-    k, e, z = sched.eval_many(np.linspace(0.0, sched.T, 3))
-    h = qcore.assemble_hamiltonians(k, e, z, sched.num_qubits)
+    h = qcore.assemble_hamiltonians(
+        sched.eval_many(np.linspace(0.0, sched.T, 3)),
+        qcore.generators(sched.num_qubits, sched.tied))
     norm = theta_norm(h)
     # Scale h, not dt: theta / norm overflows for a subnormal norm.
     if norm > 0:
@@ -354,7 +373,8 @@ def test_spin_basis_check_raises_on_mixed_copies():
 
 def test_spin_basis_is_not_built_at_import():
     code = ("import qdynlearn.cli, qdynlearn.qcore as q; "
-            "print(q.spin_basis.cache_info().currsize)")
+            "print(q.spin_basis.cache_info().currsize "
+            "+ q.generators.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=str(Path(qcore.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
@@ -502,7 +522,8 @@ def test_piecewise_schedule_reproduced_exactly_on_aligned_grid():
     ref = np.eye(4, dtype=complex)
     tau = T / segs
     hs = qcore.assemble_hamiltonians(
-        *sched.eval_many((np.arange(segs) + 0.5) * tau), 2)
+        sched.eval_many((np.arange(segs) + 0.5) * tau),
+        qcore.generators(2, False))
     for h in hs:
         ref = scipy.linalg.expm(-1j * h * tau) @ ref
     assert np.abs(u - ref).max() < 1e-12

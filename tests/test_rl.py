@@ -69,6 +69,26 @@ def test_config_validation():
         RLConfig(learning_rates={"tunneling": -1.0})
 
 
+RATES = {"tunneling": 2e-7, "bias": 0.0, "coupling": 4e-7}
+FLOORS = {"tunneling": 1e-7, "bias": 1e-7, "coupling": 1e-7}
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"learning_rates": {**RATES, "tunneling": np.nan}},
+     "learning_rates.tunneling"),
+    ({"learning_rates": {**RATES, "coupling": np.inf}},
+     "learning_rates.coupling"),
+    ({"delta_rel": np.nan}, "delta_rel"),
+    ({"delta_rel": np.inf}, "delta_rel"),
+    ({"delta_abs": {**FLOORS, "tunneling": np.inf}}, "delta_abs"),
+    ({"delta_abs": {**FLOORS, "bias": np.nan}}, "delta_abs"),
+])
+def test_non_finite_loop_settings_rejected(fields, name):
+    # A NaN passes `v < 0` and `v <= 0`: each would train on NaN steps.
+    with pytest.raises(ValueError, match=name):
+        RLConfig(**fields)
+
+
 def test_perturbation_floor():
     cfg = RLConfig()
     # large value: relative perturbation wins

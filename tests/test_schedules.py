@@ -16,6 +16,7 @@ from qdynlearn.schedules import (
     save_schedule,
     schedule_from_dict,
 )
+from qdynlearn.reporting import TraceWriter
 
 ALL_RATES = {"tunneling": 1.0, "bias": 1.0, "coupling": 1.0}
 
@@ -42,9 +43,9 @@ def test_fourier_eval_at_zero_is_constant_plus_cosines():
                                     tunneling=2.5e-3)
     # add a cosine term: at t=0 every cos is 1 and every sin is 0
     s.coeffs["tunneling"][0, 3] = 1e-3  # cos(pi t/T)
-    k, _, _ = s.eval_many([0.0])
-    assert k[0, 0] == pytest.approx(2.5e-3 + 1e-3)
-    assert k[0, 1] == pytest.approx(2.5e-3 + 1e-3)  # tied broadcast
+    coef = s.eval_many([0.0])
+    assert coef.shape == (1, 3)  # tied: one column per kind
+    assert coef[0, 0] == pytest.approx(2.5e-3 + 1e-3)
 
 
 def test_fourier_eval_midpoint_sine():
@@ -52,7 +53,7 @@ def test_fourier_eval_midpoint_sine():
     s = FourierSchedule.initialized(1, T, n_max=1, tied=True, tunneling=2.5e-3,
                                     bias=0.0, coupling=0.0)
     s.coeffs["tunneling"][0, 1] = 1e-3  # sin(pi t/T), peaks at T/2
-    assert s.eval_many([T / 2])[0][0, 0] == pytest.approx(3.5e-3)
+    assert s.eval_many([T / 2])[0, 0] == pytest.approx(3.5e-3)
 
 
 def test_fourier_reconstruction_identity():
@@ -60,7 +61,7 @@ def test_fourier_reconstruction_identity():
     rng = np.random.default_rng(0)
     s = random_fourier(rng)
     for t in rng.uniform(0.0, s.T, size=10):
-        k = s.eval_many([t])[0][0]
+        k = s.eval_many([t])[0]  # untied: tunneling of sites 0, 1 first
         basis = s.basis_row([t])[0]
         for site in range(2):
             total = sum(
@@ -89,7 +90,7 @@ def test_piecewise_eval_picks_segment_value():
     s = random_piecewise(rng)
     for t in (0.5, 3.1, 6.2, 7.9):
         seg = segment_of(s, t)
-        k = s.eval_many([t])[0][0]
+        k = s.eval_many([t])[0]
         assert k[0] == pytest.approx(s.coeffs["tunneling"][0, seg])
         assert k[1] == pytest.approx(s.coeffs["tunneling"][1, seg])
 
@@ -111,7 +112,15 @@ def test_eval_outside_domain_raises():
 def test_tied_broadcast_is_uniform():
     s = FourierSchedule.initialized(3, 50.0, n_max=2, tied=True)
     s.coeffs["coupling"][0, 2] = 3e-4
-    k, e, z = s.eval_many(np.linspace(0, 50.0, 7))
+    ts = np.linspace(0, 50.0, 7)
+    assert s.eval_many(ts).shape == (7, 3)  # one column per kind
+    # The trace repeats each kind's column over its sites.
+    trace = TraceWriter(s, ts)
+    trace.snapshot(0, s)
+    rows = np.array(trace.rows, dtype=float)
+    k, z = rows[:, 2:5], rows[:, 8:]
+    assert trace.header[8:] == ["zeta_0_1", "zeta_0_2", "zeta_1_2"]
+    assert np.array_equal(rows[:, 2:], np.repeat(s.eval_many(ts), 3, axis=1))
     assert np.allclose(k, k[:, :1])
     assert np.allclose(z, z[:, :1])
     assert z.shape == (7, 3)  # three pairs for 3 qubits
@@ -204,8 +213,7 @@ def test_serialization_roundtrip(tmp_path, factory):
     assert loaded.T == s.T
     assert loaded.tied == s.tied
     ts = rng.uniform(0.0, s.T, size=100)
-    for a, b in zip(s.eval_many(ts), loaded.eval_many(ts)):
-        assert np.abs(a - b).max() < 1e-15
+    assert np.abs(s.eval_many(ts) - loaded.eval_many(ts)).max() < 1e-15
 
 
 def test_schedule_from_dict_rejects_unknown_mode():
@@ -264,8 +272,9 @@ def test_initialized_is_constant_at_init_values(family, tied, num_qubits, T,
                         **{structure: smallest + size})
     assert s.tied == (cls.TIED if tied is None else tied)
     given_values = (tunneling, bias, coupling)
-    evaluated = s.eval_many(np.asarray(ts) * T)
+    evaluated = np.split(s.eval_many(np.asarray(ts) * T),
+                         np.cumsum([s.rows(k) for k in KIND_ORDER])[:-1], axis=1)
     for kind, value, vals in zip(KIND_ORDER, given_values, evaluated):
         expected = cls.INIT[kind] if value is None else value
-        assert vals.shape == (len(ts), s.n_sites(kind))
+        assert vals.shape == (len(ts), s.rows(kind))
         assert np.all(vals == expected)
