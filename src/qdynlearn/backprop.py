@@ -4,8 +4,10 @@ The output error at the final time is pulled backward through the same step
 unitaries as the forward pass, giving every coefficient gradient from a single
 backward sweep: the costate matrix A(t) satisfies the boundary condition
 A(T) = [d - <O>^2] 2<O> O, with O = Z_0 Z_1 the diagonal readout (the
-derivative of the half-squared error of the output <O>^2), and propagates by inverse conjugation, A(t_k) = U_k^dag A(t_{k+1}) U_k.  The
-per-coefficient gradient is the commutator-trace integral
+derivative of the half-squared error of the output <O>^2), <O> read from the
+populations of the final factor, and propagates by inverse conjugation,
+A(t_k) = U_k^dag A(t_{k+1}) U_k.  The per-coefficient gradient is the
+commutator-trace integral
 
     dL/dw = i * integral_0^T tr( A(t) [dH/dw(t), rho(t)] ) dt
 
@@ -38,11 +40,11 @@ from .train import TrainConfig, descend, run_epochs
 IMAG_RESIDUAL_TOL = 1e-8
 
 
-def adjoint_boundary(rho_f, target: float) -> np.ndarray:
-    """Final-time costate A(T) = [d - <O>^2] 2<O> O for O = Z_0 Z_1."""
-    theta = qcore.zz_expectation(rho_f)
+def adjoint_boundary(p, target: float) -> np.ndarray:
+    """A(T) = [d - <O>^2] 2<O> O, O = Z_0 Z_1, from the final populations p."""
+    theta = qcore.zz_expectation(p)
     scale = (target - theta * theta) * (2.0 * theta)
-    return np.diag(scale * qcore.zz_parity(len(rho_f).bit_length() - 1))
+    return np.diag(scale * qcore.zz_parity(len(p).bit_length() - 1))
 
 
 def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray:
@@ -150,10 +152,9 @@ def train_backprop(pairs, schedule, config: TrainConfig, grid: TimeGrid):
         sq_errors = []
         for pair in pairs:
             traj = qcore.evolve(pair.rho0, schedule, grid)
-            rho_f = traj.final()
-            out = qcore.output_value(rho_f)
-            sq_errors.append((pair.target - out) ** 2)
-            a_final = adjoint_boundary(rho_f, pair.target)
+            p = qcore.populations(traj.factors[-1])
+            sq_errors.append((pair.target - qcore.output_value(p)) ** 2)
+            a_final = adjoint_boundary(p, pair.target)
             chi = adjoint_evolve_backward(a_final, traj)
             grads = all_gradients(idx, traj, chi, schedule, grid)
             descend(schedule, idx, grads, rates)

@@ -1,14 +1,14 @@
 """Hardware-style mode: circuit unitary, shot-sampled readout, RL training.
 
-A piecewise-constant schedule compiles to one exact circuit unitary, the
-ordered product of its segments' exponentials (one `qcore` step per segment).
-Measurement happens in the computational basis, either exactly (probabilities)
-or by sampling a finite number of shots, optionally with a depolarizing
-channel after each segment and independent readout bit flips.  The global
-depolarizing channel commutes with unitary conjugation, so the S channels act
-on the measured distribution in closed form.  Training is
-the same finite-difference loop as the continuum RL module, but the error is
-the whole-set RMS between witness estimates and targets.
+A piecewise-constant schedule compiles to one exact (d, d) circuit unitary U,
+the ordered product of its segments' exponentials (one `qcore` step per
+segment).  Measurement happens in the computational basis on the populations
+|U F|^2 of the initial factor F, either exactly (probabilities) or by
+sampling shots, optionally with a depolarizing channel after each segment
+and independent readout bit flips.  The depolarizing channel commutes with
+unitary conjugation, so the S channels act on the distribution in closed
+form.  Training is the finite-difference loop of the continuum RL module, on
+the whole-set RMS between witness estimates (normalised counts) and targets.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from . import qcore, rl
 from .qcore import DensityMatrix, TimeGrid
 from .schedules import PiecewiseSchedule, list_trainable
 from .train import descend, run_epochs
-
-UNITARITY_TOL = 1e-12
 
 
 @dataclass
@@ -47,25 +45,10 @@ class ShotBackend:
         return self.shots is None
 
 
-@dataclass(frozen=True)
-class SegmentedCircuit:
-    """Total unitary U_S ... U_1 of a piecewise schedule's segments."""
-
-    unitary: np.ndarray  # (d, d)
-    schedule: PiecewiseSchedule
-
-    def __post_init__(self):
-        u = self.unitary
-        err = np.abs(u @ u.conj().T - np.eye(u.shape[-1])).max()
-        if err > UNITARITY_TOL:
-            raise ValueError(f"circuit unitary not unitary (residual {err:.2e})")
-
-
-def compile_segments(schedule: PiecewiseSchedule) -> SegmentedCircuit:
-    """Product of U_s = exp(-i H_s T/S) over each segment's constant parameters."""
+def compile_segments(schedule: PiecewiseSchedule) -> np.ndarray:
+    """(d, d) product of U_s = exp(-i H_s T/S) over the segments' parameters."""
     grid = TimeGrid(schedule.T, schedule.segments)
-    return SegmentedCircuit(
-        qcore.ordered_product(qcore.step_unitaries(schedule, grid)), schedule)
+    return qcore.ordered_product(qcore.step_unitaries(schedule, grid))
 
 
 @functools.lru_cache(maxsize=16)
@@ -79,26 +62,24 @@ def _readout_matrix(num_qubits, p_ro):
     return f
 
 
-def run_shots(circuit: SegmentedCircuit, rho0: DensityMatrix,
-              backend: ShotBackend) -> np.ndarray:
-    """Apply the circuit and measure in the computational basis.
+def run_shots(u, rho0: DensityMatrix, backend: ShotBackend, segments):
+    """Apply the circuit unitary `u` and measure in the computational basis.
 
-    The S depolarizing channels (one per segment) commute with the unitary,
-    so they act on the outcome distribution as
-    (1-p)^S diag(U rho U^dag) + (1 - (1-p)^S) / d.
+    The `segments` depolarizing channels (one per segment) commute with the
+    unitary, so they act on the outcome distribution as
+    (1-p)^S |U F|^2 + (1 - (1-p)^S) / d, with F the factor of rho0.
 
     Returns one entry per basis state, indexed by the measured bitstring
     read as a binary number (qubit 0 is the most significant bit): the
     outcome probabilities in exact mode, otherwise the integer counts of
     `shots` multinomial draws.
     """
-    u = circuit.unitary
-    keep = (1.0 - backend.p_dep) ** circuit.schedule.segments
-    populations = np.diag(u @ rho0.matrix @ u.conj().T).real
-    probs = np.clip(keep * populations + (1.0 - keep) / u.shape[0], 0.0, None)
+    keep = (1.0 - backend.p_dep) ** segments
+    populations = qcore.populations(u @ rho0.factor)
+    probs = np.clip(keep * populations + (1.0 - keep) / len(u), 0.0, None)
     probs = probs / probs.sum()
     if backend.p_ro > 0.0:
-        probs = _readout_matrix(circuit.schedule.num_qubits, backend.p_ro) @ probs
+        probs = _readout_matrix(len(u).bit_length() - 1, backend.p_ro) @ probs
     if backend.exact:
         return probs
     return backend._rng.multinomial(backend.shots, probs)
@@ -119,18 +100,17 @@ def estimate_output(counts) -> float:
     total = counts.sum()
     if total <= 0:
         raise ValueError("counts must have a positive sum")
-    zz = np.dot(qcore.zz_parity(num_qubits), counts / total)
-    return float(zz * zz)
+    return qcore.output_value(counts / total)
 
 
 def set_rms_error(pairs, schedule: PiecewiseSchedule,
                   backend: ShotBackend) -> float:
     """Whole-set RMS error through the compile -> measure -> estimate path."""
-    circuit = compile_segments(schedule)
+    u = compile_segments(schedule)
     sq = []
     for pair in pairs:
-        out = estimate_output(run_shots(circuit, pair.rho0, backend))
-        sq.append((pair.target - out) ** 2)
+        counts = run_shots(u, pair.rho0, backend, schedule.segments)
+        sq.append((pair.target - estimate_output(counts)) ** 2)
     return float(np.sqrt(np.mean(sq)))
 
 

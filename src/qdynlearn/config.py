@@ -88,9 +88,11 @@ class RunConfig:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (expected {MODES})")
         check_num_qubits(self.num_qubits, error=ConfigError)
-        for name in ("epochs", "trace_every", "rms_target"):
-            if not (getattr(self, name) or 0) >= 0:  # None: no target
-                raise ConfigError(f"{name} must be >= 0")
+        # Every mode checks every field, used by its family or not.
+        for name, low in (("epochs", 0), ("trace_every", 0), ("rms_target", 0),
+                          ("seed", 0), ("n_max", 0), ("segments", 1)):
+            if not (getattr(self, name) or 0) >= low:  # None: no target
+                raise ConfigError(f"{name} must be >= {low}")
         if isinstance(self.shots, str) and self.shots != "exact":
             raise ConfigError('shots must be a positive integer or "exact"')
         circuit = self.mode == "circuit"

@@ -15,9 +15,10 @@ are preserved to round-off.  No solve diagonalises a Hamiltonian; backprop's
 step sensitivities do, in the total-spin basis of `spin_basis` when the
 schedule is tied.
 
-The one readout is Z_0 Z_1, diagonal in the computational basis: its signs
-are `zz_parity`, and <Z_0 Z_1> is their sum weighted by the final state's
-populations (`zz_expectation`) or by measured counts (`circuit`).  The
+The one readout is Z_0 Z_1, diagonal in the computational basis, so a state
+enters it only through its populations diag(F F^dagger) (`populations` of U F
+for a propagator U, or of an evolved factor; normalised counts in `circuit`).
+<Z_0 Z_1> weights them by the signs `zz_parity` (`zz_expectation`), and the
 witness output is its square, <Z_0 Z_1>^2 (`output_value`).
 """
 
@@ -91,9 +92,10 @@ class DensityMatrix:
     def factor(self) -> np.ndarray:
         """Square-root factor F (d, r): matrix = F F^dagger to round-off.
 
-        F = V_+ sqrt(w_+), taken on first read (only `evolve` needs it).
-        Eigenvalues at round-off of the largest, or tolerated negative ones,
-        are dropped, so r is the numerical rank: 1 for a pure state.
+        psi itself for a state built `from_state_vector`.  Otherwise
+        F = V_+ sqrt(w_+), taken on first read; eigenvalues at round-off of
+        the largest, or tolerated negative ones, are dropped, so r is the
+        numerical rank: 1 for a pure state.
         """
         w, v = np.linalg.eigh(self.matrix)
         keep = w > self.dim * np.finfo(float).eps * w.max()
@@ -118,7 +120,9 @@ class DensityMatrix:
         if norm == 0:
             raise ValueError("zero state vector")
         psi = psi / norm
-        return cls(np.outer(psi, psi.conj()))
+        rho = cls(np.outer(psi, psi.conj()))
+        rho.__dict__["factor"] = psi[:, None]  # psi is the factor: no eigh
+        return rho
 
 
 @dataclass(frozen=True)
@@ -129,10 +133,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("final time must be positive")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
+        if not 0 < self.T < math.inf:  # also False for NaN
+            raise ValueError(f"final time must be in (0, inf), got {self.T!r}")
+        if type(self.steps) is not int or self.steps < 1:  # bool is not int
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
     def dt(self):
@@ -377,10 +381,6 @@ class Trajectory:
         """rho(t_k) for every k, shape (M+1, d, d), formed from the factors."""
         return self.factors @ self.factors.conj().swapaxes(-1, -2)
 
-    def final(self) -> np.ndarray:
-        f = self.factors[-1]
-        return f @ f.conj().T
-
 
 def evolve(rho0: DensityMatrix, schedule, grid: TimeGrid) -> Trajectory:
     """Propagate rho0's factor through the schedule: F_{k+1} = U_k F_k.
@@ -406,25 +406,17 @@ def total_propagator(schedule, grid: TimeGrid) -> np.ndarray:
     return ordered_product(step_unitaries(schedule, grid))
 
 
-def final_state(rho0: DensityMatrix, schedule, grid: TimeGrid) -> np.ndarray:
-    """rho(T) without storing the trajectory; one solve."""
-    u = total_propagator(schedule, grid)
-    return u @ rho0.matrix @ u.conj().T
+def populations(f) -> np.ndarray:
+    """diag(F F^dagger) of a (d, r) factor: |F|^2 summed over its columns."""
+    return (f.real * f.real + f.imag * f.imag).sum(axis=-1)
 
 
-def zz_expectation(rho: np.ndarray) -> float:
-    """<Z_0 Z_1> = tr(rho Z_0 Z_1) of a (d, d) matrix, from its diagonal.
-
-    The sum runs term by term as the trace of the dense product would.  The
-    imaginary part must vanish for a Hermitian input.
-    """
-    val = (np.diagonal(rho) * zz_parity(len(rho).bit_length() - 1)).sum()
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"non-real expectation value: {val}")
-    return float(val.real)
+def zz_expectation(p) -> float:
+    """<Z_0 Z_1> of a population (or probability) vector of length d."""
+    return float(np.dot(zz_parity(len(p).bit_length() - 1), p))
 
 
-def output_value(rho_f) -> float:
-    """Witness output <Z_0 Z_1>^2 of a final state."""
-    zz = zz_expectation(rho_f)
+def output_value(p) -> float:
+    """Witness output <Z_0 Z_1>^2 of a population vector."""
+    zz = zz_expectation(p)
     return zz * zz

@@ -52,7 +52,8 @@ class RLConfig(TrainConfig):
 
 def pair_error(pair: TrainingPair, schedule, grid: TimeGrid) -> float:
     """Half-squared output error E = (d - output)^2 / 2 for one pair."""
-    out = qcore.output_value(qcore.final_state(pair.rho0, schedule, grid))
+    u = qcore.total_propagator(schedule, grid)
+    out = qcore.output_value(qcore.populations(u @ pair.rho0.factor))
     return 0.5 * (pair.target - out) ** 2
 
 

@@ -4,13 +4,17 @@ Adjoint backprop, per-pair finite-difference RL and whole-set circuit RL
 differ only in how one epoch updates the schedule and estimates its RMS.
 Each mode supplies that as an `epoch(schedule) -> rms` function; `run_epochs`
 owns everything around it: the working copy, the per-epoch log, the
-divergence guard, the callback and the early stop.
+divergence guard, the callback and the early stop.  An epoch runs with
+numpy's overflow and invalid-operation errors raised, so coefficients that
+blow up between two solves of one epoch stop the run as divergence too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .reporting import EpochLog
 
@@ -20,7 +24,7 @@ DIVERGENCE_FACTOR = 10.0
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when an epoch RMS is non-finite or exceeds the divergence guard.
+    """Raised when an epoch overflows or its RMS is non-finite or over the guard.
 
     Carries the log and the schedule as it stood before the failing epoch."""
 
@@ -66,7 +70,12 @@ def run_epochs(pairs, schedule, config: TrainConfig, epoch):
     rms_limit = None
     for n in range(config.epochs):
         before = schedule.copy()
-        rms = epoch(schedule)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                rms = epoch(schedule)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(f"epoch {n}: {exc}", log=log,
+                                   schedule=before) from exc
         log.append(n, rms)
         if rms_limit is None:
             rms_limit = DIVERGENCE_FACTOR * max(rms, 1e-12)

@@ -162,7 +162,7 @@ def evaluate_witness(schedule, states, grid) -> WitnessReport:
     u = qcore.total_propagator(schedule, grid)
 
     def output(rho):
-        return qcore.output_value(u @ rho.matrix @ u.conj().T)
+        return qcore.output_value(qcore.populations(u @ rho.factor))
 
     labels = [lbl for lbl, _ in states]
     outs = np.array([output(rho) for _, rho in states])

@@ -67,7 +67,8 @@ def test_criterion_1_adjoint_vs_central_difference():
         sched = random_fourier(rng, T=T)
         pair = TrainingPair(random_state(rng), rng.uniform())
         traj = evolve(pair.rho0, sched, grid)
-        a_final = backprop.adjoint_boundary(traj.final(), pair.target)
+        a_final = backprop.adjoint_boundary(
+            qcore.populations(traj.factors[-1]), pair.target)
         field = backprop.adjoint_evolve_backward(a_final, traj)
         idx = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
         assert len(idx) == 21
@@ -128,7 +129,8 @@ def test_criterion_3_circuit_equals_continuum():
                 scale=0.5, size=sched.coeffs[kind].shape)
         compiled = circuit.compile_segments(sched)
         rho = random_state(rng)
-        probs = circuit.run_shots(compiled, rho, circuit.ShotBackend())
+        probs = circuit.run_shots(compiled, rho, circuit.ShotBackend(),
+                                  segments)
         steps_per = int(rng.integers(1, 5))
         grid = TimeGrid(T, segments * steps_per)
         u = qcore.total_propagator(sched, grid)

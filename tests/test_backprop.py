@@ -46,8 +46,18 @@ def random_pair(rng, num_qubits=2):
 
 
 def loss(pair, schedule, grid):
-    out = qcore.output_value(qcore.final_state(pair.rho0, schedule, grid))
+    u = qcore.total_propagator(schedule, grid)
+    out = qcore.output_value(qcore.populations(u @ pair.rho0.factor))
     return 0.5 * (pair.target - out) ** 2
+
+
+def final_populations(traj):
+    return qcore.populations(traj.factors[-1])
+
+
+def final_rho(traj):
+    f = traj.factors[-1]
+    return f @ f.conj().T
 
 
 # -- boundary condition ------------------------------------------------------
@@ -55,14 +65,14 @@ def loss(pair, schedule, grid):
 
 def test_boundary_zero_when_error_zero():
     rho = DensityMatrix.from_state_vector([1.0, 0, 0, 0])  # <zz> = 1
-    a = adjoint_boundary(rho.matrix, 1.0)
+    a = adjoint_boundary(qcore.populations(rho.factor), 1.0)
     assert np.abs(a).max() == 0.0
 
 
 def test_boundary_square_map_scale():
     # A(T) = (d - <O>^2) * 2<O> * O = (0.5 - 0.36) * 1.2 * O
     rho = DensityMatrix(np.diag([0.8, 0.2, 0.0, 0.0]).astype(complex))
-    a = adjoint_boundary(rho.matrix, 0.5)  # <zz> = 0.6
+    a = adjoint_boundary(qcore.populations(rho.factor), 0.5)  # <zz> = 0.6
     assert np.allclose(a, 0.168 * zz(2))
 
 
@@ -70,7 +80,7 @@ def test_boundary_square_map_vanishes_at_zero_expectation():
     # The squared output has zero slope at <zz> = 0, so the costate vanishes
     # even with error.
     rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
-    a = adjoint_boundary(rho.matrix, 0.7)
+    a = adjoint_boundary(qcore.populations(rho.factor), 0.7)
     assert np.abs(a).max() == 0.0
 
 
@@ -83,7 +93,7 @@ def test_backward_constant_under_zero_hamiltonian():
     grid = TimeGrid(10.0, 20)
     rho0 = DensityMatrix.from_state_vector([1, 0, 0, 1])
     traj = evolve(rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), 0.0)
+    a_final = adjoint_boundary(final_populations(traj), 0.0)
     chi = adjoint_evolve_backward(a_final, traj)
     assert np.abs(chi - chi[-1][None]).max() < 1e-13
 
@@ -96,7 +106,7 @@ def test_backward_pairing_invariant():
     grid = TimeGrid(200.0, 100)
     pair = random_pair(rng)
     traj = evolve(pair.rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), pair.target)
+    a_final = adjoint_boundary(final_populations(traj), pair.target)
     chi = adjoint_evolve_backward(a_final, traj)
     pairing = np.einsum("tir,tir->t", chi.conj(), traj.factors)
     assert np.abs(pairing - pairing[0]).max() < 1e-10
@@ -114,7 +124,7 @@ def test_gradient_zero_for_diagonal_dynamics():
     rho0 = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     pair = TrainingPair(rho0, 0.9)
     traj = evolve(rho0, sched, grid)
-    a_final = adjoint_boundary(traj.final(), pair.target)
+    a_final = adjoint_boundary(final_populations(traj), pair.target)
     chi = adjoint_evolve_backward(a_final, traj)
     coupling = list_trainable(sched, {"coupling": 1.0})
     assert len(coupling) == sched.width
@@ -131,7 +141,7 @@ def test_gradient_matches_central_difference():
         sched = random_schedule(rng, T=300.0)
         pair = random_pair(rng)
         traj = evolve(pair.rho0, sched, grid)
-        a_final = adjoint_boundary(traj.final(), pair.target)
+        a_final = adjoint_boundary(final_populations(traj), pair.target)
         chi = adjoint_evolve_backward(a_final, traj)
         scales = sched.per_index(KIND_SCALES)
         for i in rng.choice(list_trainable(sched, {"tunneling": 1.0,
@@ -229,7 +239,7 @@ def check_against_frechet(sched, log_scale, steps, seed, rank):
     # The sweep takes any Hermitian costate; a single qubit has no Z_0 Z_1
     # readout, so its boundary is built here with O = Z_0.
     obs = zz(num_qubits) if num_qubits > 1 else pauli("z", 0, 1)
-    a_final = costate_boundary(traj.final(), obs, pair.target)
+    a_final = costate_boundary(final_rho(traj), obs, pair.target)
     chi = adjoint_evolve_backward(a_final, traj)
     ref = frechet_reference_gradients(sched, traj, a_final)
     grads = all_gradients(np.arange(sched.params.size), traj, chi, sched,
@@ -275,7 +285,7 @@ def test_all_gradients_bundles_all_coefficients():
     idx = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
     traj = evolve(pair.rho0, sched, grid)
     chi = adjoint_evolve_backward(
-        adjoint_boundary(traj.final(), pair.target), traj)
+        adjoint_boundary(final_populations(traj), pair.target), traj)
     grads = all_gradients(idx, traj, chi, sched, grid)
     assert grads.shape == (21,)
     # cross-check one entry against a single-coefficient call
@@ -290,14 +300,14 @@ def test_all_gradients_rejects_non_hermitian_costate():
     grid = TimeGrid(100.0, 50)
     pair = random_pair(rng)
     traj = evolve(pair.rho0, sched, grid)
-    a_final = costate_boundary(traj.final(), zz(2), pair.target)
-    assert abs(np.trace(traj.final() @ a_final)) > 1e-3
+    a_final = costate_boundary(final_rho(traj), zz(2), pair.target)
+    assert abs(np.trace(final_rho(traj) @ a_final)) > 1e-3
     with pytest.raises(ValueError, match="non-Hermitian costate"):
         adjoint_evolve_backward(1j * a_final, traj)
     # An anti-Hermitian part with zero trace against rho_M is caught too.
     p = np.diag(np.arange(4.0))
-    skew = 1e-3j * (p - np.trace(traj.final() @ p).real * np.eye(4))
-    assert abs(np.trace(traj.final() @ skew)) < 1e-15
+    skew = 1e-3j * (p - np.trace(final_rho(traj) @ p).real * np.eye(4))
+    assert abs(np.trace(final_rho(traj) @ skew)) < 1e-15
     with pytest.raises(ValueError, match="non-Hermitian costate"):
         adjoint_evolve_backward(a_final + skew, traj)
 
@@ -376,13 +386,12 @@ def test_epoch_cost_is_two_solves_per_pair():
 
 def test_epoch_diagonalises_once_per_pair(monkeypatch):
     # One tied epoch at N = 4: per pair, one eigh per distinct total spin
-    # (blocks of 5, 3 and 1) for the gradient and none for the states.  The
-    # spin basis and the states' factors are built first, once per process.
+    # (blocks of 5, 3 and 1) for the gradient and none for the states, whose
+    # factors are their state vectors.  The spin basis is built first, once
+    # per process.
     pairs = build_training_set(4)
     sched = FourierSchedule.initialized(4, 250.0, n_max=3, tied=True)
     qcore.spin_basis(4)
-    for pair in pairs:
-        pair.rho0.factor
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
@@ -401,8 +410,7 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     # assembling a generator.
     rng = np.random.default_rng(21)
     sched = random_schedule(rng, num_qubits=3)
-    pair = random_pair(rng, num_qubits=3)
-    pair.rho0.factor  # the state's own eigh, taken on first read
+    pair = random_pair(rng, num_qubits=3)  # a pure state: no eigh of its own
     grid = TimeGrid(100.0, 40)
     shapes, assembled = [], []
     eigh = np.linalg.eigh
@@ -413,7 +421,7 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
                         lambda *a: assembled.append(len(a[0])) or assemble(*a))
     traj = evolve(pair.rho0, sched, grid)
     chi = adjoint_evolve_backward(
-        adjoint_boundary(traj.final(), pair.target), traj)
+        adjoint_boundary(final_populations(traj), pair.target), traj)
     all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
     assert shapes == [(40, 8, 8)]
     assert assembled == [40]

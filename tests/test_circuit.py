@@ -6,7 +6,6 @@ import pytest
 from qdynlearn import circuit, qcore, rl
 from qdynlearn.circuit import (
     CircuitRLConfig,
-    SegmentedCircuit,
     ShotBackend,
     compile_segments,
     estimate_output,
@@ -17,9 +16,14 @@ from qdynlearn.qcore import (
     DensityMatrix,
     TimeGrid,
 )
-from qdynlearn.schedules import PiecewiseSchedule, list_trainable
+from qdynlearn.schedules import FourierSchedule, PiecewiseSchedule, list_trainable
 from qdynlearn.train import descend
-from qdynlearn.witness import build_training_set, ghz_family_state
+from qdynlearn.witness import (
+    build_training_set,
+    evaluate_witness,
+    ghz_family_state,
+    theta_sweep_states,
+)
 
 
 def zero_schedule(T=2.0, segments=4):
@@ -39,34 +43,43 @@ def random_schedule(rng, T=2.0, segments=4, scale=0.5):
 
 
 def test_compile_zero_parameters_gives_identities():
-    c = compile_segments(zero_schedule())
-    assert c.unitary.shape == (4, 4)
-    assert np.abs(c.unitary - np.eye(4)).max() < 1e-14
+    u = compile_segments(zero_schedule())
+    assert u.shape == (4, 4)
+    assert np.abs(u - np.eye(4)).max() < 1e-14
 
 
 def test_compile_coupling_only_diagonal_unitary():
     T = 2.0
     s = PiecewiseSchedule.initialized(2, T, segments=1, tied=False,
                                       tunneling=0.0, bias=0.0, coupling=0.3)
-    c = compile_segments(s)
+    u = compile_segments(s)
     phi = 0.3 * T
     expected = np.diag(np.exp(-1j * phi * np.array([1, -1, -1, 1])))
-    assert np.abs(c.unitary - expected).max() < 1e-12
+    assert np.abs(u - expected).max() < 1e-12
 
 
 def test_compile_agrees_with_continuum_evolution():
     rng = np.random.default_rng(0)
     s = random_schedule(rng)
-    u_circuit = compile_segments(s).unitary
+    u_circuit = compile_segments(s)
     # continuum grid aligned with the segments (many steps per segment)
     u_cont = qcore.total_propagator(s, TimeGrid(s.T, 8 * s.segments))
     assert np.abs(u_circuit - u_cont).max() < 1e-9
 
 
-def test_segmented_circuit_rejects_non_unitary():
-    s = zero_schedule()
-    with pytest.raises(ValueError):
-        SegmentedCircuit(np.ones((4, 4), dtype=complex), s)
+@pytest.mark.parametrize("num_qubits", [2, 3, 4])
+@pytest.mark.parametrize("segments", [1, 4, 7])
+def test_compile_segments_is_unitary(num_qubits, segments):
+    # Random piecewise schedules, with pulse areas up to a few radians per
+    # segment: the compiled product stays unitary to round-off.
+    rng = np.random.default_rng(10 * num_qubits + segments)
+    for scale in (0.1, 1.0, 3.0):
+        s = PiecewiseSchedule.initialized(num_qubits, 2.0, segments=segments,
+                                          tied=bool(rng.integers(2)))
+        s.params[:] = rng.normal(scale=scale, size=s.params.shape)
+        u = compile_segments(s)
+        assert u.shape == (2**num_qubits,) * 2
+        assert np.abs(u @ u.conj().T - np.eye(len(u))).max() <= 1e-12
 
 
 # -- backend and sampling ----------------------------------------------------
@@ -86,7 +99,7 @@ def test_backend_validation():
 def test_identity_circuit_counts_concentrate():
     c = compile_segments(zero_schedule())
     rho = DensityMatrix.from_state_vector([0, 1, 0, 0])  # |01>
-    counts = run_shots(c, rho, ShotBackend(shots=1000, seed=0))
+    counts = run_shots(c, rho, ShotBackend(shots=1000, seed=0), 4)
     assert counts.dtype.kind == "i"
     assert np.array_equal(counts, [0, 1000, 0, 0])
 
@@ -96,7 +109,7 @@ def test_exact_mode_returns_diagonal():
     s = random_schedule(rng)
     c = compile_segments(s)
     rho = ghz_family_state(2, 0.6, 0.8)
-    probs = run_shots(c, rho, ShotBackend())
+    probs = run_shots(c, rho, ShotBackend(), s.segments)
     u = np.eye(4, dtype=complex)
     for seg in qcore.step_unitaries(s, TimeGrid(s.T, s.segments)):
         u = seg @ u
@@ -104,14 +117,13 @@ def test_exact_mode_returns_diagonal():
     assert np.abs(probs - expected).max() < 1e-12
     assert probs.sum() == pytest.approx(1.0)
     # The count readout and the density-matrix readout share one parity.
-    rho_f = qcore.final_state(rho, s, TimeGrid(s.T, s.segments))
-    assert abs(estimate_output(probs) - qcore.output_value(rho_f)) <= 1e-14
+    assert abs(estimate_output(probs) - qcore.output_value(expected)) <= 1e-14
 
 
 def test_fully_randomized_readout_is_uniform():
     c = compile_segments(zero_schedule())
     rho = DensityMatrix.from_state_vector([1, 0, 0, 0])
-    probs = run_shots(c, rho, ShotBackend(p_ro=0.5))
+    probs = run_shots(c, rho, ShotBackend(p_ro=0.5), 4)
     assert np.allclose(probs, 0.25)
 
 
@@ -141,8 +153,8 @@ def test_cached_readout_keeps_the_seeded_draws():
     c = compile_segments(s)
     rho = ghz_family_state(2, 0.6, 0.8)
     backend = ShotBackend(shots=8192, p_ro=0.01, seed=9)
-    got = [run_shots(c, rho, backend) for _ in range(3)]
-    exact = run_shots(c, rho, ShotBackend())  # p_ro = 0: before readout
+    got = [run_shots(c, rho, backend, s.segments) for _ in range(3)]
+    exact = run_shots(c, rho, ShotBackend(), s.segments)  # before readout
     rng = np.random.default_rng(9)
     for counts in got:
         ref = rng.multinomial(8192, kron_readout(2, 0.01) @ exact)
@@ -154,8 +166,8 @@ def test_determinism_under_fixed_seed():
     s = random_schedule(rng)
     c = compile_segments(s)
     rho = ghz_family_state(2, 1.0, 1.0)
-    a = run_shots(c, rho, ShotBackend(shots=5000, seed=42))
-    b = run_shots(c, rho, ShotBackend(shots=5000, seed=42))
+    a = run_shots(c, rho, ShotBackend(shots=5000, seed=42), s.segments)
+    b = run_shots(c, rho, ShotBackend(shots=5000, seed=42), s.segments)
     assert np.array_equal(a, b)
 
 
@@ -169,7 +181,7 @@ def test_shot_noise_scales_as_inverse_sqrt_shots():
     sigmas = []
     for shots in shot_counts:
         backend = ShotBackend(shots=shots, seed=7)
-        ests = [estimate_output(run_shots(c, rho, backend))
+        ests = [estimate_output(run_shots(c, rho, backend, s.segments))
                 for _ in range(200)]
         sigmas.append(np.std(ests))
     slope = np.polyfit(np.log(shot_counts), np.log(sigmas), 1)[0]
@@ -181,8 +193,9 @@ def test_depolarizing_noise_shrinks_correlation():
     s = random_schedule(rng)
     c = compile_segments(s)
     rho = ghz_family_state(2, 1.0, 1.0)
-    clean = estimate_output(run_shots(c, rho, ShotBackend()))
-    noisy = estimate_output(run_shots(c, rho, ShotBackend(p_dep=0.1)))
+    clean = estimate_output(run_shots(c, rho, ShotBackend(), s.segments))
+    noisy = estimate_output(run_shots(c, rho, ShotBackend(p_dep=0.1),
+                                      s.segments))
     assert noisy <= clean + 1e-12
 
 
@@ -205,7 +218,8 @@ def test_closed_form_depolarizing_equals_per_segment_channels(
     for u in qcore.step_unitaries(s, TimeGrid(s.T, segments)):
         rho = u @ rho @ u.conj().T
         rho = (1.0 - p_dep) * rho + p_dep * np.trace(rho).real * np.eye(d) / d
-    probs = run_shots(compile_segments(s), rho0, ShotBackend(p_dep=p_dep))
+    probs = run_shots(compile_segments(s), rho0, ShotBackend(p_dep=p_dep),
+                      segments)
     assert np.abs(probs - np.diag(rho).real).max() <= 1e-14
 
 
@@ -218,7 +232,7 @@ def test_estimate_output_examples():
     assert estimate_output([0, 300, 300, 0]) == pytest.approx(1.0)
     # exact-mode Bell through identity circuit
     c = compile_segments(zero_schedule())
-    probs = run_shots(c, ghz_family_state(2, 1.0, 1.0), ShotBackend())
+    probs = run_shots(c, ghz_family_state(2, 1.0, 1.0), ShotBackend(), 4)
     assert estimate_output(probs) == pytest.approx(1.0)
 
 
@@ -248,6 +262,34 @@ def test_estimate_output_measures_designated_pair_of_larger_register():
             probs[0] += 0.25
             aligned = (index >> (n - 1) & 1) == (index >> (n - 2) & 1)
             assert estimate_output(probs) == (1.0 if aligned else 0.25)
+
+
+# -- one readout -------------------------------------------------------------
+
+
+def test_pure_state_readouts_never_call_eigh(monkeypatch):
+    # Every solve-only readout reads populations(U F), and a pure state's
+    # factor is its state vector, so none of these diagonalises anything.
+    # (At N = 2 the eval sweep's concurrence oracle diagonalises each state
+    # by design; the readout is the same at every N.)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: calls.append(h.shape) or eigh(h))
+    for n in range(2, 7):
+        build_training_set(n)
+    thetas, sweep = theta_sweep_states(3)
+    sched = FourierSchedule.initialized(3, 250.0)
+    report = evaluate_witness(sched, list(zip(map(str, thetas), sweep)),
+                              TimeGrid(250.0, 50))
+    assert len(report.outputs) == 21
+    pairs = build_training_set(2)
+    s = PiecewiseSchedule.initialized(2, 2.0, segments=4, tied=False)
+    for backend in (ShotBackend(), ShotBackend(shots=1000, p_ro=0.01, seed=1)):
+        train_circuit_rl(pairs, s, CircuitRLConfig(epochs=1), backend)
+    rl.train_rl_epoch(pairs, FourierSchedule.initialized(2, 250.0),
+                      rl.RLConfig(), TimeGrid(250.0, 50))
+    assert calls == []
 
 
 # -- training ----------------------------------------------------------------

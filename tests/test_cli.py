@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,10 @@ def test_train_non_finite_number_exits_2(runner, tmp_path, text):
     ({"initial_schedule": 0}, "initial_schedule"),
     ({"trace_every": -1}, "trace_every"),
     ({"rms_target": -0.5}, "rms_target"),
+    # Every structure field is checked in every mode, used there or not.
+    ({"seed": -1}, "seed"),
+    ({"segments": 0}, "segments"),
+    ({"mode": "circuit", "n_max": -1}, "n_max"),
 ])
 def test_train_wrong_type_or_range_exits_2(runner, tmp_path, fields, name):
     # Nothing is coerced: each of these would otherwise train something
@@ -211,6 +216,26 @@ def test_train_zero_epochs_writes_initial_artifacts(runner, tmp_path):
     assert len(read_csv(out / "epochs.csv")) == 1  # header only
     assert (out / "schedule.json").exists()
     assert "epochs = 0" in result.output
+
+
+def test_train_diverging_inside_an_epoch_exits_1_with_epochs_csv(runner,
+                                                                 tmp_path):
+    # At T = 1e12 ns the first descent steps of epoch 0 drive the
+    # coefficients to about 1e190, and the next solve overflows, before any
+    # epoch RMS is logged.  The run stops as divergence rather than with a
+    # traceback, and emits no RuntimeWarning.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "backprop", "epochs": 3,
+                               "T_ns": 1e12}))
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "training diverged: epoch 0: overflow" in result.output
+    assert read_csv(out / "epochs.csv") == [["epoch", "rms", "wall_seconds"]]
 
 
 def test_train_overrides_take_effect(runner, tmp_path):

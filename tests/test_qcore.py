@@ -18,9 +18,9 @@ from qdynlearn.qcore import (
     DensityMatrix,
     TimeGrid,
     evolve,
-    final_state,
     output_value,
     pair_indices,
+    populations,
     total_propagator,
     zz_expectation,
 )
@@ -29,6 +29,11 @@ from qdynlearn.schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule
 
 def bell_state():
     return DensityMatrix.from_state_vector([1.0, 0.0, 0.0, 1.0])
+
+
+def final_populations(rho0, schedule, grid):
+    """Populations of rho(T), read as every solve-only caller reads them."""
+    return populations(total_propagator(schedule, grid) @ rho0.factor)
 
 
 def test_pair_indices_order():
@@ -245,7 +250,10 @@ def test_evolve_final_state_equals_final_state(num_qubits):
     rho0 = DensityMatrix.from_state_vector(rng.normal(size=d)
                                            + 1j * rng.normal(size=d))
     traj = evolve(rho0, sched, grid)
-    assert np.abs(traj.final() - final_state(rho0, sched, grid)).max() <= 1e-14
+    u = total_propagator(sched, grid)
+    assert np.abs(traj.factors[-1] - u @ rho0.factor).max() <= 1e-14
+    assert np.abs(populations(traj.factors[-1])
+                  - final_populations(rho0, sched, grid)).max() <= 1e-14
 
 
 # -- state and grid validation -----------------------------------------------
@@ -299,17 +307,21 @@ def test_density_matrix_factor(num_qubits):
 
 
 def test_density_matrix_factor_is_taken_on_first_read(monkeypatch):
-    # Construction checks positivity from the eigenvalues alone; only a read
-    # of `factor` (the backprop path) computes eigenvectors, once.
+    # Construction checks positivity from the eigenvalues alone.  A state
+    # given as a vector keeps it as its factor and never diagonalises; one
+    # given as a matrix computes eigenvectors on the first read of `factor`,
+    # once.
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: calls.append(h.shape) or eigh(h))
-    rho = DensityMatrix.from_state_vector([1.0, 0.0, 0.0, 1.0j])
-    output_value(rho.matrix)
+    pure = DensityMatrix.from_state_vector([1.0, 0.0, 0.0, 1.0j])
+    assert np.array_equal(pure.factor, np.array([[1.0], [0], [0], [1.0j]])
+                          / np.sqrt(2))
+    mixed = DensityMatrix(np.diag([0.5, 0.25, 0.0, 0.25]).astype(complex))
     assert calls == []
-    f = rho.factor
-    assert rho.factor is f
+    f = mixed.factor
+    assert mixed.factor is f
     assert calls == [(4, 4)]
 
 
@@ -392,21 +404,34 @@ def test_time_grid():
         TimeGrid(1.0, 0)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_time_grid_rejects_a_time_outside_zero_to_infinity(T):
+    # NaN fails every comparison, so `T <= 0` alone let it through.
+    with pytest.raises(ValueError, match="final time"):
+        TimeGrid(T, 5)
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5, 4.0, True, "5", None])
+def test_time_grid_rejects_steps_that_are_not_a_positive_int(steps):
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        TimeGrid(10.0, steps)
+
+
 # -- expectation values ------------------------------------------------------
 
 
 def test_expectation_bell_zz():
-    assert zz_expectation(bell_state().matrix) == pytest.approx(1.0)
+    assert zz_expectation(populations(bell_state().factor)) == pytest.approx(1.0)
 
 
 def test_expectation_antialigned():
     rho = DensityMatrix.from_state_vector([0.0, 1.0, 0.0, 0.0])  # |01>
-    assert zz_expectation(rho.matrix) == pytest.approx(-1.0)
+    assert zz_expectation(populations(rho.factor)) == pytest.approx(-1.0)
 
 
 def test_expectation_maximally_mixed():
     rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
-    assert zz_expectation(rho.matrix) == pytest.approx(0.0)
+    assert zz_expectation(populations(rho.factor)) == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("num_qubits", range(2, 7))
@@ -418,22 +443,40 @@ def test_zz_expectation_equals_dense_trace(num_qubits):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
     ref = np.trace(rho.matrix @ zz(num_qubits))
-    assert abs(zz_expectation(rho.matrix) - ref) <= 1e-14
+    assert abs(zz_expectation(populations(rho.factor)) - ref) <= 1e-14
 
 
-def test_expectation_non_real_raises():
-    # A diagonal with an imaginary part (not a Hermitian input) must fail
-    # loudly, also under python -O.
-    with pytest.raises(ValueError, match="non-real"):
-        zz_expectation(np.diag([0.5, 0.25j, 0.0, 0.5]))
+def random_unitary(rng, d):
+    """Haar-like unitary: Q of the QR of a complex Gaussian matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+def test_populations_equal_the_conjugated_diagonal(num_qubits):
+    # The one readout: populations(U F) is diag(U rho U^dag), real by
+    # construction, for pure states (F = psi) and mixed ones (F from eigh).
+    d = 2**num_qubits
+    rng = np.random.default_rng(40 + num_qubits)
+    u = random_unitary(rng, d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    states = [DensityMatrix.from_state_vector(psi)]
+    for rank in (2, d):
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        states.append(DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2))
+    for rho in states:
+        p = populations(u @ rho.factor)
+        assert p.dtype == float and p.shape == (d,)
+        ref = np.diagonal(u @ rho.matrix @ u.conj().T)
+        assert np.abs(p - ref).max() <= 1e-14
 
 
 def test_output_value_squares_the_correlation():
-    rho = DensityMatrix.from_state_vector([0.0, 1.0, 0.0, 0.0]).matrix
-    assert zz_expectation(rho) == pytest.approx(-1.0)
-    assert output_value(rho) == pytest.approx(1.0)
-    rho = np.diag([0.8, 0.2, 0.0, 0.0]).astype(complex)  # <zz> = 0.6
-    assert output_value(rho) == pytest.approx(0.36)
+    p = populations(DensityMatrix.from_state_vector([0.0, 1.0, 0.0, 0.0]).factor)
+    assert zz_expectation(p) == pytest.approx(-1.0)
+    assert output_value(p) == pytest.approx(1.0)
+    p = np.array([0.8, 0.2, 0.0, 0.0])  # <zz> = 0.6
+    assert output_value(p) == pytest.approx(0.36)
 
 
 # -- evolution ---------------------------------------------------------------
@@ -463,10 +506,9 @@ def test_evolve_rabi_flip():
     sched.coeffs["bias"][:] = 0.0
     sched.coeffs["coupling"][:] = 0.0
     rho0 = DensityMatrix.from_state_vector([1.0, 0.0, 0.0, 0.0])
-    rho_f = final_state(rho0, sched, TimeGrid(T, 64))
-    expected = np.zeros((4, 4))
-    expected[2, 2] = 1.0  # |10><10|
-    assert np.abs(rho_f - expected).max() < 1e-10
+    # A pure state with all of its population on |10> is |10><10|.
+    p = final_populations(rho0, sched, TimeGrid(T, 64))
+    assert np.abs(p - [0.0, 0.0, 1.0, 0.0]).max() < 1e-10
 
 
 def test_evolve_diagonal_hamiltonian_preserves_populations():
@@ -502,9 +544,11 @@ def test_evolve_second_order_convergence():
                                         tunneling=0.02, coupling=0.01)
     sched.coeffs["tunneling"][0, 1] = 0.01  # the sin(pi t / T) term
     rho0 = bell_state()
-    ref = zz_expectation(final_state(rho0, sched, TimeGrid(T, 3200)))
-    errs = [abs(zz_expectation(final_state(rho0, sched, TimeGrid(T, m))) - ref)
-            for m in (100, 200, 400)]
+    def zz_at(steps):
+        return zz_expectation(final_populations(rho0, sched, TimeGrid(T, steps)))
+
+    ref = zz_at(3200)
+    errs = [abs(zz_at(m) - ref) for m in (100, 200, 400)]
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(order) > 1.8
 
@@ -537,8 +581,8 @@ def test_total_propagator_matches_evolve():
     rho0 = DensityMatrix.from_state_vector(psi)
     grid = TimeGrid(30.0, 75)
     u = total_propagator(sched, grid)
-    traj = evolve(rho0, sched, grid)
-    assert np.abs(u @ rho0.matrix @ u.conj().T - traj.final()).max() < 1e-12
+    f = evolve(rho0, sched, grid).factors[-1]
+    assert np.abs(u @ rho0.matrix @ u.conj().T - f @ f.conj().T).max() < 1e-12
 
 
 def test_solve_counter_ticks():
@@ -547,5 +591,5 @@ def test_solve_counter_ticks():
     grid = TimeGrid(1.0, 5)
     evolve(bell_state(), sched, grid)
     total_propagator(sched, grid)
-    final_state(bell_state(), sched, grid)
+    final_populations(bell_state(), sched, grid)
     assert qcore.solve_count == 3

@@ -139,7 +139,8 @@ def test_fd_gradient_agrees_with_adjoint():
     cfg = RLConfig()
 
     traj = qcore.evolve(pair.rho0, sched, grid)
-    a_final = backprop.adjoint_boundary(traj.final(), pair.target)
+    a_final = backprop.adjoint_boundary(
+        qcore.populations(traj.factors[-1]), pair.target)
     field = backprop.adjoint_evolve_backward(a_final, traj)
     for i in list_trainable(sched, cfg.learning_rates):
         exact = backprop.all_gradients([i], traj, field, sched, grid)[0]
@@ -153,7 +154,8 @@ def test_fd_gradient_first_order_in_delta():
     pair = pairs[3]
     i = list_trainable(sched, RLConfig().learning_rates)[0]
     traj = qcore.evolve(pair.rho0, sched, grid)
-    a_final = backprop.adjoint_boundary(traj.final(), pair.target)
+    a_final = backprop.adjoint_boundary(
+        qcore.populations(traj.factors[-1]), pair.target)
     field = backprop.adjoint_evolve_backward(a_final, traj)
     exact = backprop.all_gradients([i], traj, field, sched, grid)[0]
     errs = []

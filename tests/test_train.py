@@ -60,6 +60,24 @@ def test_non_finite_rms_raises_with_the_schedule_before_it(values):
             == sched.coeffs["tunneling"][0, 0] + (len(values) - 1))
 
 
+def test_overflow_inside_an_epoch_raises_with_the_schedule_before_it():
+    # Coefficients that blow up between two solves of one epoch: numpy's
+    # overflow is an error inside an epoch, not a warning, and the run stops
+    # as divergence, with the log so far and the schedule before the epoch.
+    script = iter([2.0**500, 2.0**600])
+
+    def epoch(schedule):
+        schedule.params[0] = next(script)
+        return float(schedule.params[0] ** 2 * 2.0**-1000)  # 1, then overflow
+
+    sched = FourierSchedule.initialized(2, 10.0)
+    with pytest.raises(TrainingDiverged, match="epoch 1: overflow") as exc:
+        run_epochs(PAIRS, sched, TrainConfig(epochs=3), epoch)
+    assert list(exc.value.log.rms) == [1.0]
+    assert exc.value.schedule.params[0] == 2.0**500
+    assert np.array_equal(exc.value.schedule.params[1:], sched.params[1:])
+
+
 def test_callback_once_per_epoch_with_the_working_copy():
     seen = []
     sched = FourierSchedule.initialized(2, 10.0)
