@@ -16,15 +16,18 @@ the result is the gradient of the discrete loss to round-off rather than a
 quadrature approximation.  Both sweeps run on the state's square-root factor
 F (rho = F F^dag, d x r with r = 1 for a pure state): the forward pass
 carries F_k, and the costate enters only through chi_k = A(t_k) F_k, which
-the backward sweep carries (the ket form of the GRAPE adjoint).  Because H is
-real symmetric, the step derivative, paired with F_{k+1} and chi_{k+1},
-collapses to one real step sensitivity W_k built in the step's eigenbasis
-from rank-r products.  The eigenbasis comes from one batched `eigh` of the
-trajectory's step Hamiltonians per pair and per block: a tied schedule's
-steps commute with every qubit permutation, so they are diagonalised on one
-block per distinct total spin of `qcore.spin_basis`; an untied schedule's on
-the whole register.  Every coefficient's gradient is read off W_k by the
-transposed Hamiltonian assembly: W_k contracted with `qcore.generators`.
+the backward sweep carries (the ket form of the GRAPE adjoint).  Both run in
+the trajectory's block coordinates (`qcore.block_basis`): A(T) is formed on
+the register from the unfolded final factor, and chi_M is folded back.
+Because H is real symmetric, the step derivative, paired with F_{k+1} and
+chi_{k+1}, collapses to one real step sensitivity W_k built in the step's
+eigenbasis from rank-r products.  The eigenbasis comes from one batched
+`eigh` per diagonal block of the (M, R, R) step Hamiltonians: one per
+distinct total spin for a tied schedule, the whole register for an untied
+one.  Every coefficient's gradient is read off W_k by the transposed
+Hamiltonian assembly: W_k contracted with the rotated generators, whose
+zero entries off the diagonal blocks, with the zero padding of the folded
+factors, make the sum over each block's copies come out by itself.
 Validated against finite differences and scipy's expm_frechet; see tests.
 """
 
@@ -52,9 +55,11 @@ def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray
 
     The costate A(t_k) = U_k^dag A(t_{k+1}) U_k enters the gradient only
     through chi_k = A(t_k) F_k, which follows chi_k = U_k^dag chi_{k+1} from
-    chi_M = A(T) F_M.  Returns chi, shape (M+1, d, r).  Raises ValueError if
-    A(T) has an anti-Hermitian part: the gradient formula needs a Hermitian
-    costate and would otherwise silently drop that imaginary residual.
+    chi_M = A(T) F_M, formed on the register and folded.  Returns chi in the
+    trajectory's block coordinates, shape (M+1, R, c_max r).  Raises
+    ValueError if A(T) has an anti-Hermitian part: the gradient formula
+    needs a Hermitian costate and would otherwise silently drop that
+    imaginary residual.
     """
     residual = np.abs(a_final - a_final.conj().T).max()
     if residual > IMAG_RESIDUAL_TOL * max(1.0, np.abs(a_final).max()):
@@ -63,7 +68,7 @@ def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray
     us_dag = traj.unitaries.conj().swapaxes(-1, -2)
     m = us_dag.shape[0]
     chi = np.empty_like(traj.factors)
-    np.matmul(a_final, traj.factors[m], out=chi[m])
+    chi[m] = traj.basis.fold(a_final @ traj.register_factors(m))
     for k in range(m - 1, -1, -1):
         np.matmul(us_dag[k], chi[k + 1], out=chi[k])
     return chi
@@ -74,43 +79,33 @@ def _real_matmul(v, c):
     return (v @ c.view(float)).view(complex)
 
 
-def _step_eigh(h, tied):
-    """(lam (M, d), V (M, d, d)) with h = V diag(lam) V^T, one `eigh` per block.
+def _step_eigh(h, spans):
+    """(lam (M, R), V (M, R, R)) with h = V diag(lam) V^T, one `eigh` per block.
 
-    A tied schedule's steps are block diagonal in `qcore.spin_basis`: each
-    distinct spin's first copy Q_j is diagonalised once, as Q_j^T h Q_j, and
-    every copy's columns of V are that copy's Q times the block's vectors.
-    An untied one takes Q = I as its one block.
+    `spans` are the (start, stop) of h's diagonal blocks; V is zero off them.
     """
-    m, d = h.shape[:2]
-    q, blocks = (qcore.spin_basis(d.bit_length() - 1) if tied
-                 else (np.eye(d), ((d, 1),)))
-    lam, v = np.empty((m, d)), np.empty_like(h)
-    start = 0
-    for n, copies in blocks:
-        stop = start + n * copies
-        first = q[:, start:start + n]
-        lam_j, v_j = np.linalg.eigh(first.T @ h @ first)
-        lam[:, start:stop] = np.tile(lam_j, copies)
-        # Rows (r, copy) of Q times v_j: V[:, r, copy * n + b] in one matmul.
-        cols = q[:, start:stop].reshape(d * copies, n)
-        v[:, :, start:stop] = (cols @ v_j).reshape(m, d, stop - start)
-        start = stop
+    lam, v = np.empty(h.shape[:2]), np.zeros_like(h)
+    for start, stop in spans:
+        lam[:, start:stop], v[:, start:stop, start:stop] = np.linalg.eigh(
+            h[:, start:stop, start:stop])
     return lam, v
 
 
-def _step_sensitivities(traj: Trajectory, chi: np.ndarray, tied: bool):
-    """Real W_k with tr(A_{k+1} d(rho_{k+1})/dP) = 2 sum(P * W_k), shape (M, d, d).
+def _step_sensitivities(traj: Trajectory, chi: np.ndarray):
+    """Real W_k with tr(A_{k+1} d(rho_{k+1})/dP) = 2 sum(P * W_k), shape (M, R, R).
 
-    Holds for every real symmetric direction P of the step Hamiltonian
-    H = V diag(lam) V^T.  With X = rho_{k+1} A_{k+1} = F chi^dag (F and chi
-    at step k+1), q = exp(-i lam dt/2) and Z = (V q)^dag X (V q):
-    W = V (dt S * Im Z^T) V^T, where S_ab = sinc(dt (lam_a - lam_b) / 2) is
-    smooth across degenerate pairs.  Z = P Q^dag has rank r, with
-    P = conj(q) V^T F and Q = conj(q) V^T chi, so
-    Im Z^T = Re Q (Im P)^T - Im Q (Re P)^T.
+    Holds for every real symmetric block-diagonal direction P of the step
+    Hamiltonian H = V diag(lam) V^T, in block coordinates.  With
+    X = rho_{k+1} A_{k+1} = F chi^dag (F and chi at step k+1, each copy of
+    a block in its own columns), q = exp(-i lam dt/2) and
+    Z = (V q)^dag X (V q): W = V (dt S * Im Z^T) V^T, where
+    S_ab = sinc(dt (lam_a - lam_b) / 2) is smooth across degenerate pairs.
+    Z = P Q^dag has rank c_max r, with P = conj(q) V^T F and
+    Q = conj(q) V^T chi, so Im Z^T = Re Q (Im P)^T - Im Q (Re P)^T.  Its
+    diagonal blocks sum the copies; the entries off them pair unrelated
+    copies and meet only the zeros of the rotated generators.
     """
-    lam, v = _step_eigh(traj.hamiltonians, tied)
+    lam, v = _step_eigh(traj.hamiltonians, traj.basis.spans)
     dt = traj.grid.dt
     vt = v.swapaxes(-1, -2)
     half = np.exp(0.5j * dt * lam)[:, :, None]  # conj(q)
@@ -127,14 +122,14 @@ def all_gradients(idx, traj: Trajectory, chi: np.ndarray, schedule,
     """Gradients of the half-squared output error for `schedule.params[idx]`.
 
     All share one trajectory and its costate sweep `chi`.  The step
-    sensitivities are contracted once with every unit generator (the
+    sensitivities are contracted once with every rotated unit generator (the
     transposed assembly), then with every basis function, which gives the
     (rows, width) gradient in `params` order.
     """
-    w = _step_sensitivities(traj, chi, schedule.tied)
-    gens = qcore.generators(schedule.num_qubits, schedule.tied)
+    w = _step_sensitivities(traj, chi)
+    gens = traj.basis.gens
     sens = w.reshape(len(w), -1) @ gens.reshape(len(gens), -1).T  # (M, rows)
-    basis = schedule.basis_row(grid.midpoints)  # (M, width)
+    basis = schedule.grid_rows(grid)  # (M, width)
     return (-2.0 * sens.T @ basis).ravel()[idx]
 
 
@@ -152,7 +147,7 @@ def train_backprop(pairs, schedule, config: TrainConfig, grid: TimeGrid):
         sq_errors = []
         for pair in pairs:
             traj = qcore.evolve(pair.rho0, schedule, grid)
-            p = qcore.populations(traj.factors[-1])
+            p = qcore.populations(traj.register_factors(-1))
             sq_errors.append((pair.target - qcore.output_value(p)) ** 2)
             a_final = adjoint_boundary(p, pair.target)
             chi = adjoint_evolve_backward(a_final, traj)

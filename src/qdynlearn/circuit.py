@@ -48,7 +48,7 @@ class ShotBackend:
 def compile_segments(schedule: PiecewiseSchedule) -> np.ndarray:
     """(d, d) product of U_s = exp(-i H_s T/S) over the segments' parameters."""
     grid = TimeGrid(schedule.T, schedule.segments)
-    return qcore.ordered_product(qcore.step_unitaries(schedule, grid))
+    return qcore.step_product(schedule, grid)
 
 
 @functools.lru_cache(maxsize=16)

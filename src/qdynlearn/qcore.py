@@ -1,25 +1,35 @@
 """Dense N-qubit linear algebra and unitary time evolution of density matrices.
 
-Everything here works on small dense matrices (dim = 2^N, N <= 6).  H is
+Everything here works on small dense matrices (dim d = 2^N, N <= 6).  H is
 real symmetric, a schedule's coefficients times one stack of unit generators
-(`generators`).  Evolution is a stepwise matrix exponential of the midpoint
-Hamiltonians (`step_hamiltonians`), taken by `expm_hermitian` without an
+(`generators`).  Every solve runs in the coordinates of the schedule's
+`block_basis`: a tied schedule (the same terms on every qubit and pair)
+commutes with every qubit permutation, so in the total-spin basis of
+`spin_basis` each step Hamiltonian is one block per distinct spin j,
+repeated on each of its copies.  The solves keep one copy of each block,
+an (M, R, R) stack with R = sum(2j+1) (9 in place of d = 16 at N = 4), and
+fold the copies into the columns of the state's factor.  An untied schedule
+is the one-block case: Q = I, R = d, one copy.
+
+Evolution is a stepwise matrix exponential of the midpoint Hamiltonians
+(`step_hamiltonians`), taken by `expm_hermitian` without an
 eigendecomposition: cos(H dt) - i sin(H dt) as real Taylor polynomials,
 accurate and unitary to round-off.  Every solve uses those steps: `evolve`
 keeps the states along the way, `total_propagator` multiplies the steps
-pairwise (`ordered_product`).  `evolve` carries a state's square-root factor
-F (rho = F F^dagger, d x rank) rather than rho, so each step is one
-matrix-vector product for a pure state; rho(t_k) is formed from it on
-demand.  The density-matrix invariants (Hermiticity, unit trace, positivity)
-are preserved to round-off.  No solve diagonalises a Hamiltonian; backprop's
-step sensitivities do, in the total-spin basis of `spin_basis` when the
-schedule is tied.
+pairwise (`ordered_product`) and lifts the product to the register once.
+`evolve` carries a state's square-root factor F (rho = F F^dagger,
+d x rank) rather than rho, so each step is one small matrix product for a
+pure state; rho(t_k) is formed from it on demand.  The density-matrix
+invariants (Hermiticity, unit trace, positivity) are preserved to
+round-off.  No solve diagonalises a Hamiltonian; backprop's step
+sensitivities do, one block at a time.
 
 The one readout is Z_0 Z_1, diagonal in the computational basis, so a state
 enters it only through its populations diag(F F^dagger) (`populations` of U F
-for a propagator U, or of an evolved factor; normalised counts in `circuit`).
-<Z_0 Z_1> weights them by the signs `zz_parity` (`zz_expectation`), and the
-witness output is its square, <Z_0 Z_1>^2 (`output_value`).
+for a propagator U, or of an evolved factor unfolded to the register;
+normalised counts in `circuit`).  <Z_0 Z_1> weights them by the signs
+`zz_parity` (`zz_expectation`), and the witness output is its square,
+<Z_0 Z_1>^2 (`output_value`).
 """
 
 from __future__ import annotations
@@ -37,11 +47,11 @@ POSITIVITY_TOL = 1e-9
 SPIN_BASIS_TOL = 1e-13
 
 # Register sizes a witness is trained or evaluated on: the readout needs
-# qubits 0 and 1, and every solve is dense in 2^N.
+# qubits 0 and 1, and every register operator is dense in 2^N.
 QUBIT_RANGE = range(2, 7)
 
-# Trajectory-solve counter (forward evolutions, fast final-state solves and
-# backward adjoint sweeps all count as one solve).  Single-threaded bookkeeping
+# Trajectory-solve counter (forward evolutions, total propagators and
+# backward adjoint sweeps each count as one solve).  Single-threaded bookkeeping
 # used by the cost-structure tests; reset freely.
 solve_count = 0
 
@@ -146,9 +156,12 @@ class TimeGrid:
     def times(self):
         return np.linspace(0.0, self.T, self.steps + 1)
 
-    @property
+    @functools.cached_property
     def midpoints(self):
-        return self.times[:-1] + 0.5 * self.dt
+        """Read-only step midpoints t_k + dt/2, computed once per grid."""
+        mid = self.times[:-1] + 0.5 * self.dt
+        mid.flags.writeable = False
+        return mid
 
 
 def pair_indices(num_qubits):
@@ -197,9 +210,9 @@ def generators(num_qubits, tied):
 
 
 def assemble_hamiltonians(coef, gens):
-    """H_m = sum_g coef[m, g] gens[g]: (M, n_gen) coefficients to (M, d, d)."""
-    d = gens.shape[-1]
-    return (coef @ gens.reshape(len(gens), d * d)).reshape(len(coef), d, d)
+    """H_m = sum_g coef[m, g] gens[g]: (M, n_gen) coefficients to (M, n, n)."""
+    n = gens.shape[-1]
+    return (coef @ gens.reshape(len(gens), n * n)).reshape(len(coef), n, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,6 +281,93 @@ def check_spin_basis(q, blocks, num_qubits):
             f"spin basis at N = {num_qubits}: orthogonality residual "
             f"{orth:.1e}, block residual {block:.1e}")
     return orth, block
+
+
+@dataclass(frozen=True, eq=False)
+class BlockBasis:
+    """Solve coordinates of a register: one copy of each total-spin block.
+
+    `blocks` lists (2j+1, copies) per distinct spin j, largest first, and a
+    block coordinate runs over the first copy of each, R = sum(2j+1) in all.
+    `first` (d, R) holds those first-copy columns of `spin_basis`, and
+    `gens` (n_gen, R, R) the rotated `generators` first^T G first, exactly
+    zero off the diagonal blocks, so every assembled step is block diagonal.
+    `fold_map` (R * c_max, d) has row (b, k) = the column of copy k of block
+    coordinate b (zero past its block's copies), c_max the most copies of
+    any block: a register factor F (d, r) folds to the block factor
+    (R, c_max r), copy k of each block in columns k r .. (k+1) r, and the
+    copies share each step's block unitary.  The untied basis (and any
+    register whose blocks add up to d) is Q = I: R = d, one copy.
+    """
+
+    first: np.ndarray
+    gens: np.ndarray
+    blocks: tuple
+    fold_map: np.ndarray
+
+    @property
+    def size(self):
+        """R = sum(2j+1), the side of a block-coordinate matrix."""
+        return self.first.shape[1]
+
+    @property
+    def copies(self):
+        """c_max, the most copies of any block."""
+        return self.fold_map.shape[0] // self.size
+
+    @property
+    def spans(self):
+        """(start, stop) of each diagonal block along a block coordinate."""
+        stops = np.cumsum([n for n, _ in self.blocks]).tolist()
+        return tuple(zip([0] + stops[:-1], stops))
+
+    def fold(self, f):
+        """Block factors (..., R, c_max r) of register factors (..., d, r)."""
+        return (self.fold_map @ f).reshape(*f.shape[:-2], self.size, -1)
+
+    def unfold(self, b):
+        """Register factors (..., d, r) of block factors (..., R, c_max r)."""
+        r = b.shape[-1] // self.copies
+        return self.fold_map.T @ b.reshape(*b.shape[:-2], -1, r)
+
+    def lift(self, p):
+        """Register operators (..., d, d) of block-diagonal (..., R, R) ones.
+
+        Sum over copies k of Q_k p Q_k^T, Q_k the columns of copy k.
+        """
+        d = self.fold_map.shape[1]
+        wide = self.fold_map.reshape(self.size, -1)  # (R, c_max d)
+        return self.fold_map.T @ (p @ wide).reshape(*p.shape[:-2], -1, d)
+
+
+@functools.lru_cache(maxsize=None)
+def block_basis(num_qubits, tied) -> BlockBasis:
+    """The read-only `BlockBasis` of a register, built on first use.
+
+    Tied schedules from N = 3 on take the spin blocks of `spin_basis`; below
+    that every block has one copy (3 + 1 = d at N = 2), so, like every
+    untied schedule, they take Q = I.
+    """
+    gens = generators(num_qubits, tied)
+    d = gens.shape[-1]
+    q, blocks = (spin_basis(num_qubits) if tied and num_qubits >= 3
+                 else (np.eye(d), ((d, 1),)))
+    size, c_max = sum(n for n, _ in blocks), max(c for _, c in blocks)
+    fold_map = np.zeros((size, c_max, d))
+    mask = np.zeros((size, size), dtype=bool)
+    row = col = 0
+    for n, copies in blocks:
+        cols = q[:, col:col + n * copies].T.reshape(copies, n, d)
+        fold_map[row:row + n, :copies] = cols.swapaxes(0, 1)
+        mask[row:row + n, row:row + n] = True
+        row, col = row + n, col + n * copies
+    first = np.ascontiguousarray(fold_map[:, 0].T)
+    basis = BlockBasis(first=first,
+                       gens=np.where(mask, first.T @ gens @ first, 0.0),
+                       blocks=blocks, fold_map=fold_map.reshape(-1, d))
+    for a in (basis.first, basis.gens, basis.fold_map):
+        a.flags.writeable = False
+    return basis
 
 
 def _taylor_table():
@@ -348,62 +448,78 @@ def expm_hermitian(h, dt):
 
 
 def step_hamiltonians(schedule, grid: TimeGrid):
-    """Real midpoint Hamiltonians H(t_k + dt/2), shape (M, d, d)."""
+    """Real midpoint Hamiltonians H(t_k + dt/2) in block coordinates, (M, R, R)."""
+    coef = schedule.grid_rows(grid) @ schedule.params.reshape(-1, schedule.width).T
     return assemble_hamiltonians(
-        schedule.eval_many(grid.midpoints),
-        generators(schedule.num_qubits, schedule.tied))
+        coef, block_basis(schedule.num_qubits, schedule.tied).gens)
 
 
 def step_unitaries(schedule, grid: TimeGrid):
-    """Per-step propagators U_k = exp(-i H(t_k + dt/2) dt), shape (M, d, d)."""
+    """Per-step propagators U_k = exp(-i H(t_k + dt/2) dt), shape (M, R, R)."""
     return expm_hermitian(step_hamiltonians(schedule, grid), grid.dt)
 
 
 def ordered_product(us):
-    """U_{M-1} ... U_0 of a (M, d, d) stack, multiplied pairwise."""
+    """U_{M-1} ... U_0 of a (M, n, n) stack, multiplied pairwise."""
     while len(us) > 1:  # U_{2j+1} U_{2j} per level; an odd last factor carries
         even = len(us) // 2 * 2
         us = np.concatenate([us[1:even:2] @ us[:even:2], us[even:]])
     return us[0]
 
 
+def step_product(schedule, grid: TimeGrid) -> np.ndarray:
+    """U_{M-1} ... U_0 in the register basis, (d, d): the block product, lifted."""
+    basis = block_basis(schedule.num_qubits, schedule.tied)
+    return basis.lift(ordered_product(step_unitaries(schedule, grid)))
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward evolution record: state factors, step unitaries and Hamiltonians."""
+    """Forward evolution record in the block coordinates of `basis`."""
 
-    factors: np.ndarray  # (M+1, d, r): rho(t_k) = F_k F_k^dagger
-    unitaries: np.ndarray  # (M, d, d)
+    factors: np.ndarray  # (M+1, R, c_max r): block factors of F_k
+    unitaries: np.ndarray  # (M, R, R)
     grid: TimeGrid
-    hamiltonians: np.ndarray  # (M, d, d), real: each step's midpoint H
+    hamiltonians: np.ndarray  # (M, R, R), real: each step's midpoint H
+    basis: BlockBasis
+
+    def register_factors(self, k=slice(None)) -> np.ndarray:
+        """Register factors F_k (d, r) at step(s) k: rho(t_k) = F_k F_k^dagger."""
+        return self.basis.unfold(self.factors[k])
 
     @property
     def states(self) -> np.ndarray:
         """rho(t_k) for every k, shape (M+1, d, d), formed from the factors."""
-        return self.factors @ self.factors.conj().swapaxes(-1, -2)
+        f = self.register_factors()
+        return f @ f.conj().swapaxes(-1, -2)
 
 
 def evolve(rho0: DensityMatrix, schedule, grid: TimeGrid) -> Trajectory:
     """Propagate rho0's factor through the schedule: F_{k+1} = U_k F_k.
 
-    That is rho_{k+1} = U_k rho_k U_k^dagger, at one (d, d) x (d, r) product
-    per step.  The Hamiltonian is sampled at step midpoints, so
-    piecewise-constant schedules whose segments align with the grid are
-    reproduced exactly and smooth schedules converge at second order in dt.
+    That is rho_{k+1} = U_k rho_k U_k^dagger, at one (R, R) x (R, c_max r)
+    product per step on the folded factor.  The Hamiltonian is sampled at
+    step midpoints, so piecewise-constant schedules whose segments align
+    with the grid are reproduced exactly and smooth schedules converge at
+    second order in dt.
     """
     _tick_solve()
+    basis = block_basis(schedule.num_qubits, schedule.tied)
     h = step_hamiltonians(schedule, grid)
     us = expm_hermitian(h, grid.dt)
-    factors = np.empty((grid.steps + 1, *rho0.factor.shape), dtype=complex)
-    factors[0] = rho0.factor
+    f0 = basis.fold(rho0.factor)
+    factors = np.empty((grid.steps + 1, *f0.shape), dtype=complex)
+    factors[0] = f0
     for k in range(grid.steps):
         np.matmul(us[k], factors[k], out=factors[k + 1])
-    return Trajectory(factors=factors, unitaries=us, grid=grid, hamiltonians=h)
+    return Trajectory(factors=factors, unitaries=us, grid=grid, hamiltonians=h,
+                      basis=basis)
 
 
 def total_propagator(schedule, grid: TimeGrid) -> np.ndarray:
-    """Product U_{M-1} ... U_0 mapping rho(0) to rho(T) by conjugation."""
+    """Product U_{M-1} ... U_0 (d, d) mapping rho(0) to rho(T) by conjugation."""
     _tick_solve()
-    return ordered_product(step_unitaries(schedule, grid))
+    return step_product(schedule, grid)
 
 
 def populations(f) -> np.ndarray:

@@ -8,6 +8,7 @@ perturb and update coefficients by index.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -137,16 +138,24 @@ class _Schedule:
         """Basis-function values at times ts, shape (len(ts), width)."""
         raise NotImplementedError
 
+    def grid_rows(self, grid):
+        """Read-only basis rows at `grid.midpoints`, shape (M, width).
+
+        Computed (and range-checked) once per (family structure, T, grid)
+        and shared by every schedule of that family: the solves and the
+        gradient read them.
+        """
+        return _grid_rows(type(self), tuple(self.structure().items()), self.T,
+                          grid)
+
     def eval_many(self, ts):
         """Each row of `params.reshape(-1, width)` at times ts, shape (M, rows).
 
         Column g multiplies row g of `qcore.generators(num_qubits, tied)`:
         per site, or one column per kind when tied.
         """
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < -1e-12 or ts.max() > self.T + 1e-12):
-            raise ScheduleError("evaluation time outside [0, T]")
-        return self.basis_row(ts) @ self.params.reshape(-1, self.width).T
+        rows = self.basis_row(_checked_times(ts, self.T))
+        return rows @ self.params.reshape(-1, self.width).T
 
     # -- serialization -----------------------------------------------------
 
@@ -186,7 +195,8 @@ class FourierSchedule(_Schedule):
     def basis_row(self, ts):
         ts = np.asarray(ts, dtype=float)
         ns = np.arange(1, self.n_max + 1)
-        args = np.outer(ts, ns) * (np.pi / self.T)  # (M, n_max)
+        # Scale t by T first: no accepted T can overflow the arguments.
+        args = np.outer(ts / self.T, np.pi * ns)  # (M, n_max)
         return np.concatenate(
             [np.ones((ts.size, 1)), np.sin(args), np.cos(args)], axis=1
         )
@@ -215,12 +225,32 @@ class PiecewiseSchedule(_Schedule):
 
     def basis_row(self, ts):
         ts = np.asarray(ts, dtype=float)
+        # t / T first, as in the Fourier basis: S t could overflow.
         idx = np.minimum(
-            np.floor(ts * self.segments / self.T).astype(int), self.segments - 1
+            np.floor(ts / self.T * self.segments).astype(int), self.segments - 1
         )
         b = np.zeros((ts.size, self.segments))
         b[np.arange(ts.size), idx] = 1.0
         return b
+
+
+def _checked_times(ts, T):
+    """ts as a float array; raises ScheduleError if one lies outside [0, T]."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.size and (ts.min() < -1e-12 or ts.max() > T + 1e-12):
+        raise ScheduleError("evaluation time outside [0, T]")
+    return ts
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_rows(family, structure, T, grid):
+    """`basis_row` of one family at a grid's midpoints, read-only."""
+    shell = family.__new__(family)
+    shell._set_structure(**dict(structure))
+    shell.T = T
+    rows = shell.basis_row(_checked_times(grid.midpoints, T))
+    rows.flags.writeable = False
+    return rows
 
 
 def list_trainable(schedule, learning_rates) -> np.ndarray:

@@ -68,7 +68,7 @@ def test_criterion_1_adjoint_vs_central_difference():
         pair = TrainingPair(random_state(rng), rng.uniform())
         traj = evolve(pair.rho0, sched, grid)
         a_final = backprop.adjoint_boundary(
-            qcore.populations(traj.factors[-1]), pair.target)
+            qcore.populations(traj.register_factors(-1)), pair.target)
         field = backprop.adjoint_evolve_backward(a_final, traj)
         idx = list_trainable(sched, {"tunneling": 1.0, "coupling": 1.0})
         assert len(idx) == 21

@@ -52,11 +52,11 @@ def loss(pair, schedule, grid):
 
 
 def final_populations(traj):
-    return qcore.populations(traj.factors[-1])
+    return qcore.populations(traj.register_factors(-1))
 
 
 def final_rho(traj):
-    f = traj.factors[-1]
+    f = traj.register_factors(-1)
     return f @ f.conj().T
 
 
@@ -169,7 +169,7 @@ def site_generators(num_qubits):
 def costate_field(a_final, traj):
     """Dense costates A_k = U_k^dag A_{k+1} U_k from A_M = a_final."""
     field_ = [a_final]
-    for u in traj.unitaries[::-1]:
+    for u in traj.basis.lift(traj.unitaries)[::-1]:
         field_.append(u.conj().T @ field_[-1] @ u)
     return np.array(field_[::-1])
 
@@ -387,11 +387,11 @@ def test_epoch_cost_is_two_solves_per_pair():
 def test_epoch_diagonalises_once_per_pair(monkeypatch):
     # One tied epoch at N = 4: per pair, one eigh per distinct total spin
     # (blocks of 5, 3 and 1) for the gradient and none for the states, whose
-    # factors are their state vectors.  The spin basis is built first, once
-    # per process.
+    # factors are their state vectors.  The block basis (and with it the
+    # spin basis) is built first, once per process.
     pairs = build_training_set(4)
     sched = FourierSchedule.initialized(4, 250.0, n_max=3, tied=True)
-    qcore.spin_basis(4)
+    qcore.block_basis(4, True)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
@@ -425,9 +425,46 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
     assert shapes == [(40, 8, 8)]
     assert assembled == [40]
-    lam, v = eigh(traj.hamiltonians)
+    lam, v = eigh(traj.basis.lift(traj.hamiltonians))
     rebuilt = (v * np.exp(-1j * grid.dt * lam)[:, None, :]) @ v.swapaxes(1, 2)
-    assert np.abs(rebuilt - traj.unitaries).max() <= 1e-13
+    assert np.abs(rebuilt - traj.basis.lift(traj.unitaries)).max() <= 1e-13
     h = assemble(sched.eval_many(grid.midpoints),
                  qcore.generators(3, sched.tied))
     assert np.abs((v * lam[:, None, :]) @ v.swapaxes(1, 2) - h).max() <= 1e-13
+
+
+@pytest.mark.parametrize("num_qubits, size", [(4, 9), (5, 12), (6, 16)])
+def test_tied_solves_run_on_the_spin_blocks(num_qubits, size, monkeypatch):
+    # A tied solve and a tied gradient pair assemble, exponentiate and
+    # diagonalise only block-coordinate stacks: (M, R, R) with
+    # R = sum(2j+1), and eigh one diagonal block per distinct spin.  No
+    # (M, d, d) array reaches any of them.
+    basis = qcore.block_basis(num_qubits, True)  # built before the spies
+    sched = FourierSchedule.initialized(num_qubits, 250.0, n_max=3, tied=True)
+    grid = TimeGrid(250.0, 50)
+    pair = build_training_set(num_qubits)[0]
+    seen = {"assemble": [], "expm": [], "eigh": []}
+    assemble, expm, eigh = (qcore.assemble_hamiltonians, qcore.expm_hermitian,
+                            np.linalg.eigh)
+
+    def spy(name, fn, shape_of):
+        def wrapped(*args):
+            out = fn(*args)
+            seen[name].append(shape_of(args, out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(qcore, "assemble_hamiltonians",
+                        spy("assemble", assemble, lambda a, out: out.shape))
+    monkeypatch.setattr(qcore, "expm_hermitian",
+                        spy("expm", expm, lambda a, out: a[0].shape))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        spy("eigh", eigh, lambda a, out: a[0].shape))
+    qcore.total_propagator(sched, grid)
+    traj = evolve(pair.rho0, sched, grid)
+    chi = adjoint_evolve_backward(
+        adjoint_boundary(final_populations(traj), pair.target), traj)
+    all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
+    assert seen["assemble"] == seen["expm"] == [(50, size, size)] * 2
+    assert seen["eigh"] == [(50, n, n) for n, _ in basis.blocks]
+    assert basis.size == size

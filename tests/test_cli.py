@@ -218,6 +218,23 @@ def test_train_zero_epochs_writes_initial_artifacts(runner, tmp_path):
     assert "epochs = 0" in result.output
 
 
+@pytest.mark.parametrize("mode", ["rl", "backprop", "circuit"])
+def test_train_zero_epochs_at_the_largest_time_is_finite(runner, tmp_path,
+                                                         mode):
+    # T_ns = 1e308 is accepted; the initial trace must not overflow.
+    cfg = write_config(tmp_path / "cfg.json", mode=mode, epochs=0, T_ns=1e308)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    _, *rows = read_csv(out / "traces.csv")
+    values = np.array([[float(cell) for cell in row] for row in rows])
+    assert len(values) == 2 * 51  # the start and the (untrained) end
+    assert np.isfinite(values).all()
+
+
 def test_train_diverging_inside_an_epoch_exits_1_with_epochs_csv(runner,
                                                                  tmp_path):
     # At T = 1e12 ns the first descent steps of epoch 0 drive the

@@ -125,12 +125,16 @@ def test_generators_are_the_pauli_terms(num_qubits):
 @settings(max_examples=20, deadline=None)
 @given(sched=random_schedules())
 def test_total_propagator_is_the_sequential_step_product(sched):
+    # The steps are block-coordinate matrices; their product, lifted to the
+    # register, is the propagator.
+    basis = qcore.block_basis(sched.num_qubits, sched.tied)
     for steps in (1, 2, 3, 7, 200):  # odd counts leave a factor over
         grid = TimeGrid(sched.T, steps)
-        ref = np.eye(2**sched.num_qubits)
+        ref = np.eye(basis.size)
         for u in qcore.step_unitaries(sched, grid):
             ref = u @ ref
-        assert np.abs(total_propagator(sched, grid) - ref).max() <= 1e-12
+        assert np.abs(total_propagator(sched, grid)
+                      - basis.lift(ref)).max() <= 1e-12
 
 
 # -- eigendecomposition-free exponential --------------------------------------
@@ -205,10 +209,10 @@ def eigh_unitaries(h, dt):
     return (v * np.exp(-1j * dt * lam)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
-def perturbed_default(family, num_qubits, T=250.0):
+def perturbed_default(family, num_qubits, T=250.0, tied=False):
     """The family's default start with every coefficient perturbed by 1%."""
     rng = np.random.default_rng(num_qubits)
-    sched = family.initialized(num_qubits, T, tied=False)
+    sched = family.initialized(num_qubits, T, tied=tied)
     for c in sched.coeffs.values():
         c *= 1.0 + 0.01 * rng.normal(size=c.shape)
     return sched
@@ -219,24 +223,34 @@ def perturbed_default(family, num_qubits, T=250.0):
 def test_total_propagator_equals_eigh_step_product(family, num_qubits):
     # A training-sized solve (T = 250 ns, 200 steps) from the default start,
     # every coefficient perturbed by 1%, against the sequential products of
-    # eigh-based step unitaries and of scipy's expm.
-    sched = perturbed_default(family, num_qubits)
-    grid = TimeGrid(sched.T, 200)
-    h = qcore.step_hamiltonians(sched, grid)
-    eigh_steps = eigh_unitaries(h, grid.dt)
-    assert np.abs(qcore.expm_hermitian(h, grid.dt) - eigh_steps).max() <= 1e-14
-    eigh_ref = scipy_ref = np.eye(2**sched.num_qubits)
-    for u, m in zip(eigh_steps, h):
-        eigh_ref = u @ eigh_ref
-        scipy_ref = scipy.linalg.expm(-1j * m * grid.dt) @ scipy_ref
-    u = total_propagator(sched, grid)
-    assert np.abs(u - scipy_ref).max() <= 1e-13
-    # The eigh steps carry about 2e-15 of round-off each (the Taylor steps
-    # about 2e-16), and on a slowly varying schedule it adds up over the 200
-    # steps: up to 1.8e-13 against scipy's product at N = 4.  So the
-    # comparison with the eigh product allows that drift on top of 1e-13.
-    eigh_drift = np.abs(eigh_ref - scipy_ref).max()
-    assert np.abs(u - eigh_ref).max() <= 1e-13 + eigh_drift
+    # eigh-based step unitaries and of scipy's expm, both on the register.
+    # From N = 3 on, a tied schedule solves on its spin blocks and lifts the
+    # product: it must give the same U.
+    for tied in sorted({False, num_qubits >= 3}):
+        sched = perturbed_default(family, num_qubits, tied=tied)
+        grid = TimeGrid(sched.T, 200)
+        h = qcore.assemble_hamiltonians(
+            sched.eval_many(grid.midpoints),
+            qcore.generators(num_qubits, tied))
+        eigh_steps = eigh_unitaries(h, grid.dt)
+        assert np.abs(qcore.expm_hermitian(h, grid.dt)
+                      - eigh_steps).max() <= 1e-14
+        block_steps = qcore.block_basis(num_qubits, tied).lift(
+            qcore.step_unitaries(sched, grid))
+        assert np.abs(block_steps - eigh_steps).max() <= 1e-14
+        eigh_ref = scipy_ref = np.eye(2**sched.num_qubits)
+        for u, m in zip(eigh_steps, h):
+            eigh_ref = u @ eigh_ref
+            scipy_ref = scipy.linalg.expm(-1j * m * grid.dt) @ scipy_ref
+        u = total_propagator(sched, grid)
+        assert np.abs(u - scipy_ref).max() <= 1e-13
+        # The eigh steps carry about 2e-15 of round-off each (the Taylor
+        # steps about 2e-16), and on a slowly varying schedule it adds up
+        # over the 200 steps: up to 1.8e-13 against scipy's product at
+        # N = 4.  So the comparison with the eigh product allows that drift
+        # on top of 1e-13.
+        eigh_drift = np.abs(eigh_ref - scipy_ref).max()
+        assert np.abs(u - eigh_ref).max() <= 1e-13 + eigh_drift
 
 
 @pytest.mark.parametrize("num_qubits", range(2, 6))
@@ -251,8 +265,9 @@ def test_evolve_final_state_equals_final_state(num_qubits):
                                            + 1j * rng.normal(size=d))
     traj = evolve(rho0, sched, grid)
     u = total_propagator(sched, grid)
-    assert np.abs(traj.factors[-1] - u @ rho0.factor).max() <= 1e-14
-    assert np.abs(populations(traj.factors[-1])
+    f = traj.register_factors(-1)
+    assert np.abs(f - u @ rho0.factor).max() <= 1e-14
+    assert np.abs(populations(f)
                   - final_populations(rho0, sched, grid)).max() <= 1e-14
 
 
@@ -386,11 +401,131 @@ def test_spin_basis_check_raises_on_mixed_copies():
 def test_spin_basis_is_not_built_at_import():
     code = ("import qdynlearn.cli, qdynlearn.qcore as q; "
             "print(q.spin_basis.cache_info().currsize "
-            "+ q.generators.cache_info().currsize)")
+            "+ q.generators.cache_info().currsize "
+            "+ q.block_basis.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=str(Path(qcore.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "0"
+
+
+# -- block coordinates ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+@pytest.mark.parametrize("tied", [False, True])
+def test_block_basis_layout(num_qubits, tied):
+    basis = qcore.block_basis(num_qubits, tied)
+    d = 2**num_qubits
+    assert qcore.block_basis(num_qubits, tied) is basis
+    for a in (basis.first, basis.gens, basis.fold_map):
+        assert not a.flags.writeable
+    if tied and num_qubits >= 3:
+        assert basis.blocks == tuple((n, c) for n, c in
+                                     qcore.spin_basis(num_qubits)[1])
+        assert basis.size == sum(n for n, _ in basis.blocks) < d
+    else:  # one block, Q = I
+        assert basis.blocks == ((d, 1),)
+        assert np.array_equal(basis.fold_map, np.eye(d))
+        assert np.array_equal(basis.gens,
+                              qcore.generators(num_qubits, tied))
+    assert basis.size == {(3, True): 6, (4, True): 9, (5, True): 12,
+                          (6, True): 16}.get((num_qubits, tied), d)
+    assert basis.copies == max(c for _, c in basis.blocks)
+    # The rotated generators vanish exactly off the diagonal blocks.
+    inside = np.zeros((basis.size,) * 2, dtype=bool)
+    for start, stop in basis.spans:
+        inside[start:stop, start:stop] = True
+    assert not basis.gens[:, ~inside].any()
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+@pytest.mark.parametrize("tied", [False, True])
+def test_fold_unfold_round_trip(num_qubits, tied):
+    # Folding is the orthogonal spin rotation followed by a placement of
+    # each copy's rows into its own columns: unfold(fold(F)) = F and
+    # fold(unfold(B)) = B for every factor, inner products are kept, and
+    # the columns past a block's copies stay exactly zero.
+    basis = qcore.block_basis(num_qubits, tied)
+    d, size, copies = 2**num_qubits, basis.size, basis.copies
+    rng = np.random.default_rng(70 + num_qubits)
+    for r in sorted({1, 2, d}):
+        f, g = (rng.normal(size=(2, d, r)) + 1j * rng.normal(size=(2, d, r)))
+        b = basis.fold(f)
+        assert b.shape == (size, copies * r)
+        assert np.abs(basis.unfold(b) - f).max() <= 1e-14 * np.abs(f).max()
+        assert np.abs(basis.fold(basis.unfold(b)) - b).max() <= (
+            1e-14 * np.abs(b).max())
+        assert abs(np.vdot(basis.fold(g), b) - np.vdot(g, f)) <= (
+            1e-13 * np.linalg.norm(f) * np.linalg.norm(g))
+        row = 0
+        for n, c in basis.blocks:
+            assert not b[row:row + n, c * r:].any()
+            row += n
+        if basis.blocks == ((d, 1),):
+            assert np.array_equal(b, f) and np.array_equal(basis.unfold(b), f)
+    # A stack of factors folds row by row.
+    stack = rng.normal(size=(3, d, 2)) + 1j * rng.normal(size=(3, d, 2))
+    assert np.array_equal(basis.fold(stack)[1], basis.fold(stack[1]))
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+@pytest.mark.parametrize("tied", [False, True])
+def test_lifted_block_assembly_is_the_register_assembly(num_qubits, tied):
+    basis = qcore.block_basis(num_qubits, tied)
+    gens = qcore.generators(num_qubits, tied)
+    coef = np.random.default_rng(num_qubits).normal(size=(5, len(gens)))
+    h = qcore.assemble_hamiltonians(coef, basis.gens)
+    assert h.shape == (5, basis.size, basis.size)
+    ref = qcore.assemble_hamiltonians(coef, gens)
+    scale = np.abs(ref).max()
+    assert np.abs(basis.lift(h) - ref).max() <= 1e-13 * scale
+
+
+def random_mixed_state(rng, d, rank):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    return DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
+
+
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+@pytest.mark.parametrize("tied", [False, True])
+def test_trajectory_states_equal_the_dense_step_product(num_qubits, tied):
+    # rho_{k+1} = U_k rho_k U_k^dag with U_k = exp(-i H_k dt) taken by eigh
+    # from the register Hamiltonian: no block coordinate enters.
+    sched = perturbed_default(FourierSchedule, num_qubits, T=40.0, tied=tied)
+    grid = TimeGrid(sched.T, 30)
+    d = 2**num_qubits
+    rng = np.random.default_rng(80 + num_qubits)
+    h = qcore.assemble_hamiltonians(sched.eval_many(grid.midpoints),
+                                    qcore.generators(num_qubits, tied))
+    us = eigh_unitaries(h, grid.dt)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for rho0 in (DensityMatrix.from_state_vector(psi),
+                 random_mixed_state(rng, d, 2)):
+        states = evolve(rho0, sched, grid).states
+        assert states.shape == (grid.steps + 1, d, d)
+        rho = rho0.matrix
+        assert np.abs(states[0] - rho).max() <= 1e-14
+        for k, u in enumerate(us):
+            rho = u @ rho @ u.conj().T
+            assert np.abs(states[k + 1] - rho).max() <= 1e-13
+
+
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+@pytest.mark.parametrize("tied", [False, True])
+def test_final_factor_populations_equal_the_propagator_readout(num_qubits,
+                                                               tied):
+    sched = perturbed_default(FourierSchedule, num_qubits, tied=tied)
+    grid = TimeGrid(sched.T, 200)
+    d = 2**num_qubits
+    rng = np.random.default_rng(90 + num_qubits)
+    u = total_propagator(sched, grid)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for rho0 in (DensityMatrix.from_state_vector(psi),
+                 random_mixed_state(rng, d, 3)):
+        traj = evolve(rho0, sched, grid)
+        assert np.abs(populations(traj.register_factors(-1))
+                      - populations(u @ rho0.factor)).max() <= 1e-14
 
 
 def test_time_grid():
@@ -398,6 +533,10 @@ def test_time_grid():
     assert g.dt == 2.5
     assert np.allclose(g.times, [0.0, 2.5, 5.0, 7.5, 10.0])
     assert np.allclose(g.midpoints, [1.25, 3.75, 6.25, 8.75])
+    # Computed once per grid and shared, so it is read-only.
+    assert g.midpoints is g.midpoints
+    with pytest.raises(ValueError, match="read-only"):
+        g.midpoints[0] = 0.0
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 4)
     with pytest.raises(ValueError):
@@ -492,7 +631,8 @@ def test_evolve_zero_hamiltonian_is_static():
     grid = TimeGrid(10.0, 50)
     traj = evolve(bell_state(), constant_schedule(2, 10.0), grid)
     assert np.allclose(traj.states, traj.states[0][None], atol=1e-14)
-    assert np.allclose(traj.unitaries, np.eye(4)[None], atol=1e-14)
+    assert np.allclose(traj.basis.lift(traj.unitaries), np.eye(4)[None],
+                       atol=1e-14)
 
 
 def test_evolve_rabi_flip():
@@ -581,7 +721,7 @@ def test_total_propagator_matches_evolve():
     rho0 = DensityMatrix.from_state_vector(psi)
     grid = TimeGrid(30.0, 75)
     u = total_propagator(sched, grid)
-    f = evolve(rho0, sched, grid).factors[-1]
+    f = evolve(rho0, sched, grid).register_factors(-1)
     assert np.abs(u @ rho0.matrix @ u.conj().T - f @ f.conj().T).max() < 1e-12
 
 

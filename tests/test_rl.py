@@ -140,7 +140,7 @@ def test_fd_gradient_agrees_with_adjoint():
 
     traj = qcore.evolve(pair.rho0, sched, grid)
     a_final = backprop.adjoint_boundary(
-        qcore.populations(traj.factors[-1]), pair.target)
+        qcore.populations(traj.register_factors(-1)), pair.target)
     field = backprop.adjoint_evolve_backward(a_final, traj)
     for i in list_trainable(sched, cfg.learning_rates):
         exact = backprop.all_gradients([i], traj, field, sched, grid)[0]
@@ -155,7 +155,7 @@ def test_fd_gradient_first_order_in_delta():
     i = list_trainable(sched, RLConfig().learning_rates)[0]
     traj = qcore.evolve(pair.rho0, sched, grid)
     a_final = backprop.adjoint_boundary(
-        qcore.populations(traj.factors[-1]), pair.target)
+        qcore.populations(traj.register_factors(-1)), pair.target)
     field = backprop.adjoint_evolve_backward(a_final, traj)
     exact = backprop.all_gradients([i], traj, field, sched, grid)[0]
     errs = []

@@ -1,6 +1,7 @@
 """Schedule evaluation, coefficient bookkeeping and serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qdynlearn.schedules import (
     save_schedule,
     schedule_from_dict,
 )
+from qdynlearn.qcore import TimeGrid
 from qdynlearn.reporting import TraceWriter
 
 ALL_RATES = {"tunneling": 1.0, "bias": 1.0, "coupling": 1.0}
@@ -107,6 +109,39 @@ def test_eval_outside_domain_raises():
         s.eval_many([-0.5])
     with pytest.raises(ScheduleError):
         s.eval_many([10.5])
+
+
+@pytest.mark.parametrize("family", [FourierSchedule, PiecewiseSchedule])
+def test_basis_is_finite_at_the_largest_time(family):
+    # t is scaled by T before anything else, so no accepted T overflows the
+    # basis (the Fourier arguments n pi t / T, the piecewise index S t / T).
+    T = 1e308
+    s = family.initialized(2, T)
+    ts = np.linspace(0.0, T, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = s.basis_row(ts)
+    assert np.isfinite(rows).all()
+    assert (np.abs(rows) <= 1.0).all()
+    if family is FourierSchedule:  # sin(n pi) = 0, cos(n pi) = (-1)^n at t = T
+        assert np.allclose(rows[-1], np.r_[1.0, np.zeros(3), [-1.0, 1.0, -1.0]],
+                           atol=1e-12)
+
+
+@pytest.mark.parametrize("family", [FourierSchedule, PiecewiseSchedule])
+def test_grid_rows_are_the_basis_at_the_midpoints(family):
+    # Computed once per (structure, T, grid), read-only, shared by every
+    # schedule of that family, and bit-identical to `basis_row`.
+    grid = TimeGrid(8.0, 40)
+    a, b = family.initialized(2, 8.0), family.initialized(3, 8.0, tied=True)
+    rows = a.grid_rows(grid)
+    assert np.array_equal(rows, a.basis_row(grid.midpoints))
+    assert b.grid_rows(TimeGrid(8.0, 40)) is rows
+    assert not rows.flags.writeable
+    assert family.initialized(2, 4.0).grid_rows(TimeGrid(4.0, 40)) is not rows
+    # A grid longer than the schedule is out of range, as in `eval_many`.
+    with pytest.raises(ScheduleError, match="outside"):
+        family.initialized(2, 4.0).grid_rows(grid)
 
 
 def test_tied_broadcast_is_uniform():
