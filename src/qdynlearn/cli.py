@@ -178,7 +178,10 @@ def eval_cmd(schedule_path, states_path, out_path, steps):
     schedule = _load_schedule(schedule_path)
     n = schedule.num_qubits
     qcore.check_num_qubits(n, "schedule num_qubits", click.UsageError)
-    grid = qcore.TimeGrid(schedule.T, steps)
+    # A segmented schedule runs whole segments per step, as its circuit does:
+    # the step count is rounded up to a multiple of the segment count.
+    unit = schedule.size if schedule.SEGMENTED else 1
+    grid = qcore.TimeGrid(schedule.T, -(-steps // unit) * unit)
 
     if states_path is not None:
         entries = _read_json(states_path)

@@ -15,10 +15,13 @@ from dataclasses import asdict, dataclass, field
 from .circuit import CircuitRLConfig, ShotBackend
 from .qcore import TimeGrid, check_num_qubits
 from .rl import RLConfig
-from .schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule, load_schedule
-from .train import TrainConfig
+from .schedules import FAMILIES, KIND_ORDER, load_schedule
 
-MODES = ("rl", "backprop", "circuit")
+# Each mode's schedule family and loop-config defaults: smooth Fourier pulses
+# in the continuum modes, piecewise-constant segments on the circuit.
+MODES = {"rl": (FAMILIES["fourier"], RLConfig),
+         "backprop": (FAMILIES["fourier"], RLConfig),
+         "circuit": (FAMILIES["piecewise"], CircuitRLConfig)}
 
 
 class ConfigError(ValueError):
@@ -40,7 +43,6 @@ def _finite_float(token):
 # larger rates need a short one.
 DEFAULT_T_NS = {"rl": 250.0, "backprop": 250.0, "circuit": 2.0}
 DEFAULT_STEPS = 200
-DEFAULT_SEGMENTS = 4
 
 # The type of each word of a field's annotation.  A bool passes only where
 # the annotation names bool: it is neither an int nor a float here.
@@ -56,10 +58,10 @@ class RunConfig:
     num_qubits: int = 2
     T_ns: float | None = None  # default depends on mode
     steps: int = DEFAULT_STEPS
-    epochs: int = TrainConfig.epochs
+    epochs: int = RLConfig.epochs
     seed: int = 0
-    n_max: int = 3
-    segments: int = DEFAULT_SEGMENTS
+    n_max: int = FAMILIES["fourier"].SIZE[1]
+    segments: int = FAMILIES["piecewise"].SIZE[1]
     tied: bool | None = None  # default: the schedule family's
     init: dict = field(default_factory=dict)
     learning_rates: dict = field(default_factory=dict)
@@ -86,18 +88,17 @@ class RunConfig:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ConfigError(f"{name}.{kind} must be float, got {value!r}")
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r} (expected {MODES})")
+            raise ConfigError(f"unknown mode {self.mode!r} (expected {tuple(MODES)})")
         check_num_qubits(self.num_qubits, error=ConfigError)
         # Every mode checks every field, used by its family or not.
+        sizes = [(f.SIZE[0], f.SIZE[2]) for f in FAMILIES.values()]
         for name, low in (("epochs", 0), ("trace_every", 0), ("rms_target", 0),
-                          ("seed", 0), ("n_max", 0), ("segments", 1)):
+                          ("seed", 0), *sizes):
             if not (getattr(self, name) or 0) >= low:  # None: no target
                 raise ConfigError(f"{name} must be >= {low}")
         if isinstance(self.shots, str) and self.shots != "exact":
             raise ConfigError('shots must be a positive integer or "exact"')
-        circuit = self.mode == "circuit"
-        family = PiecewiseSchedule if circuit else FourierSchedule
-        loop_cls = CircuitRLConfig if circuit else RLConfig
+        family, loop_cls = MODES[self.mode]
         if self.delta_rel is None:
             self.delta_rel = loop_cls.delta_rel
         loop = loop_cls(delta_rel=self.delta_rel)
@@ -108,6 +109,7 @@ class RunConfig:
         if self.tied is None:
             self.tied = family.TIED
         self.delta_abs = {**loop.delta_abs, **(self.delta_abs or {})}
+        self.train_config()  # checks the merged loop fields, in every mode
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":
@@ -143,9 +145,8 @@ class RunConfig:
         return TimeGrid(self.T_ns, self.steps)
 
     def build_schedule(self):
-        family = PiecewiseSchedule if self.mode == "circuit" else FourierSchedule
-        structure = ({"segments": self.segments} if self.mode == "circuit"
-                     else {"n_max": self.n_max})
+        family = MODES[self.mode][0]
+        structure = {family.SIZE[0]: getattr(self, family.SIZE[0])}
         if self.initial_schedule is not None:
             sched = load_schedule(self.initial_schedule)
             have = (sched.num_qubits, sched.mode, sched.T, sched.structure(),
@@ -161,14 +162,14 @@ class RunConfig:
             tunneling=self.init["tunneling"], bias=self.init["bias"],
             coupling=self.init["coupling"], **structure)
 
-    def train_config(self) -> TrainConfig:
-        """The training-loop config for this mode, from the resolved fields."""
-        common = dict(learning_rates=dict(self.learning_rates),
-                      epochs=self.epochs, rms_target=self.rms_target)
-        if self.mode == "backprop":
-            return TrainConfig(**common)
-        return RLConfig(delta_rel=self.delta_rel, delta_abs=dict(self.delta_abs),
-                        **common)
+    def train_config(self) -> RLConfig:
+        """The training-loop config, from the resolved fields.
+
+        One type in every mode: backprop reads only its `TrainConfig` fields.
+        """
+        return RLConfig(learning_rates=dict(self.learning_rates),
+                        epochs=self.epochs, rms_target=self.rms_target,
+                        delta_rel=self.delta_rel, delta_abs=dict(self.delta_abs))
 
     def backend(self) -> ShotBackend:
         shots = None if self.shots == "exact" else self.shots

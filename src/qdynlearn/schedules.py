@@ -1,9 +1,11 @@
 """Time-dependent Hamiltonian parameter schedules.
 
-Two families: truncated Fourier series (half-period basis sin/cos(n pi t / T))
-and piecewise-constant segments.  Both hold every coefficient in one flat
-vector, `params`, in (kind, site, basis) order, so the training loops read,
-perturb and update coefficients by index.
+Two families, listed by mode in `FAMILIES`: truncated Fourier series
+(half-period basis sin/cos(n pi t / T)) and piecewise-constant segments.  A
+family is class data (its basis-size field, defaults and constant columns)
+plus one basis function of t / T; `_Schedule` derives the rest.  Both hold
+every coefficient in one flat vector, `params`, in (kind, site, basis) order,
+so the training loops read, perturb and update coefficients by index.
 """
 
 from __future__ import annotations
@@ -35,23 +37,25 @@ def n_sites(num_qubits, kind):
 
 
 class _Schedule:
-    """Shared storage/evaluation machinery for both schedule families.
+    """Storage and evaluation shared by every schedule family.
+
+    A family is class data plus one basis function; all else is here.  Its
+    data: `mode` (its key in `FAMILIES`), `SIZE` = (keyword, default, lowest
+    value) of its basis-size attribute (`n_max` or `segments`), each kind's
+    `INIT` value, whether kinds share one row across sites by default
+    (`TIED`), the `CONSTANT` basis columns, which sum to 1, and whether the
+    basis is constant on `size` equal segments of [0, T] (`SEGMENTED`).  Its
+    `basis(u, size)` gives the basis functions at u = t / T, shape (M, width).
 
     All coefficients live in one vector, `params`, in (kind, site, basis)
     order; `coeffs[kind]` is its (rows, width) view: a row per site, or one
-    shared row when the kind is tied.  Basis 0 is the Fourier constant term,
-    then sines 1..n_max and cosines n_max+1..2*n_max; piecewise bases are the
-    segments.  `params` is only ever written in place, so the views hold.
+    shared row when the kind is tied.  `params` is only ever written in
+    place, so the views hold.
     """
 
-    mode = None
-    # Per-family defaults, set by each subclass: the initialization value of
-    # each kind and whether a kind shares one row across its sites.
-    INIT: dict
-    TIED: bool
-
     def __init__(self, num_qubits, T, coeffs, tied=None, **structure):
-        self._set_structure(**structure)
+        self.size, self.width = self._size_and_width(structure)
+        setattr(self, self.SIZE[0], self.size)
         _check_int("num_qubits", num_qubits, 1)
         if (isinstance(T, bool) or not isinstance(T, (int, float))
                 or not 0 < T < math.inf):
@@ -80,42 +84,40 @@ class _Schedule:
         self.coeffs = {k: v.reshape(-1, self.width) for k, v in zip(KIND_ORDER, parts)}
 
     @classmethod
+    def _size_and_width(cls, structure):
+        """The checked basis size given by `structure`, and the basis width."""
+        name, default, low = cls.SIZE
+        if structure.keys() - {name}:
+            raise TypeError(f"{cls.__name__} takes the structure keyword "
+                            f"{name!r}, got {sorted(structure)}")
+        size = structure.get(name, default)
+        _check_int(name, size, low)
+        return size, cls.basis(np.zeros(0), size).shape[1]
+
+    @classmethod
     def initialized(cls, num_qubits, T, tied=None, tunneling=None, bias=None,
                     coupling=None, **structure):
         """Parameters constant in time, at the family's INIT values unless given.
 
-        Each kind's value sits on the family's constant basis functions
-        (`_constant_basis`) in every row; all other coefficients are zero.
+        Each kind's value sits on the family's CONSTANT basis columns in
+        every row; all other coefficients are zero.
         """
-        shell = cls.__new__(cls)
-        shell._set_structure(**structure)
         given = {"tunneling": tunneling, "bias": bias, "coupling": coupling}
         tied = cls.TIED if tied is None else tied
+        width = cls._size_and_width(structure)[1]
         coeffs = {}
         for kind in KIND_ORDER:
-            c = np.zeros((1 if tied else n_sites(num_qubits, kind), shell.width))
-            c[:, shell._constant_basis()] = (
+            c = np.zeros((1 if tied else n_sites(num_qubits, kind), width))
+            c[:, cls.CONSTANT] = (
                 cls.INIT[kind] if given[kind] is None else given[kind])
             coeffs[kind] = c
         return cls(num_qubits, T, coeffs, tied=tied, **structure)
 
     # -- structure ---------------------------------------------------------
 
-    def _set_structure(self, **structure):
-        """Store and validate the family's basis size (n_max or segments)."""
-        raise NotImplementedError
-
     def structure(self):
-        """The basis-size arguments that rebuild this schedule's family."""
-        raise NotImplementedError
-
-    @property
-    def width(self):
-        raise NotImplementedError
-
-    def _constant_basis(self):
-        """Mask of the basis functions that sum to the constant 1."""
-        raise NotImplementedError
+        """The basis-size argument that rebuilds this schedule's family."""
+        return {self.SIZE[0]: self.size}
 
     def n_sites(self, kind):
         return n_sites(self.num_qubits, kind)
@@ -136,17 +138,17 @@ class _Schedule:
 
     def basis_row(self, ts):
         """Basis-function values at times ts, shape (len(ts), width)."""
-        raise NotImplementedError
+        # Scale t by T first: no accepted T can overflow a basis argument.
+        return self.basis(np.asarray(ts, dtype=float) / self.T, self.size)
 
     def grid_rows(self, grid):
         """Read-only basis rows at `grid.midpoints`, shape (M, width).
 
-        Computed (and range-checked) once per (family structure, T, grid)
-        and shared by every schedule of that family: the solves and the
+        Computed (and range-checked) once per (basis, size, T, grid) and
+        shared by every schedule of that family: the solves and the
         gradient read them.
         """
-        return _grid_rows(type(self), tuple(self.structure().items()), self.T,
-                          grid)
+        return _grid_rows(self.basis, self.size, self.T, grid)
 
     def eval_many(self, ts):
         """Each row of `params.reshape(-1, width)` at times ts, shape (M, rows).
@@ -175,63 +177,38 @@ class FourierSchedule(_Schedule):
     """P(t) = P_0 + sum_{n=1..n_max} S_n sin(n pi t / T) + C_n cos(n pi t / T)."""
 
     mode = "fourier"
+    SIZE = ("n_max", 3, 0)
     INIT = {"tunneling": 2.5e-3, "bias": 1.0e-4, "coupling": 1.0e-4}
     TIED = True
+    CONSTANT = slice(0, 1)
+    SEGMENTED = False
 
-    def _set_structure(self, n_max=3):
-        _check_int("n_max", n_max, 0)
-        self.n_max = n_max
-
-    def structure(self):
-        return {"n_max": self.n_max}
-
-    @property
-    def width(self):
-        return 1 + 2 * self.n_max
-
-    def _constant_basis(self):
-        return np.arange(self.width) == 0
-
-    def basis_row(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        ns = np.arange(1, self.n_max + 1)
-        # Scale t by T first: no accepted T can overflow the arguments.
-        args = np.outer(ts / self.T, np.pi * ns)  # (M, n_max)
-        return np.concatenate(
-            [np.ones((ts.size, 1)), np.sin(args), np.cos(args)], axis=1
-        )
+    @staticmethod
+    def basis(u, n_max):
+        # Columns: the constant, sines n = 1..n_max, cosines n = 1..n_max.
+        args = np.outer(u, np.pi * np.arange(1, n_max + 1))
+        return np.concatenate([np.ones((u.size, 1)), np.sin(args), np.cos(args)],
+                              axis=1)
 
 
 class PiecewiseSchedule(_Schedule):
     """Parameters held constant on S equal segments of [0, T]."""
 
     mode = "piecewise"
+    SIZE = ("segments", 4, 1)
     INIT = {"tunneling": 2.0e-3, "bias": 1.0e-4, "coupling": 1.0e-4}
     TIED = False
+    CONSTANT = slice(None)
+    SEGMENTED = True
 
-    def _set_structure(self, segments=4):
-        _check_int("segments", segments, 1)
-        self.segments = segments
+    @staticmethod
+    def basis(u, segments):
+        # Clipped at both ends: a time just outside [0, T] takes the nearer end.
+        idx = np.clip(np.floor(u * segments).astype(int), 0, segments - 1)
+        return np.eye(segments)[idx]
 
-    def structure(self):
-        return {"segments": self.segments}
 
-    @property
-    def width(self):
-        return self.segments
-
-    def _constant_basis(self):
-        return np.ones(self.width, dtype=bool)
-
-    def basis_row(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        # t / T first, as in the Fourier basis: S t could overflow.
-        idx = np.minimum(
-            np.floor(ts / self.T * self.segments).astype(int), self.segments - 1
-        )
-        b = np.zeros((ts.size, self.segments))
-        b[np.arange(ts.size), idx] = 1.0
-        return b
+FAMILIES = {family.mode: family for family in (FourierSchedule, PiecewiseSchedule)}
 
 
 def _checked_times(ts, T):
@@ -243,12 +220,9 @@ def _checked_times(ts, T):
 
 
 @functools.lru_cache(maxsize=64)
-def _grid_rows(family, structure, T, grid):
-    """`basis_row` of one family at a grid's midpoints, read-only."""
-    shell = family.__new__(family)
-    shell._set_structure(**dict(structure))
-    shell.T = T
-    rows = shell.basis_row(_checked_times(grid.midpoints, T))
+def _grid_rows(basis, size, T, grid):
+    """`basis` of one size at a grid's midpoints on [0, T], read-only."""
+    rows = basis(_checked_times(grid.midpoints, T) / T, size)
     rows.flags.writeable = False
     return rows
 
@@ -259,13 +233,12 @@ def list_trainable(schedule, learning_rates) -> np.ndarray:
 
 
 def schedule_from_dict(d):
-    common = dict(num_qubits=d["num_qubits"], T=d["T_ns"],
-                  coeffs=d["coefficients"], tied=d["tied"])
-    if d["mode"] == "fourier":
-        return FourierSchedule(n_max=d["n_max"], **common)
-    if d["mode"] == "piecewise":
-        return PiecewiseSchedule(segments=d["segments"], **common)
-    raise ScheduleError(f"unknown schedule mode {d['mode']!r}")
+    if d["mode"] not in FAMILIES:
+        raise ScheduleError(f"unknown schedule mode {d['mode']!r}")
+    family = FAMILIES[d["mode"]]
+    size = family.SIZE[0]
+    return family(d["num_qubits"], d["T_ns"], d["coefficients"], tied=d["tied"],
+                  **{size: d[size]})
 
 
 def save_schedule(schedule, path):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule, n_sites
+from .schedules import FAMILIES, n_sites
 
 
 def stage_up(trained):
@@ -20,15 +20,10 @@ def stage_up(trained):
     0's row seeds every qubit and pair (0, 1)'s row seeds every pair; the
     basis structure (n_max or segment count) and T are preserved.
     """
-    if not isinstance(trained, (FourierSchedule, PiecewiseSchedule)):
+    if type(trained) not in FAMILIES.values():
         raise TypeError(f"unsupported schedule type {type(trained).__name__}")
     n_new = trained.num_qubits + 1
-    coeffs = {}
-    for kind in KIND_ORDER:
-        src = trained.coeffs[kind]
-        if trained.tied:
-            coeffs[kind] = src.copy()
-        else:
-            coeffs[kind] = np.tile(src[0], (n_sites(n_new, kind), 1))
+    coeffs = {k: c if trained.tied else np.tile(c[0], (n_sites(n_new, k), 1))
+              for k, c in trained.coeffs.items()}
     return type(trained)(n_new, trained.T, coeffs, tied=trained.tied,
                          **trained.structure())

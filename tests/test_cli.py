@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qdynlearn import qcore, witness
+from qdynlearn.circuit import compile_segments
 from qdynlearn.cli import main
 from qdynlearn.config import RunConfig
 from qdynlearn.schedules import (
     KIND_ORDER,
     FourierSchedule,
+    PiecewiseSchedule,
     load_schedule,
     save_schedule,
 )
@@ -111,6 +114,8 @@ def test_train_non_finite_number_exits_2(runner, tmp_path, text):
     ({"seed": -1}, "seed"),
     ({"segments": 0}, "segments"),
     ({"mode": "circuit", "n_max": -1}, "n_max"),
+    # The merged loop fields are checked in every mode, backprop too.
+    ({"mode": "backprop", "delta_abs": {"tunneling": -1.0}}, "delta_abs"),
 ])
 def test_train_wrong_type_or_range_exits_2(runner, tmp_path, fields, name):
     # Nothing is coerced: each of these would otherwise train something
@@ -406,6 +411,25 @@ def test_eval_named_states(runner, tmp_path):
     assert float(rows[3][1]) == pytest.approx(0.96)
 
 
+@pytest.mark.parametrize("segments", [3, 7])
+def test_eval_of_a_circuit_schedule_is_its_compiled_circuit(runner, tmp_path,
+                                                            segments):
+    # 200 steps is no multiple of 3 or 7: eval rounds the steps up to whole
+    # segments, so midpoint sampling does not blur a segment boundary.
+    s = PiecewiseSchedule.initialized(2, 2.0, segments=segments)
+    s.params[:] = np.random.default_rng(segments).normal(size=s.params.size)
+    save_schedule(s, tmp_path / "s.json")
+    report = tmp_path / "report.csv"
+    result = runner.invoke(main, ["eval", "--schedule", str(tmp_path / "s.json"),
+                                  "--out", str(report)])
+    assert result.exit_code == 0, result.output
+    u = compile_segments(s)
+    want = [qcore.output_value(qcore.populations(u @ rho.factor))
+            for rho in witness.theta_sweep_states(2)[1]]
+    got = [float(row[2]) for row in read_csv(report)[1:]]
+    assert np.abs(np.subtract(got, want)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("args", [
     # a bare amplitude list in place of a list of states
     ["eval", "--schedule", "{two}", "--states", "{amplitudes}"],
@@ -525,6 +549,36 @@ def test_config_template_trains(runner, tmp_path, mode):
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["config"] == {**json.loads(template.read_text()),
                                   "epochs": 0}
+
+
+# Every mode's resolved defaults, written out: moving a default (a family's
+# basis size, `tied` or `init`, a loop's rates or perturbations) shows here.
+COMMON_DEFAULTS = {"num_qubits": 2, "steps": 200, "epochs": 2000, "seed": 0,
+                   "n_max": 3, "segments": 4, "shots": "exact", "p_dep": 0.0,
+                   "p_ro": 0.0, "rms_target": None, "trace_every": 200,
+                   "initial_schedule": None}
+CONTINUUM_DEFAULTS = {
+    **COMMON_DEFAULTS, "T_ns": 250.0, "tied": True,
+    "init": {"tunneling": 0.0025, "bias": 0.0001, "coupling": 0.0001},
+    "learning_rates": {"tunneling": 2e-07, "bias": 0.0, "coupling": 4e-07},
+    "delta_rel": 0.0002,
+    "delta_abs": {"tunneling": 5.000000000000001e-07, "bias": 2e-08,
+                  "coupling": 2e-08}}
+RESOLVED_DEFAULTS = {
+    "rl": {**CONTINUUM_DEFAULTS, "mode": "rl"},
+    "backprop": {**CONTINUUM_DEFAULTS, "mode": "backprop"},
+    "circuit": {
+        **COMMON_DEFAULTS, "mode": "circuit", "T_ns": 2.0, "tied": False,
+        "init": {"tunneling": 0.002, "bias": 0.0001, "coupling": 0.0001},
+        "learning_rates": {"tunneling": 0.01, "bias": 0.001, "coupling": 0.001},
+        "delta_rel": 0.05,
+        "delta_abs": {"tunneling": 0.01, "bias": 0.001, "coupling": 0.001}},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RESOLVED_DEFAULTS))
+def test_resolved_defaults_are_pinned(mode):
+    assert RunConfig(mode=mode).resolved() == RESOLVED_DEFAULTS[mode]
 
 
 def test_readme_config_block_names_every_field():

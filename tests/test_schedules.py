@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdynlearn.schedules import (
+    FAMILIES,
     KIND_ORDER,
     FourierSchedule,
     PiecewiseSchedule,
@@ -87,6 +88,16 @@ def test_piecewise_segment_lookup():
     assert segment_of(s, 8.0) == 3  # T maps into the last segment
 
 
+def test_piecewise_segment_at_the_round_off_edges():
+    # Times within round-off outside [0, T] are accepted; each maps to the
+    # nearer end segment, never wrapping around to the other end.
+    s = random_piecewise(np.random.default_rng(2))
+    assert segment_of(s, -1e-13) == segment_of(s, 0.0) == 0
+    assert segment_of(s, 8.0 + 1e-13) == 3
+    assert np.array_equal(s.eval_many([-1e-13, 8.0 + 1e-13]),
+                          s.eval_many([0.0, 8.0]))
+
+
 def test_piecewise_eval_picks_segment_value():
     rng = np.random.default_rng(1)
     s = random_piecewise(rng)
@@ -142,6 +153,36 @@ def test_grid_rows_are_the_basis_at_the_midpoints(family):
     # A grid longer than the schedule is out of range, as in `eval_many`.
     with pytest.raises(ScheduleError, match="outside"):
         family.initialized(2, 4.0).grid_rows(grid)
+
+
+# -- the family contract -----------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(sorted(FAMILIES)), extra=st.integers(0, 8),
+       u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_family_constant_columns_sum_to_one(mode, extra, u):
+    family = FAMILIES[mode]
+    s = family.initialized(2, 1.0, **{family.SIZE[0]: family.SIZE[2] + extra})
+    rows = family.basis(np.asarray(u), s.size)
+    assert rows.shape == (len(u), s.width)
+    assert np.all(rows[:, family.CONSTANT].sum(axis=1) == 1.0)
+
+
+@pytest.mark.parametrize("mode", sorted(FAMILIES))
+def test_family_structure_keyword_is_checked(mode):
+    family = FAMILIES[mode]
+    name, default, low = family.SIZE
+    s = family.initialized(2, 1.0)
+    assert s.structure() == {name: default} and getattr(s, name) == default
+    # Another family's keyword, e.g. FourierSchedule(..., segments=3).
+    for other in {f.SIZE[0] for f in FAMILIES.values()} - {name}:
+        with pytest.raises(TypeError):
+            family.initialized(2, 1.0, **{other: 3})
+        with pytest.raises(TypeError):
+            family(2, 1.0, s.coeffs, **{name: default, other: 3})
+    with pytest.raises(ScheduleError, match=name):
+        family.initialized(2, 1.0, **{name: low - 1})
 
 
 def test_tied_broadcast_is_uniform():
@@ -236,17 +277,21 @@ def test_copy_is_independent():
 # -- serialization -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("factory", [random_fourier, random_piecewise])
-def test_serialization_roundtrip(tmp_path, factory):
+@pytest.mark.parametrize("mode", sorted(FAMILIES))
+def test_serialization_roundtrip(tmp_path, mode):
     rng = np.random.default_rng(5)
-    s = factory(rng)
+    family = FAMILIES[mode]
+    s = family.initialized(2, 8.0, tied=False,
+                           **{family.SIZE[0]: family.SIZE[2] + 2})
+    s.params[:] = rng.normal(size=s.params.size)
     path = tmp_path / "sched.json"
     save_schedule(s, path)
     loaded = load_schedule(path)
-    assert type(loaded) is type(s)
+    assert type(loaded) is family and loaded.mode == mode
     assert loaded.num_qubits == s.num_qubits
     assert loaded.T == s.T
     assert loaded.tied == s.tied
+    assert loaded.structure() == s.structure()
     ts = rng.uniform(0.0, s.T, size=100)
     assert np.abs(s.eval_many(ts) - loaded.eval_many(ts)).max() < 1e-15
 
