@@ -34,8 +34,8 @@ class ShotBackend:
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1 (or None for exact)")
+        if self.shots is not None and not 1 <= self.shots <= np.iinfo(np.int64).max:
+            raise ValueError("shots must be in [1, 2**63 - 1] (or None for exact)")
         if not 0.0 <= self.p_dep <= 1.0 or not 0.0 <= self.p_ro <= 1.0:
             raise ValueError("noise probabilities must lie in [0, 1]")
         self._rng = np.random.default_rng(self.seed)

@@ -224,31 +224,29 @@ def spin_basis(num_qubits):
     with <m+1| J_+ |m> > 0, so that every copy of j carries the same blocks
     of sum sigma_x, sum sigma_z and sum sigma_z sigma_z: a Hamiltonian with
     the same terms on every qubit and pair has one distinct block per j.
-    Built on first use, from Q = I: each group of columns is split by the
-    integer spectra of the partial Casimirs 4 J^2 of qubits 0..k,
-    3 (k+1) I + 2 sum_{p<q<=k} (2 SWAP_pq - I), for k = 1..N-1.  Raises
+    Built on first use by Clebsch-Gordan coupling (Condon-Shortley phases),
+    one qubit at a time from the empty register's spin 0.  The new qubit is
+    the least significant bit, |up> its bit 0; a copy of spin j, n = 2j+1,
+    couples to |j+1/2, m'> = a |j, m'-1/2, up> + b |j, m'+1/2, down> and
+    |j-1/2, m'> = a |j, m'+1/2, down> - b |j, m'-1/2, up>, with
+    a = sqrt(k/n), b = sqrt((n-k)/n) and k = j + m' + 1/2.  Raises
     LinAlgError if `check_spin_basis` finds a residual above its tolerance.
     """
-    idx, masks, _, _ = _bit_tables(num_qubits)
-    groups = [np.eye(idx.size)]
-    for k in range(1, num_qubits):
-        casimir = np.diag(np.full(idx.size, (k + 1) * (3.0 - k)))
-        for mp, mq in itertools.combinations(masks[:k + 1], 2):  # SWAP_pq
-            differ = (idx & mp == 0) != (idx & mq == 0)
-            casimir[idx, np.where(differ, idx ^ mp ^ mq, idx)] += 4.0
-        split = []
-        for g in groups:
-            w, u = np.linalg.eigh(g.T @ casimir @ g)
-            w = np.rint(w)
-            split += [g @ u[:, w == x] for x in sorted(set(w.tolist()))]
-        groups = split
-    x, z, _ = generators(num_qubits, True)
-    copies = []
-    for g in sorted(groups, key=lambda g: -g.shape[1]):  # largest j first
-        c = g @ np.linalg.eigh(g.T @ z @ g)[1]  # ascending 2 J_z
-        # <m+1| sum sigma_x |m> = <m+1| J_+ |m>: make each one positive.
-        steps = np.sign(np.diagonal(c.T @ x @ c, offset=1))
-        copies.append(c * np.cumprod(np.r_[1.0, steps]))
+    copies = [np.ones((1, 1))]
+    for _ in range(num_qubits):
+        coupled = []
+        for c in copies:  # (d, n): columns m = -j..j
+            n = c.shape[1]
+            a = np.sqrt(np.arange(n + 1)) / np.sqrt(n)  # over k = 0..n
+            b = a[::-1]
+            # column k: |j, m'-1/2> and |j, m'+1/2>, zero outside -j..j
+            up, down = np.pad(c, ((0, 0), (1, 0))), np.pad(c, ((0, 0), (0, 1)))
+            coupled.append(np.stack([a * up, b * down], 1).reshape(-1, n + 1))
+            if n > 1:  # j - 1/2 runs over k = 1..n-1
+                coupled.append(np.stack([-b * up, a * down], 1)[..., 1:-1]
+                               .reshape(-1, n - 1))
+        copies = coupled
+    copies.sort(key=lambda c: -c.shape[1])  # largest j first
     sizes = [c.shape[1] for c in copies]
     blocks = tuple((n, sizes.count(n)) for n in sorted(set(sizes))[::-1])
     q = np.hstack(copies)

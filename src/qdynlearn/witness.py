@@ -55,13 +55,6 @@ def concurrence(rho) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _basis_state(bits):
-    n = len(bits)
-    psi = np.zeros(2**n, dtype=complex)
-    psi[int("".join(map(str, bits)), 2)] = 1.0
-    return psi
-
-
 def ghz_family_state(num_qubits, a, b):
     """a|0...0> + b|1...1> (normalized)."""
     psi = np.zeros(2**num_qubits, dtype=complex)
@@ -82,14 +75,13 @@ def build_training_set(num_qubits):
     a, b = 0.6, 0.8
     concurrence_partial = 2 * a * b
 
-    zeros = _basis_state([0] * n)
     superpos = np.zeros(2**n, dtype=complex)
     superpos[0] = superpos[1] = 1.0  # |0..0> + |0..01>, last qubit superposed
     ghz = np.zeros(2**n, dtype=complex)
     ghz[0] = ghz[-1] = 1.0
 
     return [
-        TrainingPair(DensityMatrix.from_state_vector(zeros), 0.0, "product_zeros"),
+        TrainingPair(ghz_family_state(n, 1.0, 0.0), 0.0, "product_zeros"),
         TrainingPair(DensityMatrix.from_state_vector(ghz), 1.0,
                      "bell" if n == 2 else "ghz"),
         TrainingPair(DensityMatrix.from_state_vector(superpos), 0.0,

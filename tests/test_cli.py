@@ -116,6 +116,8 @@ def test_train_non_finite_number_exits_2(runner, tmp_path, text):
     ({"mode": "circuit", "n_max": -1}, "n_max"),
     # The merged loop fields are checked in every mode, backprop too.
     ({"mode": "backprop", "delta_abs": {"tunneling": -1.0}}, "delta_abs"),
+    # A shot count past the sampler's integer range is refused up front.
+    ({"mode": "circuit", "shots": 10**19}, "shots"),
 ])
 def test_train_wrong_type_or_range_exits_2(runner, tmp_path, fields, name):
     # Nothing is coerced: each of these would otherwise train something

@@ -239,9 +239,9 @@ def test_total_propagator_equals_eigh_step_product(family, num_qubits):
             qcore.step_unitaries(sched, grid))
         assert np.abs(block_steps - eigh_steps).max() <= 1e-14
         eigh_ref = scipy_ref = np.eye(2**sched.num_qubits)
-        for u, m in zip(eigh_steps, h):
+        for u, e in zip(eigh_steps, scipy.linalg.expm(-1j * h * grid.dt)):
             eigh_ref = u @ eigh_ref
-            scipy_ref = scipy.linalg.expm(-1j * m * grid.dt) @ scipy_ref
+            scipy_ref = e @ scipy_ref
         u = total_propagator(sched, grid)
         assert np.abs(u - scipy_ref).max() <= 1e-13
         # The eigh steps carry about 2e-15 of round-off each (the Taylor
@@ -380,6 +380,18 @@ def test_spin_basis_blocks_symmetric_operators(num_qubits):
                            np.diag(np.arange(1.0 - n, n, 2)), atol=1e-14)
         assert (np.diagonal(q[:, block].T @ x @ q[:, block], 1) > 0.5).all()
         start += n * copies
+
+
+def test_spin_basis_is_built_without_eigendecomposition(monkeypatch):
+    # The basis is coupled in closed form; `__wrapped__` bypasses the cache.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    for num_qubits in range(1, 7):
+        qcore.spin_basis.__wrapped__(num_qubits)
+    assert calls == []
 
 
 def test_spin_basis_check_raises_on_mixed_copies():
