@@ -13,18 +13,21 @@ commutator-trace integral
 
 evaluated per step through the exact derivative of each step propagator, so
 the result is the gradient of the discrete loss to round-off rather than a
-quadrature approximation.  Both sweeps run on the state's square-root factor
-F (rho = F F^dag, d x r with r = 1 for a pure state): the forward pass
-carries F_k, and the costate enters only through chi_k = A(t_k) F_k, which
-the backward sweep carries (the ket form of the GRAPE adjoint).  Both run in
-the trajectory's block coordinates (`qcore.block_basis`): A(T) is formed on
-the register from the unfolded final factor, and chi_M is folded back.
-Because H is real symmetric, the step derivative, paired with F_{k+1} and
-chi_{k+1}, collapses to one real step sensitivity W_k built in the step's
-eigenbasis from rank-r products.  The eigenbasis comes from one batched
-`eigh` per diagonal block of the (M, R, R) step Hamiltonians: one per
-distinct total spin for a tied schedule, the whole register for an untied
-one.  Every coefficient's gradient is read off W_k by the transposed
+quadrature approximation.  Both passes run on the state's square-root factor
+F (rho = F F^dag, d x r with r = 1 for a pure state), and the costate enters
+only through chi_k = A(t_k) F_k (the ket form of the GRAPE adjoint).  Neither
+loops over steps: the forward pass's prefix products P_k = U_{k-1} ... U_0
+give F_k = P_k F_0 and chi_k = P_k P_M^dag chi_M, one batched product each.
+Both live in the trajectory's block coordinates, on the spin blocks and
+copies the initial state occupies (`qcore.BlockBasis.support`): A(T) is
+formed on the register from the unfolded final factor, and chi_M is folded
+back, which drops only the part of A(T) F_M that no step derivative of the
+state reaches.  Because H is real symmetric, the step derivative, paired
+with F_{k+1} and chi_{k+1}, collapses to one real step sensitivity W_k built
+in the step's eigenbasis from rank-r products.  The eigenbasis comes from
+one batched `eigh` per diagonal block of the (M, R, R) step Hamiltonians:
+one per occupied total spin for a tied schedule, the whole register for an
+untied one.  Every coefficient's gradient is read off W_k by the transposed
 Hamiltonian assembly: W_k contracted with the rotated generators, whose
 zero entries off the diagonal blocks, with the zero padding of the folded
 factors, make the sum over each block's copies come out by itself.
@@ -51,11 +54,13 @@ def adjoint_boundary(p, target: float) -> np.ndarray:
 
 
 def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray:
-    """Backward costate sweep on the state factors, with the forward unitaries.
+    """Backward costate sweep on the state factors, from the forward scan.
 
     The costate A(t_k) = U_k^dag A(t_{k+1}) U_k enters the gradient only
     through chi_k = A(t_k) F_k, which follows chi_k = U_k^dag chi_{k+1} from
-    chi_M = A(T) F_M, formed on the register and folded.  Returns chi in the
+    chi_M = A(T) F_M, formed on the register and folded.  So
+    chi_k = (U_{M-1} ... U_k)^dag chi_M = P_k P_M^dag chi_M, one batched
+    product with the trajectory's prefix products P_k.  Returns chi in the
     trajectory's block coordinates, shape (M+1, R, c_max r).  Raises
     ValueError if A(T) has an anti-Hermitian part: the gradient formula
     needs a Hermitian costate and would otherwise silently drop that
@@ -65,13 +70,9 @@ def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray
     if residual > IMAG_RESIDUAL_TOL * max(1.0, np.abs(a_final).max()):
         raise ValueError(f"non-Hermitian costate, residual {residual:.2e}")
     qcore._tick_solve()
-    us_dag = traj.unitaries.conj().swapaxes(-1, -2)
-    m = us_dag.shape[0]
-    chi = np.empty_like(traj.factors)
-    chi[m] = traj.basis.fold(a_final @ traj.register_factors(m))
-    for k in range(m - 1, -1, -1):
-        np.matmul(us_dag[k], chi[k + 1], out=chi[k])
-    return chi
+    props = traj.propagators
+    chi_final = traj.basis.fold(a_final @ traj.register_factors(-1))
+    return props @ (props[-1].conj().T @ chi_final)
 
 
 def _real_matmul(v, c):

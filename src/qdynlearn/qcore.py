@@ -14,15 +14,18 @@ is the one-block case: Q = I, R = d, one copy.
 Evolution is a stepwise matrix exponential of the midpoint Hamiltonians
 (`step_hamiltonians`), taken by `expm_hermitian` without an
 eigendecomposition: cos(H dt) - i sin(H dt) as real Taylor polynomials,
-accurate and unitary to round-off.  Every solve uses those steps: `evolve`
-keeps the states along the way, `total_propagator` multiplies the steps
-pairwise (`ordered_product`) and lifts the product to the register once.
-`evolve` carries a state's square-root factor F (rho = F F^dagger,
-d x rank) rather than rho, so each step is one small matrix product for a
-pure state; rho(t_k) is formed from it on demand.  The density-matrix
-invariants (Hermiticity, unit trace, positivity) are preserved to
-round-off.  No solve diagonalises a Hamiltonian; backprop's step
-sensitivities do, one block at a time.
+accurate and unitary to round-off.  Every solve uses those steps:
+`total_propagator` multiplies them pairwise (`ordered_product`) and lifts
+the product to the register once.  `evolve` keeps the states along the
+way.  It carries a state's square-root factor F (rho = F F^dagger,
+d x rank) rather than rho, on the `BlockBasis.support` of its folded
+factor: the blocks and copies the state occupies, which a tied H never
+leaves (|0..0> and GHZ lie in the symmetric block alone).  One pairwise
+scan (`prefix_products`) gives every P_k = U_{k-1} ... U_0, and one
+batched product every F_k = P_k F_0; rho(t_k) is formed on demand.  The
+density-matrix invariants (Hermiticity, unit trace, positivity) are
+preserved to round-off.  No solve diagonalises a Hamiltonian; backprop's
+step sensitivities do, one block at a time.
 
 The one readout is Z_0 Z_1, diagonal in the computational basis, so a state
 enters it only through its populations diag(F F^dagger) (`populations` of U F
@@ -295,13 +298,21 @@ class BlockBasis:
     any block: a register factor F (d, r) folds to the block factor
     (R, c_max r), copy k of each block in columns k r .. (k+1) r, and the
     copies share each step's block unitary.  The untied basis (and any
-    register whose blocks add up to d) is Q = I: R = d, one copy.
+    register whose blocks add up to d) is Q = I: R = d, one copy.  A
+    `support` basis keeps some blocks and copies: `blocks` counts the kept
+    copies, `fold_map` holds their columns and `first` the first kept copy
+    of each block, so `fold` projects onto their span and `lift` gives an
+    operator on it, zero off it.  The arrays are made read-only.
     """
 
     first: np.ndarray
     gens: np.ndarray
     blocks: tuple
     fold_map: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.first, self.gens, self.fold_map):
+            a.flags.writeable = False
 
     @property
     def size(self):
@@ -331,11 +342,47 @@ class BlockBasis:
     def lift(self, p):
         """Register operators (..., d, d) of block-diagonal (..., R, R) ones.
 
-        Sum over copies k of Q_k p Q_k^T, Q_k the columns of copy k.
+        Sum over copies k of Q_k p Q_k^T, Q_k the columns of copy k: on a
+        `support` basis, p on the state's subspace and zero off it.
         """
         d = self.fold_map.shape[1]
         wide = self.fold_map.reshape(self.size, -1)  # (R, c_max d)
         return self.fold_map.T @ (p @ wide).reshape(*p.shape[:-2], -1, d)
+
+    def support(self, f):
+        """The sub-basis of the blocks and copies where `fold(f)` is nonzero.
+
+        The test is exact, with no tolerance: a Hamiltonian of this basis
+        never mixes blocks or copies, so a solve from F stays exactly zero
+        on the dropped ones.  The kept blocks keep their rows and rotated
+        generators, and their kept copies' `fold_map` columns, in order; a
+        factor with full support gets this basis itself.
+        """
+        occupied = (self.fold_map @ f).reshape(self.size, self.copies, -1)
+        keep = tuple(tuple(occupied[start:stop].any(axis=(0, 2)).tolist())
+                     for start, stop in self.spans)
+        return _support_basis(self, keep)
+
+
+@functools.lru_cache(maxsize=None)
+def _support_basis(basis, keep):
+    """The sub-basis of copy k of block b where keep[b][k], cached."""
+    if all(sum(k) == c for k, (_, c) in zip(keep, basis.blocks)):
+        return basis
+    kept = [(span, np.array(k))
+            for span, k in zip(basis.spans, keep) if any(k)]
+    blocks = tuple((stop - start, int(k.sum())) for (start, stop), k in kept)
+    rows = np.concatenate([np.arange(*span) for span, _ in kept])
+    d = basis.fold_map.shape[1]
+    fold_map = np.zeros((len(rows), max(c for _, c in blocks), d))
+    wide = basis.fold_map.reshape(basis.size, basis.copies, d)
+    row = 0
+    for (start, stop), k in kept:
+        fold_map[row:row + stop - start, :k.sum()] = wide[start:stop, k]
+        row += stop - start
+    return BlockBasis(first=np.ascontiguousarray(fold_map[:, 0].T),
+                      gens=basis.gens[:, rows][:, :, rows], blocks=blocks,
+                      fold_map=fold_map.reshape(-1, d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,12 +407,9 @@ def block_basis(num_qubits, tied) -> BlockBasis:
         mask[row:row + n, row:row + n] = True
         row, col = row + n, col + n * copies
     first = np.ascontiguousarray(fold_map[:, 0].T)
-    basis = BlockBasis(first=first,
-                       gens=np.where(mask, first.T @ gens @ first, 0.0),
-                       blocks=blocks, fold_map=fold_map.reshape(-1, d))
-    for a in (basis.first, basis.gens, basis.fold_map):
-        a.flags.writeable = False
-    return basis
+    return BlockBasis(first=first,
+                      gens=np.where(mask, first.T @ gens @ first, 0.0),
+                      blocks=blocks, fold_map=fold_map.reshape(-1, d))
 
 
 def _taylor_table():
@@ -445,16 +489,16 @@ def expm_hermitian(h, dt):
     return u
 
 
-def step_hamiltonians(schedule, grid: TimeGrid):
-    """Real midpoint Hamiltonians H(t_k + dt/2) in block coordinates, (M, R, R)."""
+def step_hamiltonians(schedule, grid: TimeGrid, basis: BlockBasis):
+    """Real midpoint Hamiltonians H(t_k + dt/2), (M, R, R), in `basis`."""
     coef = schedule.grid_rows(grid) @ schedule.params.reshape(-1, schedule.width).T
-    return assemble_hamiltonians(
-        coef, block_basis(schedule.num_qubits, schedule.tied).gens)
+    return assemble_hamiltonians(coef, basis.gens)
 
 
 def step_unitaries(schedule, grid: TimeGrid):
     """Per-step propagators U_k = exp(-i H(t_k + dt/2) dt), shape (M, R, R)."""
-    return expm_hermitian(step_hamiltonians(schedule, grid), grid.dt)
+    basis = block_basis(schedule.num_qubits, schedule.tied)
+    return expm_hermitian(step_hamiltonians(schedule, grid, basis), grid.dt)
 
 
 def ordered_product(us):
@@ -465,6 +509,22 @@ def ordered_product(us):
     return us[0]
 
 
+def prefix_products(us):
+    """P_k = U_{k-1} ... U_0 for k = 0..M of a (M, n, n) stack, (M+1, n, n).
+
+    P_0 = I.  A pairwise scan: the neighbour products U_{2j+1} U_{2j} give
+    the even P_{2j} by recursion, then P_{2j+1} = U_{2j} P_{2j}; about 2M
+    matmuls in about 2 log2(M) stacked calls.
+    """
+    m, n = len(us), us.shape[-1]
+    if m == 0:
+        return np.eye(n, dtype=complex)[None]
+    p = np.empty((m + 1, n, n), dtype=complex)
+    p[::2] = prefix_products(us[1::2] @ us[:m - 1:2])
+    p[1::2] = us[::2] @ p[:-1:2]
+    return p
+
+
 def step_product(schedule, grid: TimeGrid) -> np.ndarray:
     """U_{M-1} ... U_0 in the register basis, (d, d): the block product, lifted."""
     basis = block_basis(schedule.num_qubits, schedule.tied)
@@ -473,10 +533,14 @@ def step_product(schedule, grid: TimeGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward evolution record in the block coordinates of `basis`."""
+    """Forward evolution record in the block coordinates of `basis`.
+
+    `basis` is the `support` of the initial factor: only the spin blocks
+    and copies the state occupies, on which every array here lives.
+    """
 
     factors: np.ndarray  # (M+1, R, c_max r): block factors of F_k
-    unitaries: np.ndarray  # (M, R, R)
+    propagators: np.ndarray  # (M+1, R, R): P_k = U_{k-1} ... U_0, P_0 = I
     grid: TimeGrid
     hamiltonians: np.ndarray  # (M, R, R), real: each step's midpoint H
     basis: BlockBasis
@@ -493,24 +557,22 @@ class Trajectory:
 
 
 def evolve(rho0: DensityMatrix, schedule, grid: TimeGrid) -> Trajectory:
-    """Propagate rho0's factor through the schedule: F_{k+1} = U_k F_k.
+    """Propagate rho0's factor through the schedule: F_k = P_k F_0.
 
-    That is rho_{k+1} = U_k rho_k U_k^dagger, at one (R, R) x (R, c_max r)
-    product per step on the folded factor.  The Hamiltonian is sampled at
-    step midpoints, so piecewise-constant schedules whose segments align
-    with the grid are reproduced exactly and smooth schedules converge at
+    That is rho_{k+1} = U_k rho_k U_k^dagger, on the `support` of the
+    folded factor, with every P_k from one `prefix_products` scan and the
+    factors from one batched product.  The Hamiltonian is sampled at step
+    midpoints, so piecewise-constant schedules whose segments align with
+    the grid are reproduced exactly and smooth schedules converge at
     second order in dt.
     """
     _tick_solve()
-    basis = block_basis(schedule.num_qubits, schedule.tied)
-    h = step_hamiltonians(schedule, grid)
-    us = expm_hermitian(h, grid.dt)
-    f0 = basis.fold(rho0.factor)
-    factors = np.empty((grid.steps + 1, *f0.shape), dtype=complex)
-    factors[0] = f0
-    for k in range(grid.steps):
-        np.matmul(us[k], factors[k], out=factors[k + 1])
-    return Trajectory(factors=factors, unitaries=us, grid=grid, hamiltonians=h,
+    full = block_basis(schedule.num_qubits, schedule.tied)
+    basis = full.support(rho0.factor)
+    h = step_hamiltonians(schedule, grid, basis)
+    props = prefix_products(expm_hermitian(h, grid.dt))
+    return Trajectory(factors=props @ basis.fold(rho0.factor),
+                      propagators=props, grid=grid, hamiltonians=h,
                       basis=basis)
 
 

@@ -166,10 +166,16 @@ def site_generators(num_qubits):
             "coupling": [z[i] @ z[j] for i, j in pair_indices(num_qubits)]}
 
 
-def costate_field(a_final, traj):
+def register_step_unitaries(sched, grid):
+    """Every step unitary U_k on the whole register, (M, d, d)."""
+    return qcore.block_basis(sched.num_qubits, sched.tied).lift(
+        qcore.step_unitaries(sched, grid))
+
+
+def costate_field(a_final, sched, grid):
     """Dense costates A_k = U_k^dag A_{k+1} U_k from A_M = a_final."""
     field_ = [a_final]
-    for u in traj.basis.lift(traj.unitaries)[::-1]:
+    for u in register_step_unitaries(sched, grid)[::-1]:
         field_.append(u.conj().T @ field_[-1] @ u)
     return np.array(field_[::-1])
 
@@ -184,7 +190,7 @@ def frechet_reference_gradients(sched, traj, a_final):
     The result is in `params` order: kind, then row, then basis function.
     """
     grid = traj.grid
-    field_ = costate_field(a_final, traj)
+    field_ = costate_field(a_final, sched, grid)
     states = traj.states
     gens = site_generators(sched.num_qubits)
     row_gens = []  # dH/dP per row of `params`
@@ -231,10 +237,18 @@ def check_against_frechet(sched, log_scale, steps, seed, rank):
     for kind in KIND_ORDER:
         sched.coeffs[kind][:] = 10.0**log_scale * rng.uniform(
             -1.0, 1.0, sched.coeffs[kind].shape)
-    grid = TimeGrid(sched.T, steps)
     r = {"pure": 1, "two": 2, "full": 2**num_qubits}[rank]
     pair = TrainingPair(random_state(rng, num_qubits, r), rng.uniform())
     assert pair.rho0.factor.shape == (2**num_qubits, r)
+    assert_matches_frechet(sched, pair, TimeGrid(sched.T, steps))
+
+
+def assert_matches_frechet(sched, pair, grid):
+    """Check one pair's all_gradients against the Frechet reference.
+
+    Returns the trajectory.
+    """
+    num_qubits = sched.num_qubits
     traj = evolve(pair.rho0, sched, grid)
     # The sweep takes any Hermitian costate; a single qubit has no Z_0 Z_1
     # readout, so its boundary is built here with O = Z_0.
@@ -246,6 +260,7 @@ def check_against_frechet(sched, log_scale, steps, seed, rank):
                           grid)
     assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(grads - ref.real).max() <= 1e-12 * np.abs(ref).max()
+    return traj
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,6 +290,54 @@ def test_tied_gradients_match_frechet_reference_large_registers(
     # nine copies each.
     check_against_frechet(family.initialized(num_qubits, 10.0, tied=True),
                           log_scale, steps, seed, rank)
+
+
+@pytest.mark.parametrize("num_qubits", [3, 4, 5])
+def test_support_solves_match_frechet_reference_on_the_training_set(
+        num_qubits):
+    # Random states occupy every spin block; the training states do not, so
+    # their solves drop blocks and copies.  The reference works on the
+    # whole register, with a costate that is not permutation symmetric.
+    rng = np.random.default_rng(40 + num_qubits)
+    sched = FourierSchedule.initialized(num_qubits, 10.0, tied=True)
+    for kind in KIND_ORDER:
+        sched.coeffs[kind][:] = 0.1 * rng.uniform(-1.0, 1.0,
+                                                  sched.coeffs[kind].shape)
+    full = qcore.block_basis(num_qubits, True)
+    for pair in build_training_set(num_qubits):
+        traj = assert_matches_frechet(sched, pair, TimeGrid(10.0, 20))
+        assert traj.basis.blocks != full.blocks
+
+
+@pytest.mark.parametrize("num_qubits, tied", [(2, False), (4, True),
+                                              (6, True)])
+def test_scanned_sweeps_match_sequential_sweeps(num_qubits, tied):
+    # The oracle is the per-step sweep: F_{k+1} = U_k F_k forward and
+    # chi_k = U_k^dag chi_{k+1} backward, with the step unitaries of the
+    # schedule's block basis.  A random state has full support.
+    rng = np.random.default_rng(60 + num_qubits)
+    sched = FourierSchedule.initialized(num_qubits, 100.0, n_max=3,
+                                        tied=tied)
+    for kind in KIND_ORDER:
+        sched.coeffs[kind][:] = rng.normal(scale=1e-2,
+                                           size=sched.coeffs[kind].shape)
+    pair = random_pair(rng, num_qubits)
+    grid = TimeGrid(100.0, 60)
+    basis = qcore.block_basis(num_qubits, tied)
+    traj = evolve(pair.rho0, sched, grid)
+    a_final = adjoint_boundary(final_populations(traj), pair.target)
+    chi = adjoint_evolve_backward(a_final, traj)
+    assert traj.basis.blocks == basis.blocks
+    us = qcore.step_unitaries(sched, grid)
+    factors = [basis.fold(pair.rho0.factor)]
+    for u in us:
+        factors.append(u @ factors[-1])
+    costates = [basis.fold(a_final @ basis.unfold(factors[-1]))]
+    for u in us[::-1]:
+        costates.append(u.conj().T @ costates[-1])
+    for got, want in ((traj.factors, np.array(factors)),
+                      (chi, np.array(costates[::-1]))):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_all_gradients_bundles_all_coefficients():
@@ -385,10 +448,12 @@ def test_epoch_cost_is_two_solves_per_pair():
 
 
 def test_epoch_diagonalises_once_per_pair(monkeypatch):
-    # One tied epoch at N = 4: per pair, one eigh per distinct total spin
-    # (blocks of 5, 3 and 1) for the gradient and none for the states, whose
-    # factors are their state vectors.  The block basis (and with it the
-    # spin basis) is built first, once per process.
+    # One tied epoch at N = 4: per pair, one eigh per spin block the state
+    # occupies, for the gradient, and none for the states, whose factors
+    # are their state vectors.  |0000>, GHZ and a|0000> + b|1111> lie in
+    # the symmetric block (2j+1 = 5) alone; |0000> + |0001> adds one copy
+    # of 2j+1 = 3.  The block basis (and with it the spin basis) is built
+    # first, once per process.
     pairs = build_training_set(4)
     sched = FourierSchedule.initialized(4, 250.0, n_max=3, tied=True)
     qcore.block_basis(4, True)
@@ -400,7 +465,10 @@ def test_epoch_diagonalises_once_per_pair(monkeypatch):
     train_backprop(pairs, sched, TrainConfig(epochs=1),
                    TimeGrid(250.0, 50))
     assert len(pairs) == 4
-    assert calls == [(50, 5, 5), (50, 3, 3), (50, 1, 1)] * 4
+    assert [pair.label for pair in pairs] == [
+        "product_zeros", "ghz", "product_superposition", "partial"]
+    assert calls == [(50, 5, 5), (50, 5, 5), (50, 5, 5), (50, 3, 3),
+                     (50, 5, 5)]
     assert qcore.solve_count == 8
 
 
@@ -427,7 +495,8 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     assert assembled == [40]
     lam, v = eigh(traj.basis.lift(traj.hamiltonians))
     rebuilt = (v * np.exp(-1j * grid.dt * lam)[:, None, :]) @ v.swapaxes(1, 2)
-    assert np.abs(rebuilt - traj.basis.lift(traj.unitaries)).max() <= 1e-13
+    us = register_step_unitaries(sched, grid)
+    assert np.abs(rebuilt - us).max() <= 1e-13
     h = assemble(sched.eval_many(grid.midpoints),
                  qcore.generators(3, sched.tied))
     assert np.abs((v * lam[:, None, :]) @ v.swapaxes(1, 2) - h).max() <= 1e-13
@@ -435,10 +504,10 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
 
 @pytest.mark.parametrize("num_qubits, size", [(4, 9), (5, 12), (6, 16)])
 def test_tied_solves_run_on_the_spin_blocks(num_qubits, size, monkeypatch):
-    # A tied solve and a tied gradient pair assemble, exponentiate and
-    # diagonalise only block-coordinate stacks: (M, R, R) with
-    # R = sum(2j+1), and eigh one diagonal block per distinct spin.  No
-    # (M, d, d) array reaches any of them.
+    # A tied propagator assembles and exponentiates block-coordinate
+    # stacks, (M, R, R) with R = sum(2j+1).  A tied gradient pair from
+    # |0..0> works on the symmetric block it occupies alone, 2j+1 = N+1,
+    # and diagonalises it once.  No (M, d, d) array reaches any of them.
     basis = qcore.block_basis(num_qubits, True)  # built before the spies
     sched = FourierSchedule.initialized(num_qubits, 250.0, n_max=3, tied=True)
     grid = TimeGrid(250.0, 50)
@@ -465,6 +534,8 @@ def test_tied_solves_run_on_the_spin_blocks(num_qubits, size, monkeypatch):
     chi = adjoint_evolve_backward(
         adjoint_boundary(final_populations(traj), pair.target), traj)
     all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
-    assert seen["assemble"] == seen["expm"] == [(50, size, size)] * 2
-    assert seen["eigh"] == [(50, n, n) for n, _ in basis.blocks]
-    assert basis.size == size
+    sym = num_qubits + 1
+    assert seen["assemble"] == seen["expm"] == [(50, size, size),
+                                                (50, sym, sym)]
+    assert seen["eigh"] == [(50, sym, sym)]
+    assert basis.size == size and traj.basis.blocks == ((sym, 1),)

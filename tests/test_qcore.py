@@ -494,6 +494,37 @@ def test_lifted_block_assembly_is_the_register_assembly(num_qubits, tied):
     assert np.abs(basis.lift(h) - ref).max() <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("num_qubits", range(3, 7))
+def test_support_keeps_the_occupied_blocks_and_copies(num_qubits):
+    # A tied Hamiltonian never mixes spin blocks or copies, so a solve from
+    # F needs only those where fold(F) is nonzero.  The test is exact: a
+    # 1e-300 component keeps its block.
+    n = num_qubits
+    basis = qcore.block_basis(n, True)
+    rng = np.random.default_rng(n)
+
+    def support(psi):
+        f = DensityMatrix.from_state_vector(psi).factor
+        sub = basis.support(f)
+        assert np.abs(sub.unfold(sub.fold(f)) - f).max() <= 1e-15
+        return sub
+
+    for a, b in ((1.0, 0.0), (1.0, 1.0), (0.6, 0.8), (0.0, 1.0)):
+        sub = support(np.r_[a, np.zeros(2**n - 2), b])
+        assert sub.blocks == ((n + 1, 1),)
+        assert np.array_equal(sub.gens, basis.gens[:, :n + 1, :n + 1])
+    superposition = np.r_[1.0, 1.0, np.zeros(2**n - 2)]
+    assert support(superposition).blocks == ((n + 1, 1), (n - 1, 1))
+    # GHZ with a 1e-300 |0..01> component, whose part off the symmetric
+    # block lies in one copy of 2j+1 = N-1, like the superposition's.
+    ghz = np.r_[1.0, np.zeros(2**n - 2), 1.0]
+    ghz[1] = 1e-300
+    assert support(ghz).blocks == ((n + 1, 1), (n - 1, 1))
+    sub = support(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+    assert sub.blocks == basis.blocks
+    assert (sub.size, sub.copies) == (basis.size, basis.copies)
+
+
 def random_mixed_state(rng, d, rank):
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     return DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
@@ -639,11 +670,25 @@ def constant_schedule(num_qubits, T, tunneling=0.0, bias=0.0, coupling=0.0):
         tunneling=tunneling, bias=bias, coupling=coupling)
 
 
+def test_prefix_products_match_the_running_product():
+    rng = np.random.default_rng(5)
+    for m in [*range(10), 200]:
+        g = rng.normal(size=(m, 5, 5)) + 1j * rng.normal(size=(m, 5, 5))
+        us = np.linalg.qr(g)[0]  # unitary steps, so every product has norm 1
+        p = qcore.prefix_products(us)
+        assert p.shape == (m + 1, 5, 5)
+        assert np.array_equal(p[0], np.eye(5))
+        running = np.eye(5)
+        for k, u in enumerate(us):
+            running = u @ running
+            assert np.abs(p[k + 1] - running).max() <= 1e-13
+
+
 def test_evolve_zero_hamiltonian_is_static():
     grid = TimeGrid(10.0, 50)
     traj = evolve(bell_state(), constant_schedule(2, 10.0), grid)
     assert np.allclose(traj.states, traj.states[0][None], atol=1e-14)
-    assert np.allclose(traj.basis.lift(traj.unitaries), np.eye(4)[None],
+    assert np.allclose(traj.basis.lift(traj.propagators), np.eye(4)[None],
                        atol=1e-14)
 
 
@@ -681,8 +726,8 @@ def test_step_unitarity_and_invariants_along_trajectory():
     traj = evolve(DensityMatrix.from_state_vector(psi), sched,
                   TimeGrid(100.0, 100))
     eye = np.eye(8)
-    assert np.abs(traj.unitaries @ traj.unitaries.conj().swapaxes(-1, -2)
-                  - eye).max() < 1e-12
+    props = traj.propagators  # every product U_{k-1} ... U_0
+    assert np.abs(props @ props.conj().swapaxes(-1, -2) - eye).max() < 1e-12
     for rho in traj.states:
         assert np.abs(rho - rho.conj().T).max() < qcore.HERMITICITY_TOL
         assert abs(np.trace(rho).real - 1.0) < qcore.TRACE_TOL
