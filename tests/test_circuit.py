@@ -1,5 +1,7 @@
 """Circuit mode: compilation, shot sampling, noise models and RL training."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from qdynlearn.qcore import (
     DensityMatrix,
     TimeGrid,
 )
-from qdynlearn.schedules import FourierSchedule, PiecewiseSchedule, list_trainable
+from qdynlearn.schedules import (
+    FourierSchedule,
+    PiecewiseSchedule,
+    list_trainable,
+    load_schedule,
+)
 from qdynlearn.train import descend
 from qdynlearn.witness import (
     build_training_set,
@@ -24,6 +31,8 @@ from qdynlearn.witness import (
     ghz_family_state,
     theta_sweep_states,
 )
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def zero_schedule(T=2.0, segments=4):
@@ -291,6 +300,118 @@ def test_pure_state_readouts_never_call_eigh(monkeypatch):
                       rl.RLConfig(), TimeGrid(250.0, 50))
     assert calls == []
 
+
+# -- values pinned bit for bit ------------------------------------------------
+
+# compile_segments and run_shots on the 4 training pairs, from criterion 5's
+# default schedule and the benchmark's shot-mode start: the compiled unitary
+# (row-major), the exact probabilities with readout error, and with
+# depolarizing noise too, and 8192-shot counts from seed 1.  A fast path in
+# either must reproduce them exactly: the circuit trajectories of
+# test_trajectories.py are pinned with ==.
+PINNED = {
+    "default": {
+        "unitary": [
+            0.9999838200865122-0.0005999946306839178j,
+            -7.999957066758688e-07-0.003999957146804229j,
+            -7.999957066758688e-07-0.003999957146804229j,
+            -1.5999914346849788e-05+1.0666632234719285e-09j,
+            -7.999957066758688e-07-0.003999957146804229j,
+            0.9999839800856534+0.00019999893200340913j,
+            -1.5999914346849788e-05-1.066663257605157e-09j,
+            7.999957280091106e-07-0.00399995725347055j,
+            -7.999957066758688e-07-0.003999957146804229j,
+            -1.5999914346849788e-05-1.066663257605157e-09j,
+            0.9999839800856533+0.00019999893200340913j,
+            7.999957280091105e-07-0.00399995725347055j,
+            -1.5999914346849788e-05+1.0666632234719285e-09j,
+            7.999957280091106e-07-0.00399995725347055j,
+            7.999957280091105e-07-0.00399995725347055j,
+            0.9999839800856534+0.000199996798676928j],
+        "exact": [
+            [0.980068954013096, 0.009915366071366739,
+             0.009915366071366739, 0.0001003138441705138],
+            [0.49006926785893073, 0.009930732142323711,
+             0.009930732142323711, 0.49006926785642185],
+            [0.4949937123333352, 0.4949906077507093,
+             0.00500785565403717, 0.0050078242619182095],
+            [0.35287427287807194, 0.009930117499616557,
+             0.009930117499616557, 0.627265492122695]],
+        "depolarized": [
+            [0.8446457259746294, 0.05444956513616617,
+             0.05444956513616617, 0.046455143753038414],
+            [0.4455379191040232, 0.054462080896998576,
+             0.054462080896998576, 0.44553791910197965],
+            [0.4495489099062036, 0.44954638120425117,
+             0.05045236722931114, 0.050452341660234046],
+            [0.33379173822339503, 0.05446158026667206,
+             0.054461580266672055, 0.5572851012432607]],
+        "shots": [
+            [8032, 72, 88, 0],
+            [3990, 85, 70, 4047],
+            [4093, 4010, 53, 36],
+            [2922, 76, 81, 5113]],
+    },
+    "circuit_start.json": {
+        "unitary": [
+            0.9791636788226968-0.013240888804078272j,
+            0.0014244552749098143-0.19687753502921318j,
+            0.00023778550570684984+0.04702066984210487j,
+            0.009453688670754504-6.246791995042584e-05j,
+            -0.0019230701503749788-0.19687328781616686j,
+            0.9791940946620027+0.010760979613220199j,
+            0.009453995615032518-3.6280579339747885e-05j,
+            0.0002533658750747603+0.04702013503636609j,
+            -0.00016226153276654081+0.04702103381132246j,
+            0.009451420030304351+0.000206823522980316j,
+            0.9791830625003696+0.011668153124912276j,
+            0.001582249765458748-0.19687941673694934j,
+            0.009453234918726638-0.00010809167902175369j,
+            -0.00032888844659032977+0.04701971012933115j,
+            -0.001083620441366963-0.19688278441263904j,
+            0.9792094951081591-0.009188199834183092j],
+        "exact": [
+            [0.9402596376179984, 0.04748599068394588,
+             0.011665240693183091, 0.0005891310048725548],
+            [0.4793153262211956, 0.020684690399713122,
+             0.020685080434446373, 0.479314902944645],
+            [0.4977552566833184, 0.48999039413378687,
+             0.006174347189866781, 0.0060800019930280095],
+            [0.3474058195816124, 0.01602541325923989,
+             0.02605579608135998, 0.6105129710777878]],
+        "depolarized": [
+            [0.8122207889625946, 0.0850510736995157,
+             0.05587484895235197, 0.0468532883855375],
+            [0.43677876642795266, 0.06322124710988136,
+             0.06322156479560932, 0.43677842166655667],
+            [0.451798205038917, 0.4454736759619327,
+             0.05140248187581646, 0.0513256371233338],
+            [0.3293376488355957, 0.05942623675848379,
+             0.06759604625699325, 0.5436400681489274]],
+        "shots": [
+            [7712, 393, 84, 3],
+            [3902, 173, 153, 3964],
+            [4116, 3970, 46, 60],
+            [2877, 124, 211, 4980]],
+    },
+}
+PINNED_BACKENDS = {"exact": {"p_ro": 0.01},
+                   "depolarized": {"p_dep": 0.05, "p_ro": 0.01},
+                   "shots": {"shots": 8192, "p_ro": 0.01, "seed": 1}}
+
+
+@pytest.mark.parametrize("start", sorted(PINNED))
+def test_compile_and_readout_equal_their_pinned_values(start):
+    sched = (PiecewiseSchedule.initialized(2, 2.0, segments=4, tied=False)
+             if start == "default" else load_schedule(PERFBENCH / start))
+    pinned = PINNED[start]
+    u = compile_segments(sched)
+    assert np.array_equal(u.ravel(), pinned["unitary"])
+    for name, args in PINNED_BACKENDS.items():
+        backend = ShotBackend(**args)
+        got = [run_shots(u, pair.rho0, backend, sched.segments)
+               for pair in build_training_set(2)]
+        assert np.array_equal(got, pinned[name]), name
 
 # -- training ----------------------------------------------------------------
 
