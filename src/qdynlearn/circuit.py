@@ -14,6 +14,7 @@ the whole-set RMS between witness estimates (normalised counts) and targets.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +39,24 @@ class ShotBackend:
             raise ValueError("shots must be in [1, 2**63 - 1] (or None for exact)")
         if not 0.0 <= self.p_dep <= 1.0 or not 0.0 <= self.p_ro <= 1.0:
             raise ValueError("noise probabilities must lie in [0, 1]")
-        self._rng = np.random.default_rng(self.seed)
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be an integer >= 0, "
+                             f"got {self.seed!r}")
 
     @property
     def exact(self):
         return self.shots is None
+
+    @functools.cached_property
+    def _rng(self):
+        """The shot generator, seeded from `seed`, built on its first draw.
+
+        A run that never samples (exact mode, or no epochs) never imports
+        numpy.random.
+        """
+        return np.random.default_rng(self.seed)
 
 
 def compile_segments(schedule: PiecewiseSchedule) -> np.ndarray:
@@ -75,9 +89,9 @@ def run_shots(u, rho0: DensityMatrix, backend: ShotBackend, segments):
     `shots` multinomial draws.
     """
     keep = (1.0 - backend.p_dep) ** segments
-    populations = qcore.populations(u @ rho0.factor)
-    probs = np.clip(keep * populations + (1.0 - keep) / len(u), 0.0, None)
-    probs = probs / probs.sum()
+    # Both terms are >= 0, so the distribution needs no clipping.
+    probs = keep * qcore.populations(u @ rho0.factor) + (1.0 - keep) / len(u)
+    probs /= probs.sum()
     if backend.p_ro > 0.0:
         probs = _readout_matrix(len(u).bit_length() - 1, backend.p_ro) @ probs
     if backend.exact:
@@ -111,7 +125,8 @@ def set_rms_error(pairs, schedule: PiecewiseSchedule,
     for pair in pairs:
         counts = run_shots(u, pair.rho0, backend, schedule.segments)
         sq.append((pair.target - estimate_output(counts)) ** 2)
-    return float(np.sqrt(np.mean(sq)))
+    # Python floats summed left to right: np.mean's order for so few terms.
+    return math.sqrt(sum(sq) / len(sq))
 
 
 @dataclass

@@ -15,17 +15,17 @@ Evolution is a stepwise matrix exponential of the midpoint Hamiltonians
 (`step_hamiltonians`), taken by `expm_hermitian` without an
 eigendecomposition: cos(H dt) - i sin(H dt) as real Taylor polynomials,
 accurate and unitary to round-off.  Every solve uses those steps:
-`total_propagator` multiplies them pairwise (`ordered_product`) and lifts
-the product to the register once.  `evolve` keeps the states along the
-way.  It carries a state's square-root factor F (rho = F F^dagger,
-d x rank) rather than rho, on the `BlockBasis.support` of its folded
-factor: the blocks and copies the state occupies, which a tied H never
-leaves (|0..0> and GHZ lie in the symmetric block alone).  One pairwise
-scan (`prefix_products`) gives every P_k = U_{k-1} ... U_0, and one
-batched product every F_k = P_k F_0; rho(t_k) is formed on demand.  The
-density-matrix invariants (Hermiticity, unit trace, positivity) are
-preserved to round-off.  No solve diagonalises a Hamiltonian; backprop's
-step sensitivities do, one block at a time.
+`total_propagator` multiplies them pairwise (`ordered_product`) and, on a
+basis that is not the identity, lifts the product to the register once.
+`evolve` keeps the states along the way.  It carries a state's square-root
+factor F (rho = F F^dagger, d x rank) rather than rho, on the
+`BlockBasis.support` of its folded factor: the blocks and copies the state
+occupies, which a tied H never leaves (|0..0> and GHZ lie in the symmetric
+block alone).  One pairwise scan (`prefix_products`) gives every
+P_k = U_{k-1} ... U_0, and one batched product every F_k = P_k F_0;
+rho(t_k) is formed on demand.  The density-matrix invariants (Hermiticity,
+unit trace, positivity) are preserved to round-off.  No solve diagonalises
+a Hamiltonian; backprop's step sensitivities do, one block at a time.
 
 The one readout is Z_0 Z_1, diagonal in the computational basis, so a state
 enters it only through its populations diag(F F^dagger) (`populations` of U F
@@ -330,12 +330,25 @@ class BlockBasis:
         stops = np.cumsum([n for n, _ in self.blocks]).tolist()
         return tuple(zip([0] + stops[:-1], stops))
 
+    @functools.cached_property
+    def identity(self):
+        """True when the block coordinates are the register's own (Q = I).
+
+        Then `fold`, `unfold` and `lift` return their argument: the
+        basis-change matmuls by I would only copy it.
+        """
+        return np.array_equal(self.fold_map, np.eye(self.fold_map.shape[1]))
+
     def fold(self, f):
         """Block factors (..., R, c_max r) of register factors (..., d, r)."""
+        if self.identity:
+            return f
         return (self.fold_map @ f).reshape(*f.shape[:-2], self.size, -1)
 
     def unfold(self, b):
         """Register factors (..., d, r) of block factors (..., R, c_max r)."""
+        if self.identity:
+            return b
         r = b.shape[-1] // self.copies
         return self.fold_map.T @ b.reshape(*b.shape[:-2], -1, r)
 
@@ -345,6 +358,8 @@ class BlockBasis:
         Sum over copies k of Q_k p Q_k^T, Q_k the columns of copy k: on a
         `support` basis, p on the state's subspace and zero off it.
         """
+        if self.identity:
+            return p
         d = self.fold_map.shape[1]
         wide = self.fold_map.reshape(self.size, -1)  # (R, c_max d)
         return self.fold_map.T @ (p @ wide).reshape(*p.shape[:-2], -1, d)
@@ -358,7 +373,7 @@ class BlockBasis:
         generators, and their kept copies' `fold_map` columns, in order; a
         factor with full support gets this basis itself.
         """
-        occupied = (self.fold_map @ f).reshape(self.size, self.copies, -1)
+        occupied = self.fold(f).reshape(self.size, self.copies, -1)
         keep = tuple(tuple(occupied[start:stop].any(axis=(0, 2)).tolist())
                      for start, stop in self.spans)
         return _support_basis(self, keep)
@@ -440,25 +455,45 @@ def _taylor_table():
 _TAYLOR = _taylor_table()
 
 
-def expm_hermitian(h, dt):
-    """exp(-i h dt) for a batch of Hermitian matrices (hbar = 1).
+def _one_norm(x):
+    """theta = ||X||_1 of a stack of symmetric (n, n) matrices.
 
-    Truncated cos/sin Taylor series in X = h dt, with no eigendecomposition:
-    real matmuls for the real symmetric Hamiltonians assembled here.  One
-    degree serves the batch, picked a priori from theta = ||X||_1, the largest
-    absolute column sum over the batch (`_taylor_table`); beyond the largest
-    degree's reach, X is halved s times and the result squared s times.
-    Raises ValueError if h or dt holds a NaN or an infinity.
+    The largest absolute row sum, the same as the largest column sum of a
+    symmetric X, taken by one matvec over the flattened rows: several times
+    cheaper than a sum reduction over the last axis.
     """
-    x = np.asarray(h) * dt
-    # Row sums: the same as the column sums of a Hermitian X, and contiguous.
-    theta = float(np.abs(x).sum(axis=-1).max(initial=0.0))
-    if not math.isfinite(theta):
-        raise ValueError("expm_hermitian: non-finite Hamiltonian entry")
+    n = x.shape[-1]
+    return float((np.abs(x).reshape(-1, n) @ np.ones(n)).max(initial=0.0))
+
+
+def _taylor_degree(theta):
+    """(p, coefficients, squarings) of the `_TAYLOR` degree that serves theta.
+
+    The lowest degree whose reach covers theta; beyond the largest one's
+    reach, the squarings s that bring theta / 2^s within it.
+    """
     for p, coef, reach in _TAYLOR:
         if theta <= reach:
             break
     squarings = math.ceil(math.log2(theta / reach)) if theta > reach else 0
+    return p, coef, squarings
+
+
+def expm_hermitian(h, dt):
+    """exp(-i h dt) for a batch of real symmetric matrices (hbar = 1).
+
+    Truncated cos/sin Taylor series in X = h dt, with no eigendecomposition:
+    real matmuls for the real symmetric Hamiltonians assembled here.  One
+    degree serves the batch, picked a priori from theta = ||X||_1, the largest
+    absolute column sum over the batch (`_taylor_degree`); beyond the largest
+    degree's reach, X is halved s times and the result squared s times.
+    Raises ValueError if h or dt holds a NaN or an infinity.
+    """
+    x = np.asarray(h) * dt
+    theta = _one_norm(x)
+    if not math.isfinite(theta):
+        raise ValueError("expm_hermitian: non-finite Hamiltonian entry")
+    p, coef, squarings = _taylor_degree(theta)
     if squarings:
         x /= 2.0**squarings
 
@@ -482,8 +517,9 @@ def expm_hermitian(h, dt):
         np.matmul(poly, powers[p], out=prod)
         np.matmul(coef[:, b], flat_powers, out=flat_poly)
         poly += prod
-    u = np.matmul(x, poly[1], out=prod[0]) * -1j
-    u += poly[0]
+    u = np.empty(x.shape, dtype=complex)  # C - iS, written part by part
+    u.real = poly[0]
+    np.negative(np.matmul(x, poly[1], out=prod[0]), out=u.imag)
     for _ in range(squarings):
         u = u @ u
     return u
@@ -505,7 +541,8 @@ def ordered_product(us):
     """U_{M-1} ... U_0 of a (M, n, n) stack, multiplied pairwise."""
     while len(us) > 1:  # U_{2j+1} U_{2j} per level; an odd last factor carries
         even = len(us) // 2 * 2
-        us = np.concatenate([us[1:even:2] @ us[:even:2], us[even:]])
+        pairs = us[1:even:2] @ us[:even:2]
+        us = pairs if even == len(us) else np.concatenate([pairs, us[even:]])
     return us[0]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from pauli_reference import pauli, zz
 
 from qdynlearn import qcore
@@ -30,6 +30,10 @@ from qdynlearn.train import TrainConfig, TrainingDiverged
 from qdynlearn.witness import TrainingPair, build_training_set
 
 KIND_SCALES = {"tunneling": 2.5e-3, "bias": 1e-4, "coupling": 1e-4}
+# The gradient error allowed against the Frechet reference, in eps times
+# the size of the terms each gradient sums.  Over 1,400 random draws from
+# the hypothesis tests' ranges the error stayed at or below 25 of these.
+FRECHET_EPS_MULTIPLE = 100
 
 
 def random_schedule(rng, num_qubits=2, T=100.0, n_max=3):
@@ -187,7 +191,10 @@ def frechet_reference_gradients(sched, traj, a_final):
     step Hamiltonian; rho_k is the trajectory's and A_{k+1} is conjugated
     back from `a_final` here, so only the per-step derivative and its
     contraction are taken from outside the code under test.
-    The result is in `params` order: kind, then row, then basis function.
+    Returns (gradients, sizes) in `params` order: kind, then row, then
+    basis function.  A coefficient's size bounds the terms its gradient
+    sums, ||A|| dt ||G_row|| sum_k |b(t_k)| (||.|| the spectral norm, and
+    tr rho_k = 1), since ||dU_k|| <= dt ||G_row||.
     """
     grid = traj.grid
     field_ = costate_field(a_final, sched, grid)
@@ -201,7 +208,8 @@ def frechet_reference_gradients(sched, traj, a_final):
     hs = np.einsum("mg,gij->mij", sched.eval_many(grid.midpoints),
                    np.array(row_gens))
     basis = sched.basis_row(grid.midpoints)
-    ref = []
+    weight = np.abs(basis).sum(axis=0)  # sum_k |b(t_k)| per basis function
+    ref, sizes = [], []
     for gen in row_gens:
         terms = []
         for k, h in enumerate(hs):
@@ -211,7 +219,9 @@ def frechet_reference_gradients(sched, traj, a_final):
             terms.append(np.trace(field_[k + 1] @ (half + half.conj().T)))
         ref += [-np.sum(np.array(terms) * basis[:, b])
                 for b in range(sched.width)]
-    return np.array(ref)
+        sizes += list(np.linalg.norm(a_final, 2) * grid.dt
+                      * np.linalg.norm(gen, 2) * weight)
+    return np.array(ref), np.array(sizes)
 
 
 def costate_boundary(rho_f, obs, target):
@@ -228,7 +238,7 @@ def random_state(rng, num_qubits, rank):
 
 
 def check_against_frechet(sched, log_scale, steps, seed, rank):
-    """all_gradients equals the Frechet reference to 1e-12 of its largest entry.
+    """all_gradients equals the Frechet reference (`assert_matches_frechet`).
 
     Every coefficient is drawn from +-10^log_scale; rho0 has rank 1, 2 or d.
     """
@@ -255,11 +265,14 @@ def assert_matches_frechet(sched, pair, grid):
     obs = zz(num_qubits) if num_qubits > 1 else pauli("z", 0, 1)
     a_final = costate_boundary(final_rho(traj), obs, pair.target)
     chi = adjoint_evolve_backward(a_final, traj)
-    ref = frechet_reference_gradients(sched, traj, a_final)
+    ref, sizes = frechet_reference_gradients(sched, traj, a_final)
     grads = all_gradients(np.arange(sched.params.size), traj, chi, sched,
                           grid)
-    assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
-    assert np.abs(grads - ref.real).max() <= 1e-12 * np.abs(ref).max()
+    # Round-off in either sum is a few eps of the terms it adds, however
+    # much they cancel: bound each coefficient by its own terms' size.
+    bound = FRECHET_EPS_MULTIPLE * np.finfo(float).eps * sizes
+    assert (np.abs(ref.imag) <= bound).all()
+    assert (np.abs(grads - ref.real) <= bound).all()
     return traj
 
 
@@ -284,6 +297,11 @@ def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
        steps=st.integers(1, 10), log_scale=st.floats(-5.0, 0.0),
        seed=st.integers(0, 2**32 - 1),
        rank=st.sampled_from(["pure", "two", "full"]))
+# Coefficients of at most 3e-5 give gradients of 2.5e-4 from terms of size
+# 10-20, so the round-off of their sum is 7x a bound of 1e-12 of the largest
+# gradient; bounded by the terms' size, it is within 1 eps of it.
+@example(num_qubits=5, family=PiecewiseSchedule, steps=1, log_scale=-4.5,
+         seed=173, rank="pure")
 def test_tied_gradients_match_frechet_reference_large_registers(
         num_qubits, family, steps, log_scale, seed, rank):
     # N = 5 and 6 hold spin blocks of 6, 4, 2 and 7, 5, 3, 1, with up to

@@ -101,6 +101,10 @@ def test_backend_validation():
         ShotBackend(p_dep=1.5)
     with pytest.raises(ValueError):
         ShotBackend(p_ro=-0.1)
+    # The generator is built on the first draw; its seed is checked here.
+    for seed in (-1, 1.5, True, "1"):
+        with pytest.raises(ValueError, match="seed"):
+            ShotBackend(shots=100, seed=seed)
     assert ShotBackend().exact
     assert not ShotBackend(shots=100).exact
 

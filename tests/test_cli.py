@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -615,3 +618,23 @@ def test_export_requires_exactly_one_source(runner, tmp_path):
                                   "--config-template", "rl",
                                   "--out", str(tmp_path / "x")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("mode", ["rl", "circuit"])
+def test_setup_only_run_never_imports_numpy_random(tmp_path, mode):
+    # The shot generator is built on its first draw, so a run that never
+    # samples never pays for importing numpy.random.
+    cfg = write_config(tmp_path / "cfg.json", mode=mode, shots=8192)
+    code = ("import sys\n"
+            "from qdynlearn.cli import main\n"
+            "main(sys.argv[1:], standalone_mode=False)\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = str(Path(qcore.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code, "train", "--config", str(cfg),
+         "--out", str(tmp_path / "run"), "--epochs", "0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

@@ -180,6 +180,21 @@ def test_expm_hermitian_every_degree_and_squaring(num_qubits, theta):
     assert_matches_expm(h, theta / theta_norm(h))
 
 
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+@pytest.mark.parametrize("theta", [0.0, 1e-3, 0.05, 0.3, 0.9, 2.5, 10.0, 40.0])
+def test_one_norm_by_matvec_picks_the_row_sum_degree(num_qubits, theta):
+    # The cases above: theta by one matvec selects the same Taylor degree
+    # and squaring count as the largest row sum by a sum reduction.
+    rng = np.random.default_rng(num_qubits)
+    d = 2**num_qubits
+    a = rng.normal(size=(3, d, d))
+    h = a + a.swapaxes(-1, -2)
+    x = h * (theta / theta_norm(h))
+    p, coef, squarings = qcore._taylor_degree(qcore._one_norm(x))
+    ref = qcore._taylor_degree(float(np.abs(x).sum(axis=-1).max()))
+    assert (p, squarings) == (ref[0], ref[2]) and coef is ref[1]
+
+
 def test_taylor_table_reaches_unit_roundoff():
     # Each degree's reach keeps the a-priori Taylor remainder
     # sum_{k > 2q+1} theta^k / k! at or below 2^-53 theta.
@@ -436,8 +451,9 @@ def test_block_basis_layout(num_qubits, tied):
         assert basis.blocks == tuple((n, c) for n, c in
                                      qcore.spin_basis(num_qubits)[1])
         assert basis.size == sum(n for n, _ in basis.blocks) < d
+        assert not basis.identity
     else:  # one block, Q = I
-        assert basis.blocks == ((d, 1),)
+        assert basis.blocks == ((d, 1),) and basis.identity
         assert np.array_equal(basis.fold_map, np.eye(d))
         assert np.array_equal(basis.gens,
                               qcore.generators(num_qubits, tied))
@@ -479,6 +495,26 @@ def test_fold_unfold_round_trip(num_qubits, tied):
     # A stack of factors folds row by row.
     stack = rng.normal(size=(3, d, 2)) + 1j * rng.normal(size=(3, d, 2))
     assert np.array_equal(basis.fold(stack)[1], basis.fold(stack[1]))
+
+
+@pytest.mark.parametrize("num_qubits, tied", [
+    (2, False), (2, True), (3, False), (4, False), (5, False), (6, False)])
+def test_identity_basis_skips_the_basis_change_exactly(num_qubits, tied):
+    # With Q = I, fold, unfold and lift return their argument: exactly what
+    # the general matmul forms give, on single arrays and stacks.
+    basis = qcore.block_basis(num_qubits, tied)
+    assert basis.identity
+    fm, d, size = basis.fold_map, 2**num_qubits, basis.size
+    rng = np.random.default_rng(90 + num_qubits)
+    for lead in ((), (3,)):
+        f, p = (rng.normal(size=(*lead, d, n))
+                + 1j * rng.normal(size=(*lead, d, n)) for n in (2, d))
+        assert np.array_equal(basis.fold(f),
+                              (fm @ f).reshape(*lead, size, -1))
+        assert np.array_equal(basis.unfold(f), fm.T @ f.reshape(*lead, -1, 2))
+        wide = fm.reshape(size, -1)
+        assert np.array_equal(basis.lift(p),
+                              fm.T @ (p @ wide).reshape(*lead, -1, d))
 
 
 @pytest.mark.parametrize("num_qubits", range(1, 7))
