@@ -88,9 +88,10 @@ def run_shots(u, rho0: DensityMatrix, backend: ShotBackend, segments):
     outcome probabilities in exact mode, otherwise the integer counts of
     `shots` multinomial draws.
     """
-    keep = (1.0 - backend.p_dep) ** segments
-    # Both terms are >= 0, so the distribution needs no clipping.
-    probs = keep * qcore.populations(u @ rho0.factor) + (1.0 - keep) / len(u)
+    probs = qcore.populations(u @ rho0.factor)
+    if backend.p_dep > 0.0:  # both terms are >= 0: nothing to clip
+        keep = (1.0 - backend.p_dep) ** segments
+        probs = keep * probs + (1.0 - keep) / len(u)
     probs /= probs.sum()
     if backend.p_ro > 0.0:
         probs = _readout_matrix(len(u).bit_length() - 1, backend.p_ro) @ probs
