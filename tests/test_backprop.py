@@ -208,7 +208,8 @@ def frechet_reference_gradients(sched, traj, a_final):
     hs = np.einsum("mg,gij->mij", sched.eval_many(grid.midpoints),
                    np.array(row_gens))
     basis = sched.basis_row(grid.midpoints)
-    weight = np.abs(basis).sum(axis=0)  # sum_k |b(t_k)| per basis function
+    # ||A|| dt sum_k |b(t_k)| per basis function
+    scale = np.linalg.norm(a_final, 2) * grid.dt * np.abs(basis).sum(axis=0)
     ref, sizes = [], []
     for gen in row_gens:
         terms = []
@@ -219,8 +220,7 @@ def frechet_reference_gradients(sched, traj, a_final):
             terms.append(np.trace(field_[k + 1] @ (half + half.conj().T)))
         ref += [-np.sum(np.array(terms) * basis[:, b])
                 for b in range(sched.width)]
-        sizes += list(np.linalg.norm(a_final, 2) * grid.dt
-                      * np.linalg.norm(gen, 2) * weight)
+        sizes += list(np.linalg.norm(gen, 2) * scale)
     return np.array(ref), np.array(sizes)
 
 
@@ -298,8 +298,8 @@ def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
        seed=st.integers(0, 2**32 - 1),
        rank=st.sampled_from(["pure", "two", "full"]))
 # Coefficients of at most 3e-5 give gradients of 2.5e-4 from terms of size
-# 10-20, so the round-off of their sum is 7x a bound of 1e-12 of the largest
-# gradient; bounded by the terms' size, it is within 1 eps of it.
+# 10-20: the round-off of their sum is 7x a bound of 1e-12 of the largest
+# gradient, and 0.8 eps of the terms' size.
 @example(num_qubits=5, family=PiecewiseSchedule, steps=1, log_scale=-4.5,
          seed=173, rank="pure")
 def test_tied_gradients_match_frechet_reference_large_registers(

@@ -312,7 +312,8 @@ def test_pure_state_readouts_never_call_eigh(monkeypatch):
 # (row-major), the exact probabilities with readout error, and with
 # depolarizing noise too, and 8192-shot counts from seed 1.  A fast path in
 # either must reproduce them exactly: the circuit trajectories of
-# test_trajectories.py are pinned with ==.
+# test_trajectories.py are pinned with ==.  Re-recording the start file
+# restates its values here.
 PINNED = {
     "default": {
         "unitary": [
