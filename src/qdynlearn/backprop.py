@@ -22,12 +22,12 @@ Both live in the trajectory's block coordinates, on the spin blocks and
 copies the initial state occupies (`qcore.BlockBasis.support`): A(T) is
 formed on the register from the unfolded final factor, and chi_M is folded
 back, which drops only the part of A(T) F_M that no step derivative of the
-state reaches.  Because H is real symmetric, the step derivative, paired
-with F_{k+1} and chi_{k+1}, collapses to one real step sensitivity W_k built
-in the step's eigenbasis from rank-r products.  The eigenbasis comes from
-one batched `eigh` per diagonal block of the (M, R, R) step Hamiltonians:
-one per occupied total spin for a tied schedule, the whole register for an
-untied one.  Every coefficient's gradient is read off W_k by the transposed
+state reaches.  The step derivative, paired with F_k and chi_{k+1},
+collapses to one real step sensitivity W_k: the cotangent chi_{k+1} F_k^dag
+of the step unitary, pulled back to the real symmetric step Hamiltonian by
+reverse mode through the Taylor polynomial and squarings that evaluate the
+unitary (`qcore.expm_hermitian_pullback`), with no eigendecomposition.
+Every coefficient's gradient is read off W_k by the transposed
 Hamiltonian assembly: W_k contracted with the rotated generators, whose
 zero entries off the diagonal blocks, with the zero padding of the folded
 factors, make the sum over each block's copies come out by itself.
@@ -75,47 +75,20 @@ def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray
     return props @ (props[-1].conj().T @ chi_final)
 
 
-def _real_matmul(v, c):
-    """v @ c for real v and complex c, as one real product on c's float view."""
-    return (v @ c.view(float)).view(complex)
-
-
-def _step_eigh(h, spans):
-    """(lam (M, R), V (M, R, R)) with h = V diag(lam) V^T, one `eigh` per block.
-
-    `spans` are the (start, stop) of h's diagonal blocks; V is zero off them.
-    """
-    lam, v = np.empty(h.shape[:2]), np.zeros_like(h)
-    for start, stop in spans:
-        lam[:, start:stop], v[:, start:stop, start:stop] = np.linalg.eigh(
-            h[:, start:stop, start:stop])
-    return lam, v
-
-
 def _step_sensitivities(traj: Trajectory, chi: np.ndarray):
     """Real W_k with tr(A_{k+1} d(rho_{k+1})/dP) = 2 sum(P * W_k), shape (M, R, R).
 
     Holds for every real symmetric block-diagonal direction P of the step
-    Hamiltonian H = V diag(lam) V^T, in block coordinates.  With
-    X = rho_{k+1} A_{k+1} = F chi^dag (F and chi at step k+1, each copy of
-    a block in its own columns), q = exp(-i lam dt/2) and
-    Z = (V q)^dag X (V q): W = V (dt S * Im Z^T) V^T, where
-    S_ab = sinc(dt (lam_a - lam_b) / 2) is smooth across degenerate pairs.
-    Z = P Q^dag has rank c_max r, with P = conj(q) V^T F and
-    Q = conj(q) V^T chi, so Im Z^T = Re Q (Im P)^T - Im Q (Re P)^T.  Its
-    diagonal blocks sum the copies; the entries off them pair unrelated
-    copies and meet only the zeros of the rotated generators.
+    Hamiltonian H_k, in block coordinates.  With F and chi each copy of a
+    block in its own columns, rho_{k+1} = U_k F_k F_k^dag U_k^dag and
+    chi_{k+1} = A_{k+1} U_k F_k give tr(A_{k+1} d rho_{k+1}) =
+    2 Re sum(conj(g_k) * dU_k), g_k = chi_{k+1} F_k^dag, so W_k is the
+    pullback of g_k through the step exponential.  g_k's diagonal blocks
+    sum the copies; its entries off them pair unrelated copies and meet
+    only the zeros of the rotated generators.
     """
-    lam, v = _step_eigh(traj.hamiltonians, traj.basis.spans)
-    dt = traj.grid.dt
-    vt = v.swapaxes(-1, -2)
-    half = np.exp(0.5j * dt * lam)[:, :, None]  # conj(q)
-    p = half * _real_matmul(vt, traj.factors[1:])
-    q = half * _real_matmul(vt, chi[1:])
-    im_zt = (q.real @ p.imag.swapaxes(-1, -2)
-             - q.imag @ p.real.swapaxes(-1, -2))
-    s = np.sinc(dt * (lam[:, :, None] - lam[:, None, :]) / (2 * np.pi))
-    return v @ (dt * s * im_zt) @ vt
+    g = chi[1:] @ traj.factors[:-1].conj().swapaxes(-1, -2)
+    return qcore.expm_hermitian_pullback(traj.hamiltonians, traj.grid.dt, g)
 
 
 def all_gradients(idx, traj: Trajectory, chi: np.ndarray, schedule,

@@ -25,7 +25,8 @@ block alone).  One pairwise scan (`prefix_products`) gives every
 P_k = U_{k-1} ... U_0, and one batched product every F_k = P_k F_0;
 rho(t_k) is formed on demand.  The density-matrix invariants (Hermiticity,
 unit trace, positivity) are preserved to round-off.  No solve diagonalises
-a Hamiltonian; backprop's step sensitivities do, one block at a time.
+a Hamiltonian, and neither does a gradient: `expm_hermitian_pullback`
+takes the derivative by reverse mode through the same Taylor polynomial.
 
 The one readout is Z_0 Z_1, diagonal in the computational basis, so a state
 enters it only through its populations diag(F F^dagger) (`populations` of U F
@@ -479,14 +480,11 @@ def _taylor_degree(theta):
     return p, coef, squarings
 
 
-def expm_hermitian(h, dt):
-    """exp(-i h dt) for a batch of real symmetric matrices (hbar = 1).
+def _scaled_argument(h, dt):
+    """(X, p, coefficients, squarings): X = h dt / 2^s and the degree serving it.
 
-    Truncated cos/sin Taylor series in X = h dt, with no eigendecomposition:
-    real matmuls for the real symmetric Hamiltonians assembled here.  One
-    degree serves the batch, picked a priori from theta = ||X||_1, the largest
-    absolute column sum over the batch (`_taylor_degree`); beyond the largest
-    degree's reach, X is halved s times and the result squared s times.
+    One degree serves the batch, picked a priori from theta = ||h dt||_1,
+    the largest absolute column sum over the batch (`_taylor_degree`).
     Raises ValueError if h or dt holds a NaN or an infinity.
     """
     x = np.asarray(h) * dt
@@ -496,33 +494,147 @@ def expm_hermitian(h, dt):
     p, coef, squarings = _taylor_degree(theta)
     if squarings:
         x /= 2.0**squarings
+    return x, p, coef, squarings
 
-    # One workspace: I, Y, ..., Y^p, then the (cos, sin) Horner pair and its
-    # product.  With a fresh array per intermediate, the allocator handed
-    # the memory back and page-faulted it in again on every call: at
-    # (200, 8, 8), about 300 faults per call, which made it 3-4x slower.
-    work = np.empty((p + 5, *x.shape), dtype=x.dtype)
-    powers, poly, prod = work[:p + 1], work[p + 1:p + 3], work[p + 3:]
+
+def _taylor_polynomials(x, p, coef, keep=False, slots=0):
+    """(powers, pairs, spare, slots) of the cos and sin polynomials in Y = X^2.
+
+    powers (p+1, ...) holds I, Y, ..., Y^p; pairs[0] (2, ...) the (cos, sin)
+    pair, combined from the coefficient blocks by Horner in Y^p:
+    pairs[b] = pairs[b+1] Y^p + block b.  With `keep`, pairs holds every
+    Horner pair (blocks, 2, ...), which a pullback reads; without, only the
+    last.  spare is a (2, ...) scratch pair, and `slots` more arrays of X's
+    shape come from the same workspace for the caller.
+    """
+    # One workspace for every array.  With a fresh array per intermediate,
+    # the allocator handed the memory back and page-faulted it in again on
+    # every call: at (200, 8, 8), about 300 faults per call, which made it
+    # 3-4x slower.
+    kept = coef.shape[1] if keep else 1
+    start = p + 3 + 2 * kept
+    work = np.empty((start + slots, *x.shape), dtype=x.dtype)
+    powers, spare = work[:p + 1], work[p + 1:p + 3]
+    pairs = work[p + 3:start].reshape(kept, 2, *x.shape)
     powers[0] = np.eye(x.shape[-1])
     np.matmul(x, x, out=powers[1])
-    known = 1
-    while known < p:  # Y^(k+1..2k) = Y^(1..k) Y^k, one stacked call each
-        top = min(2 * known, p)
+    for known, top in _doublings(p):  # Y^(k+1..top) = Y^(1..top-k) Y^k
         np.matmul(powers[1:top - known + 1], powers[known],
                   out=powers[known + 1:top + 1])
-        known = top
-    flat_powers, flat_poly = powers.reshape(p + 1, -1), poly.reshape(2, -1)
-    np.matmul(coef[:, -1], flat_powers, out=flat_poly)
-    for b in range(coef.shape[1] - 2, -1, -1):  # poly = poly Y^p + block b
-        np.matmul(poly, powers[p], out=prod)
-        np.matmul(coef[:, b], flat_powers, out=flat_poly)
-        poly += prod
-    u = np.empty(x.shape, dtype=complex)  # C - iS, written part by part
-    u.real = poly[0]
-    np.negative(np.matmul(x, poly[1], out=prod[0]), out=u.imag)
+    flat_powers = powers.reshape(p + 1, -1)
+    pair = pairs[-1]
+    np.matmul(coef[:, -1], flat_powers, out=pair.reshape(2, -1))
+    for b in range(coef.shape[1] - 2, -1, -1):
+        np.matmul(pair, powers[p], out=spare)
+        pair = pairs[b] if keep else pair
+        np.matmul(coef[:, b], flat_powers, out=pair.reshape(2, -1))
+        pair += spare
+    return powers, pairs, spare, work[start:]
+
+
+@functools.lru_cache(maxsize=None)
+def _doublings(p):
+    """(k, top) per stacked call that forms Y^(k+1..top) from Y^(1..k)."""
+    steps, known = [], 1
+    while known < p:
+        steps.append((known, min(2 * known, p)))
+        known = steps[-1][1]
+    return tuple(steps)
+
+
+def _cos_minus_i_sin(x, pair, spare):
+    """C - iS = C - i X S' of a (cos, sin) pair, written part by part."""
+    u = np.empty(x.shape, dtype=complex)
+    u.real = pair[0]
+    np.negative(np.matmul(x, pair[1], out=spare), out=u.imag)
+    return u
+
+
+def expm_hermitian(h, dt):
+    """exp(-i h dt) for a batch of real symmetric matrices (hbar = 1).
+
+    Truncated cos/sin Taylor series in X = h dt, with no eigendecomposition:
+    real matmuls for the real symmetric Hamiltonians assembled here.  One
+    degree serves the batch (`_scaled_argument`); beyond the largest
+    degree's reach, X is halved s times and the result squared s times.
+    Raises ValueError if h or dt holds a NaN or an infinity.
+    """
+    x, p, coef, squarings = _scaled_argument(h, dt)
+    _, pairs, spare, _ = _taylor_polynomials(x, p, coef)
+    u = _cos_minus_i_sin(x, pairs[0], spare[0])
     for _ in range(squarings):
         u = u @ u
     return u
+
+
+# Bytes of one pullback chunk's workspace, which holds up to 25 (n, n)
+# arrays per step.  A (200, 8, 8) stack takes one chunk; at (200, 64, 64),
+# chunks of 5 steps took half the time of one workspace of over 100 MB,
+# which was page-faulted in afresh on every call.
+PULLBACK_CHUNK_BYTES = 2**22
+
+
+def expm_hermitian_pullback(h, dt, g):
+    """Real cotangent W (M, n, n) of h, from the complex cotangent g of
+    each U = `expm_hermitian(h, dt)`.
+
+    sum(W * E) = Re sum(conj(g) * dU) for every real direction E, dU the
+    derivative of U along E: the exact derivative of the map that
+    `expm_hermitian` evaluates, by reverse mode through its own Taylor
+    polynomial and squarings (Al-Mohy and Higham, SIAM J. Matrix Anal.
+    Appl. 30 (2009) 1639).  The degree is picked for the whole batch, as
+    there; the steps then go in chunks whose workspace stays small.
+    """
+    x, p, coef, squarings = _scaled_argument(h, dt)
+    step = max(1, PULLBACK_CHUNK_BYTES // (25 * x[0].nbytes))
+    w = np.empty_like(x)
+    for k in range(0, len(x), step):
+        w[k:k + step] = _pullback(x[k:k + step], p, coef, squarings,
+                                  g[k:k + step])
+    w *= dt / 2.0**squarings
+    return w
+
+
+def _pullback(x, p, coef, squarings, g):
+    """Cotangent of X = h dt / 2^s for the cotangent g of each U (M, n, n).
+
+    Every matrix of the polynomial is a polynomial in the symmetric X, so
+    it is its own transpose.  Real matmuls, except the squarings.
+    """
+    blocks = coef.shape[1]
+    powers, pairs, spare, slots = _taylor_polynomials(
+        x, p, coef, keep=True, slots=2 * blocks + p + 2)
+    if squarings:  # U_{i+1} = U_i U_i: g_i = g_{i+1} U_i^dag + U_i^dag g_{i+1}
+        us = [_cos_minus_i_sin(x, pairs[0], spare[0])]
+        for _ in range(squarings - 1):
+            us.append(us[-1] @ us[-1])
+        for u in reversed(us):
+            u = u.conj()
+            g = g @ u + u @ g
+    bars = slots[:2 * blocks].reshape(blocks, 2, *x.shape)  # of each pair
+    powers_bar, gi = slots[2 * blocks:-1], slots[-1]  # of I, Y, ..., Y^p
+    # U = C - i X S': C takes Re g, S' takes -X Im g and X takes -Im g S'.
+    bars[0, 0], gi[...] = g.real, g.imag
+    np.negative(np.matmul(x, gi, out=bars[0, 1]), out=bars[0, 1])
+    for b in range(blocks - 1):  # pairs[b] = pairs[b+1] Y^p + block b
+        np.matmul(bars[b], powers[p], out=bars[b + 1])
+    weights = coef.transpose(2, 1, 0).reshape(p + 1, 2 * blocks)[1:]
+    np.matmul(weights, bars.reshape(2 * blocks, -1),
+              out=powers_bar[1:].reshape(p, -1))
+    for b in range(blocks - 1):
+        for part in np.matmul(pairs[b + 1], bars[b], out=spare):
+            powers_bar[p] += part
+    for known, top in reversed(_doublings(p)):
+        count = top - known
+        upper, products = powers_bar[known + 1:top + 1], spare[:count]
+        powers_bar[1:count + 1] += np.matmul(upper, powers[known],
+                                             out=products)
+        for part in np.matmul(powers[1:count + 1], upper, out=products):
+            powers_bar[known] += part
+    xbar = np.matmul(powers_bar[1], x)  # Y = X X
+    xbar += np.matmul(x, powers_bar[1], out=spare[0])
+    xbar -= np.matmul(gi, pairs[0, 1], out=spare[1])
+    return xbar
 
 
 def step_hamiltonians(schedule, grid: TimeGrid, basis: BlockBasis):
@@ -620,8 +732,14 @@ def total_propagator(schedule, grid: TimeGrid) -> np.ndarray:
 
 
 def populations(f) -> np.ndarray:
-    """diag(F F^dagger) of a (d, r) factor: |F|^2 summed over its columns."""
-    return (f.real * f.real + f.imag * f.imag).sum(axis=-1)
+    """diag(F F^dagger) of a (d, r) factor: |F|^2 summed over its columns.
+
+    Squared once on F's float view, real and imaginary parts interleaved;
+    a factor whose last axis is strided is copied first.
+    """
+    v = np.ascontiguousarray(f, dtype=complex).view(float)
+    sq = v * v
+    return (sq[..., ::2] + sq[..., 1::2]).sum(axis=-1)
 
 
 def zz_expectation(p) -> float:

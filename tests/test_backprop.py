@@ -241,6 +241,7 @@ def check_against_frechet(sched, log_scale, steps, seed, rank):
     """all_gradients equals the Frechet reference (`assert_matches_frechet`).
 
     Every coefficient is drawn from +-10^log_scale; rho0 has rank 1, 2 or d.
+    Returns the trajectory.
     """
     rng = np.random.default_rng(seed)
     num_qubits = sched.num_qubits
@@ -250,7 +251,7 @@ def check_against_frechet(sched, log_scale, steps, seed, rank):
     r = {"pure": 1, "two": 2, "full": 2**num_qubits}[rank]
     pair = TrainingPair(random_state(rng, num_qubits, r), rng.uniform())
     assert pair.rho0.factor.shape == (2**num_qubits, r)
-    assert_matches_frechet(sched, pair, TimeGrid(sched.T, steps))
+    return assert_matches_frechet(sched, pair, TimeGrid(sched.T, steps))
 
 
 def assert_matches_frechet(sched, pair, grid):
@@ -276,19 +277,35 @@ def assert_matches_frechet(sched, pair, grid):
     return traj
 
 
+# A draw whose steps have theta = ||H dt||_1 of about 11, past the largest
+# Taylor degree's reach: the gradient pulls back through three squarings.
+# Random draws reach the squarings in about 1 of 20.
+SQUARING_DRAW = dict(num_qubits=3, family=PiecewiseSchedule, tied=False,
+                     steps=2, log_scale=-0.3, seed=2, rank="two")
+
+
 @settings(max_examples=40, deadline=None)
 @given(num_qubits=st.integers(1, 4),
        family=st.sampled_from([FourierSchedule, PiecewiseSchedule]),
        tied=st.booleans(), steps=st.integers(1, 40),
        log_scale=st.floats(-5.0, 0.0), seed=st.integers(0, 2**32 - 1),
        rank=st.sampled_from(["pure", "two", "full"]))
+@example(**SQUARING_DRAW)
 def test_all_gradients_match_frechet_reference(num_qubits, family, tied,
                                                steps, log_scale, seed, rank):
     # Tied draws act identically on every qubit, so their step spectra are
-    # exactly degenerate and their eigh runs per total spin; small scales
-    # give nearly degenerate ones.
+    # exactly degenerate; small scales give nearly degenerate ones.
     check_against_frechet(family.initialized(num_qubits, 10.0, tied=tied),
                           log_scale, steps, seed, rank)
+
+
+def test_squaring_draw_takes_squarings():
+    draw = dict(SQUARING_DRAW)
+    sched = draw.pop("family").initialized(draw.pop("num_qubits"), 10.0,
+                                           tied=draw.pop("tied"))
+    traj = check_against_frechet(sched, **draw)
+    theta = qcore._one_norm(traj.hamiltonians * traj.grid.dt)
+    assert qcore._taylor_degree(theta)[2] == 3
 
 
 @settings(max_examples=10, deadline=None)
@@ -465,13 +482,11 @@ def test_epoch_cost_is_two_solves_per_pair():
     assert qcore.solve_count == 2 * len(pairs)
 
 
-def test_epoch_diagonalises_once_per_pair(monkeypatch):
-    # One tied epoch at N = 4: per pair, one eigh per spin block the state
-    # occupies, for the gradient, and none for the states, whose factors
-    # are their state vectors.  |0000>, GHZ and a|0000> + b|1111> lie in
-    # the symmetric block (2j+1 = 5) alone; |0000> + |0001> adds one copy
-    # of 2j+1 = 3.  The block basis (and with it the spin basis) is built
-    # first, once per process.
+def test_epoch_never_diagonalises(monkeypatch):
+    # One tied epoch at N = 4 makes no eigh call: the gradient pulls back
+    # through the step exponential's Taylor polynomial, and the states'
+    # factors are their state vectors.  The block basis (and with it the
+    # spin basis) is built first, once per process.
     pairs = build_training_set(4)
     sched = FourierSchedule.initialized(4, 250.0, n_max=3, tied=True)
     qcore.block_basis(4, True)
@@ -485,15 +500,14 @@ def test_epoch_diagonalises_once_per_pair(monkeypatch):
     assert len(pairs) == 4
     assert [pair.label for pair in pairs] == [
         "product_zeros", "ghz", "product_superposition", "partial"]
-    assert calls == [(50, 5, 5), (50, 5, 5), (50, 5, 5), (50, 3, 3),
-                     (50, 5, 5)]
+    assert calls == []
     assert qcore.solve_count == 8
 
 
-def test_backprop_pair_diagonalises_once(monkeypatch):
-    # The gradient diagonalises the forward pass's step Hamiltonians once,
-    # and reads every coefficient off the step sensitivities without
-    # assembling a generator.
+def test_backprop_pair_never_diagonalises(monkeypatch):
+    # The gradient pulls back through the forward pass's step exponential
+    # without an eigh call, and reads every coefficient off the step
+    # sensitivities without assembling a generator.
     rng = np.random.default_rng(21)
     sched = random_schedule(rng, num_qubits=3)
     pair = random_pair(rng, num_qubits=3)  # a pure state: no eigh of its own
@@ -509,7 +523,7 @@ def test_backprop_pair_diagonalises_once(monkeypatch):
     chi = adjoint_evolve_backward(
         adjoint_boundary(final_populations(traj), pair.target), traj)
     all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
-    assert shapes == [(40, 8, 8)]
+    assert shapes == []
     assert assembled == [40]
     lam, v = eigh(traj.basis.lift(traj.hamiltonians))
     rebuilt = (v * np.exp(-1j * grid.dt * lam)[:, None, :]) @ v.swapaxes(1, 2)
@@ -525,7 +539,7 @@ def test_tied_solves_run_on_the_spin_blocks(num_qubits, size, monkeypatch):
     # A tied propagator assembles and exponentiates block-coordinate
     # stacks, (M, R, R) with R = sum(2j+1).  A tied gradient pair from
     # |0..0> works on the symmetric block it occupies alone, 2j+1 = N+1,
-    # and diagonalises it once.  No (M, d, d) array reaches any of them.
+    # and never diagonalises.  No (M, d, d) array reaches any of them.
     basis = qcore.block_basis(num_qubits, True)  # built before the spies
     sched = FourierSchedule.initialized(num_qubits, 250.0, n_max=3, tied=True)
     grid = TimeGrid(250.0, 50)
@@ -555,5 +569,5 @@ def test_tied_solves_run_on_the_spin_blocks(num_qubits, size, monkeypatch):
     sym = num_qubits + 1
     assert seen["assemble"] == seen["expm"] == [(50, size, size),
                                                 (50, sym, sym)]
-    assert seen["eigh"] == [(50, sym, sym)]
+    assert seen["eigh"] == []
     assert basis.size == size and traj.basis.blocks == ((sym, 1),)

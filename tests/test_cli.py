@@ -322,6 +322,28 @@ def test_train_circuit_mode(runner, tmp_path):
     assert sched.segments == 4
 
 
+@pytest.mark.parametrize("mode, num_qubits",
+                         [("rl", 3), ("backprop", 4), ("circuit", 2)])
+def test_one_epoch_never_calls_eigh(runner, tmp_path, monkeypatch, mode,
+                                    num_qubits):
+    # The training states are pure, so each factor is its state vector;
+    # every solve exponentiates by Taylor polynomials, and the backprop
+    # gradient pulls back through them.  No mode's epoch diagonalises.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(a[0].shape) or eigh(*a, **k))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": mode, "num_qubits": num_qubits,
+                               "epochs": 1}))
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert [row[0] for row in read_csv(out / "epochs.csv")] == ["epoch", "0"]
+    assert calls == []
+
+
 # -- stage -------------------------------------------------------------------
 
 

@@ -180,6 +180,36 @@ def test_expm_hermitian_every_degree_and_squaring(num_qubits, theta):
     assert_matches_expm(h, theta / theta_norm(h))
 
 
+# Inside each Taylor degree's reach, then past the largest one's with one,
+# two and three squarings.
+PULLBACK_THETAS = [0.9 * reach for _, _, reach in qcore._TAYLOR] + [
+    0.9 * 2**s * qcore._TAYLOR[-1][2] for s in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 6))
+@pytest.mark.parametrize("theta", PULLBACK_THETAS)
+def test_expm_hermitian_pullback_is_the_adjoint_derivative(num_qubits, theta):
+    # Dot-product test: sum(W * E) = Re sum(conj(g) * dU) for a symmetric
+    # direction E, with dU from scipy's expm_frechet.  Each side is a sum
+    # of terms no larger than |g| |dU| <= |g| dt |E| (Frobenius norms, U
+    # unitary), and its round-off is a few eps of that size: at most 2.5
+    # over these cases.
+    rng = np.random.default_rng(80 + num_qubits)
+    d = 2**num_qubits
+    h, e = (a + a.swapaxes(-1, -2) for a in rng.normal(size=(2, 3, d, d)))
+    g = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    dt = theta / theta_norm(h)
+    assert qcore._taylor_degree(qcore._one_norm(h * dt))[2] == max(
+        0, math.ceil(math.log2(theta / qcore._TAYLOR[-1][2])))
+    w = qcore.expm_hermitian_pullback(h, dt, g)
+    assert w.dtype == np.float64 and w.shape == h.shape
+    for wk, hk, ek, gk in zip(w, h, e, g):
+        _, du = scipy.linalg.expm_frechet(-1j * dt * hk, -1j * dt * ek)
+        size = np.linalg.norm(gk) * dt * np.linalg.norm(ek)
+        error = abs(np.sum(wk * ek) - np.sum(gk.conj() * du).real)
+        assert error <= 100 * np.finfo(float).eps * size
+
+
 @pytest.mark.parametrize("num_qubits", range(1, 7))
 @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.05, 0.3, 0.9, 2.5, 10.0, 40.0])
 def test_one_norm_by_matvec_picks_the_row_sum_degree(num_qubits, theta):
@@ -687,6 +717,20 @@ def test_populations_equal_the_conjugated_diagonal(num_qubits):
         assert p.dtype == float and p.shape == (d,)
         ref = np.diagonal(u @ rho.matrix @ u.conj().T)
         assert np.abs(p - ref).max() <= 1e-14
+
+
+def test_populations_square_the_float_view_once():
+    # The float view's squares, paired, are |Re F|^2 + |Im F|^2 bit for bit,
+    # on factors of one and several columns, stacked ones, strided ones
+    # (the copy an F-ordered eigh factor takes) and real ones.
+    rng = np.random.default_rng(9)
+    for shape in ((4, 1), (16, 1), (8, 3), (64, 5), (3, 8, 2)):
+        f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for factor in (f, np.asfortranarray(f), f[..., ::-1],
+                       np.repeat(f, 2, axis=-1)[..., ::2], f.real):
+            ref = (factor.real * factor.real
+                   + factor.imag * factor.imag).sum(axis=-1)
+            assert np.array_equal(populations(factor), ref)
 
 
 def test_output_value_squares_the_correlation():
