@@ -1,14 +1,14 @@
 """Hardware-style mode: circuit unitary, shot-sampled readout, RL training.
 
 A piecewise-constant schedule compiles to one exact (d, d) circuit unitary U,
-the ordered product of its segments' exponentials (one `qcore` step per
-segment).  Measurement happens in the computational basis on the populations
-|U F|^2 of the initial factor F, either exactly (probabilities) or by
-sampling shots, optionally with a depolarizing channel after each segment
-and independent readout bit flips.  The depolarizing channel commutes with
-unitary conjugation, so the S channels act on the distribution in closed
-form.  Training is the finite-difference loop of the continuum RL module, on
-the whole-set RMS between witness estimates (normalised counts) and targets.
+the ordered product of its segments' exponentials (`qcore.propagate` of I).
+Measurement happens in the computational basis on the populations |U F|^2 of
+the initial factor F, either exactly (probabilities) or by sampling shots,
+optionally with a depolarizing channel after each segment and independent
+readout bit flips.  The depolarizing channel commutes with unitary
+conjugation, so the S channels act on the distribution in closed form.
+Training is the finite-difference loop of the continuum RL module, on the
+whole-set RMS between witness estimates (normalised counts) and targets.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ class ShotBackend:
 
 
 def compile_segments(schedule: PiecewiseSchedule) -> np.ndarray:
-    """(d, d) product of U_s = exp(-i H_s T/S) over the segments' parameters."""
+    """(d, d) product of U_s = exp(-i H_s T/S) over the segments; no solve."""
     grid = TimeGrid(schedule.T, schedule.segments)
-    return qcore.step_product(schedule, grid)
+    return qcore.propagate(schedule, grid,
+                           qcore.register_identity(schedule.num_qubits))
 
 
 @functools.lru_cache(maxsize=16)

@@ -14,14 +14,14 @@ is the one-block case: Q = I, R = d, one copy.
 Evolution is a stepwise matrix exponential of the midpoint Hamiltonians
 (`step_hamiltonians`), taken by `expm_hermitian` without an
 eigendecomposition: cos(H dt) - i sin(H dt) as real Taylor polynomials,
-accurate and unitary to round-off.  Every solve uses those steps:
-`total_propagator` multiplies them pairwise (`ordered_product`) and, on a
-basis that is not the identity, lifts the product to the register once.
-`evolve` keeps the states along the way.  It carries a state's square-root
-factor F (rho = F F^dagger, d x rank) rather than rho, on the
-`BlockBasis.support` of its folded factor: the blocks and copies the state
-occupies, which a tied H never leaves (|0..0> and GHZ lie in the symmetric
-block alone).  One pairwise scan (`prefix_products`) gives every
+accurate and unitary to round-off.  Every solve carries a state's
+square-root factor F (rho = F F^dagger, d x rank) rather than rho, and
+takes its steps on the `BlockBasis.support` of the folded factor: the
+blocks and copies the state occupies, which a tied H never leaves (|0..0>
+and GHZ lie in the symmetric block alone).  `propagate` gives the final
+factors U F, with U = U_{M-1} ... U_0 multiplied pairwise
+(`ordered_product`); `total_propagator` is U F of F = I.  `evolve` keeps
+the states along the way: one pairwise scan (`prefix_products`) gives every
 P_k = U_{k-1} ... U_0, and one batched product every F_k = P_k F_0;
 rho(t_k) is formed on demand.  The density-matrix invariants (Hermiticity,
 unit trace, positivity) are preserved to round-off.  No solve diagonalises
@@ -29,8 +29,8 @@ a Hamiltonian, and neither does a gradient: `expm_hermitian_pullback`
 takes the derivative by reverse mode through the same Taylor polynomial.
 
 The one readout is Z_0 Z_1, diagonal in the computational basis, so a state
-enters it only through its populations diag(F F^dagger) (`populations` of U F
-for a propagator U, or of an evolved factor unfolded to the register;
+enters it only through its populations diag(F F^dagger) (`populations` of
+the final factors U F or of an evolved factor unfolded to the register;
 normalised counts in `circuit`).  <Z_0 Z_1> weights them by the signs
 `zz_parity` (`zz_expectation`), and the witness output is its square,
 <Z_0 Z_1>^2 (`output_value`).
@@ -54,9 +54,9 @@ SPIN_BASIS_TOL = 1e-13
 # qubits 0 and 1, and every register operator is dense in 2^N.
 QUBIT_RANGE = range(2, 7)
 
-# Trajectory-solve counter (forward evolutions, total propagators and
-# backward adjoint sweeps each count as one solve).  Single-threaded bookkeeping
-# used by the cost-structure tests; reset freely.
+# Trajectory-solve counter (forward evolutions, RL pair errors, total
+# propagators and backward adjoint sweeps each count as one solve).
+# Single-threaded bookkeeping used by the cost-structure tests; reset freely.
 solve_count = 0
 
 
@@ -195,6 +195,14 @@ def zz_parity(num_qubits):
 
 
 @functools.lru_cache(maxsize=None)
+def register_identity(num_qubits):
+    """Read-only complex (d, d) identity: the factors `propagate` maps to U."""
+    eye = np.eye(2**num_qubits, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.lru_cache(maxsize=None)
 def generators(num_qubits, tied):
     """Read-only unit generators G, real (n_gen, d, d), built on first use.
 
@@ -302,8 +310,8 @@ class BlockBasis:
     register whose blocks add up to d) is Q = I: R = d, one copy.  A
     `support` basis keeps some blocks and copies: `blocks` counts the kept
     copies, `fold_map` holds their columns and `first` the first kept copy
-    of each block, so `fold` projects onto their span and `lift` gives an
-    operator on it, zero off it.  The arrays are made read-only.
+    of each block, so `fold` projects onto their span, and a block-diagonal
+    P is `unfold(P @ fold(I))` on the register.  The arrays are read-only.
     """
 
     first: np.ndarray
@@ -335,8 +343,8 @@ class BlockBasis:
     def identity(self):
         """True when the block coordinates are the register's own (Q = I).
 
-        Then `fold`, `unfold` and `lift` return their argument: the
-        basis-change matmuls by I would only copy it.
+        Then `fold` and `unfold` return their argument, the basis-change
+        matmuls by I would only copy it, and `support` returns the basis.
         """
         return np.array_equal(self.fold_map, np.eye(self.fold_map.shape[1]))
 
@@ -353,18 +361,6 @@ class BlockBasis:
         r = b.shape[-1] // self.copies
         return self.fold_map.T @ b.reshape(*b.shape[:-2], -1, r)
 
-    def lift(self, p):
-        """Register operators (..., d, d) of block-diagonal (..., R, R) ones.
-
-        Sum over copies k of Q_k p Q_k^T, Q_k the columns of copy k: on a
-        `support` basis, p on the state's subspace and zero off it.
-        """
-        if self.identity:
-            return p
-        d = self.fold_map.shape[1]
-        wide = self.fold_map.reshape(self.size, -1)  # (R, c_max d)
-        return self.fold_map.T @ (p @ wide).reshape(*p.shape[:-2], -1, d)
-
     def support(self, f):
         """The sub-basis of the blocks and copies where `fold(f)` is nonzero.
 
@@ -372,8 +368,10 @@ class BlockBasis:
         never mixes blocks or copies, so a solve from F stays exactly zero
         on the dropped ones.  The kept blocks keep their rows and rotated
         generators, and their kept copies' `fold_map` columns, in order; a
-        factor with full support gets this basis itself.
+        factor with full support, or on an `identity` basis, gets this basis.
         """
+        if self.identity:
+            return self
         occupied = self.fold(f).reshape(self.size, self.copies, -1)
         keep = tuple(tuple(occupied[start:stop].any(axis=(0, 2)).tolist())
                      for start, stop in self.spans)
@@ -643,10 +641,11 @@ def step_hamiltonians(schedule, grid: TimeGrid, basis: BlockBasis):
     return assemble_hamiltonians(coef, basis.gens)
 
 
-def step_unitaries(schedule, grid: TimeGrid):
-    """Per-step propagators U_k = exp(-i H(t_k + dt/2) dt), shape (M, R, R)."""
-    basis = block_basis(schedule.num_qubits, schedule.tied)
-    return expm_hermitian(step_hamiltonians(schedule, grid, basis), grid.dt)
+def _support_steps(schedule, grid: TimeGrid, f):
+    """The `support` of factors f, and the (M, R, R) H_k and U_k on it."""
+    basis = block_basis(schedule.num_qubits, schedule.tied).support(f)
+    h = step_hamiltonians(schedule, grid, basis)
+    return basis, h, expm_hermitian(h, grid.dt)
 
 
 def ordered_product(us):
@@ -674,10 +673,10 @@ def prefix_products(us):
     return p
 
 
-def step_product(schedule, grid: TimeGrid) -> np.ndarray:
-    """U_{M-1} ... U_0 in the register basis, (d, d): the block product, lifted."""
-    basis = block_basis(schedule.num_qubits, schedule.tied)
-    return basis.lift(ordered_product(step_unitaries(schedule, grid)))
+def propagate(schedule, grid: TimeGrid, f) -> np.ndarray:
+    """Final factors U F (d, r) of f, solved on its support; counts no solve."""
+    basis, _, us = _support_steps(schedule, grid, f)
+    return basis.unfold(ordered_product(us) @ basis.fold(f))
 
 
 @dataclass(frozen=True)
@@ -716,10 +715,8 @@ def evolve(rho0: DensityMatrix, schedule, grid: TimeGrid) -> Trajectory:
     second order in dt.
     """
     _tick_solve()
-    full = block_basis(schedule.num_qubits, schedule.tied)
-    basis = full.support(rho0.factor)
-    h = step_hamiltonians(schedule, grid, basis)
-    props = prefix_products(expm_hermitian(h, grid.dt))
+    basis, h, us = _support_steps(schedule, grid, rho0.factor)
+    props = prefix_products(us)
     return Trajectory(factors=props @ basis.fold(rho0.factor),
                       propagators=props, grid=grid, hamiltonians=h,
                       basis=basis)
@@ -728,7 +725,7 @@ def evolve(rho0: DensityMatrix, schedule, grid: TimeGrid) -> Trajectory:
 def total_propagator(schedule, grid: TimeGrid) -> np.ndarray:
     """Product U_{M-1} ... U_0 (d, d) mapping rho(0) to rho(T) by conjugation."""
     _tick_solve()
-    return step_product(schedule, grid)
+    return propagate(schedule, grid, register_identity(schedule.num_qubits))
 
 
 def populations(f) -> np.ndarray:

@@ -3,11 +3,11 @@
 Per training pair: evaluate the pair's nominal error once, then perturb each
 trainable coefficient by a small amount in turn, rerun the system and form
 the one-sided difference quotient of the error against that nominal value
-(1 + n solves for n coefficients).  Every quotient is taken against the
-unmodified schedule; the gradient-descent steps are applied together once
-the pair's sweep is done.  One pass over every training pair is an epoch.
-No backward pass is needed, which is what makes the same loop runnable
-against hardware-style (shot-sampled) evaluations.
+(1 + n solves of `qcore.propagate` for n coefficients).  Every quotient is
+taken against the unmodified schedule; the gradient-descent steps are
+applied together once the pair's sweep is done.  One pass over every
+training pair is an epoch.  No backward pass is needed, which is what makes
+the same loop runnable against hardware-style (shot-sampled) evaluations.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ class RLConfig(TrainConfig):
 
 def pair_error(pair: TrainingPair, schedule, grid: TimeGrid) -> float:
     """Half-squared output error E = (d - output)^2 / 2 for one pair."""
-    u = qcore.total_propagator(schedule, grid)
-    out = qcore.output_value(qcore.populations(u @ pair.rho0.factor))
+    qcore._tick_solve()
+    f = qcore.propagate(schedule, grid, pair.rho0.factor)
+    out = qcore.output_value(qcore.populations(f))
     return 0.5 * (pair.target - out) ** 2
 
 

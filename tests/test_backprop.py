@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from pauli_reference import pauli, zz
+from step_reference import block_steps, lift, register_steps
 
 from qdynlearn import qcore
 from qdynlearn.backprop import (
@@ -170,16 +171,10 @@ def site_generators(num_qubits):
             "coupling": [z[i] @ z[j] for i, j in pair_indices(num_qubits)]}
 
 
-def register_step_unitaries(sched, grid):
-    """Every step unitary U_k on the whole register, (M, d, d)."""
-    return qcore.block_basis(sched.num_qubits, sched.tied).lift(
-        qcore.step_unitaries(sched, grid))
-
-
 def costate_field(a_final, sched, grid):
     """Dense costates A_k = U_k^dag A_{k+1} U_k from A_M = a_final."""
     field_ = [a_final]
-    for u in register_step_unitaries(sched, grid)[::-1]:
+    for u in register_steps(sched, grid)[::-1]:
         field_.append(u.conj().T @ field_[-1] @ u)
     return np.array(field_[::-1])
 
@@ -363,7 +358,7 @@ def test_scanned_sweeps_match_sequential_sweeps(num_qubits, tied):
     a_final = adjoint_boundary(final_populations(traj), pair.target)
     chi = adjoint_evolve_backward(a_final, traj)
     assert traj.basis.blocks == basis.blocks
-    us = qcore.step_unitaries(sched, grid)
+    us = block_steps(sched, grid)
     factors = [basis.fold(pair.rho0.factor)]
     for u in us:
         factors.append(u @ factors[-1])
@@ -525,9 +520,9 @@ def test_backprop_pair_never_diagonalises(monkeypatch):
     all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
     assert shapes == []
     assert assembled == [40]
-    lam, v = eigh(traj.basis.lift(traj.hamiltonians))
+    lam, v = eigh(lift(traj.basis, traj.hamiltonians))
     rebuilt = (v * np.exp(-1j * grid.dt * lam)[:, None, :]) @ v.swapaxes(1, 2)
-    us = register_step_unitaries(sched, grid)
+    us = register_steps(sched, grid)
     assert np.abs(rebuilt - us).max() <= 1e-13
     h = assemble(sched.eval_many(grid.midpoints),
                  qcore.generators(3, sched.tied))

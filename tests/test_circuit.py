@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from step_reference import register_steps
 
 from qdynlearn import circuit, qcore, rl
 from qdynlearn.circuit import (
@@ -91,6 +92,20 @@ def test_compile_segments_is_unitary(num_qubits, segments):
         assert np.abs(u @ u.conj().T - np.eye(len(u))).max() <= 1e-12
 
 
+def test_compile_and_readout_count_no_solve():
+    # A set evaluation reads one compiled unitary, not a trajectory: a
+    # circuit epoch counts no solve.
+    pairs = build_training_set(2)
+    s = PiecewiseSchedule.initialized(2, 2.0, segments=4, tied=False)
+    qcore.solve_count = 0
+    compile_segments(PiecewiseSchedule.initialized(3, 2.0, segments=4,
+                                                   tied=True))
+    for backend in (ShotBackend(),
+                    ShotBackend(shots=1000, p_dep=0.05, p_ro=0.01, seed=1)):
+        circuit.set_rms_error(pairs, s, backend)  # compiles, then measures
+    assert qcore.solve_count == 0
+
+
 # -- backend and sampling ----------------------------------------------------
 
 
@@ -124,7 +139,7 @@ def test_exact_mode_returns_diagonal():
     rho = ghz_family_state(2, 0.6, 0.8)
     probs = run_shots(c, rho, ShotBackend(), s.segments)
     u = np.eye(4, dtype=complex)
-    for seg in qcore.step_unitaries(s, TimeGrid(s.T, s.segments)):
+    for seg in register_steps(s, TimeGrid(s.T, s.segments)):
         u = seg @ u
     expected = np.diag(u @ rho.matrix @ u.conj().T).real
     assert np.abs(probs - expected).max() < 1e-12
@@ -228,7 +243,7 @@ def test_closed_form_depolarizing_equals_per_segment_channels(
     rho0 = DensityMatrix.from_state_vector(rng.normal(size=d)
                                            + 1j * rng.normal(size=d))
     rho = rho0.matrix
-    for u in qcore.step_unitaries(s, TimeGrid(s.T, segments)):
+    for u in register_steps(s, TimeGrid(s.T, segments)):
         rho = u @ rho @ u.conj().T
         rho = (1.0 - p_dep) * rho + p_dep * np.trace(rho).real * np.eye(d) / d
     probs = run_shots(compile_segments(s), rho0, ShotBackend(p_dep=p_dep),

@@ -12,6 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from pauli_reference import pauli, zz
+from step_reference import block_steps, lift
 
 from qdynlearn import qcore
 from qdynlearn.qcore import (
@@ -25,6 +26,7 @@ from qdynlearn.qcore import (
     zz_expectation,
 )
 from qdynlearn.schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule
+from qdynlearn.witness import build_training_set
 
 
 def bell_state():
@@ -131,10 +133,10 @@ def test_total_propagator_is_the_sequential_step_product(sched):
     for steps in (1, 2, 3, 7, 200):  # odd counts leave a factor over
         grid = TimeGrid(sched.T, steps)
         ref = np.eye(basis.size)
-        for u in qcore.step_unitaries(sched, grid):
+        for u in block_steps(sched, grid):
             ref = u @ ref
         assert np.abs(total_propagator(sched, grid)
-                      - basis.lift(ref)).max() <= 1e-12
+                      - lift(basis, ref)).max() <= 1e-12
 
 
 # -- eigendecomposition-free exponential --------------------------------------
@@ -269,8 +271,8 @@ def test_total_propagator_equals_eigh_step_product(family, num_qubits):
     # A training-sized solve (T = 250 ns, 200 steps) from the default start,
     # every coefficient perturbed by 1%, against the sequential products of
     # eigh-based step unitaries and of scipy's expm, both on the register.
-    # From N = 3 on, a tied schedule solves on its spin blocks and lifts the
-    # product: it must give the same U.
+    # From N = 3 on, a tied schedule solves on its spin blocks and maps the
+    # product to the register: it must give the same U.
     for tied in sorted({False, num_qubits >= 3}):
         sched = perturbed_default(family, num_qubits, tied=tied)
         grid = TimeGrid(sched.T, 200)
@@ -280,9 +282,9 @@ def test_total_propagator_equals_eigh_step_product(family, num_qubits):
         eigh_steps = eigh_unitaries(h, grid.dt)
         assert np.abs(qcore.expm_hermitian(h, grid.dt)
                       - eigh_steps).max() <= 1e-14
-        block_steps = qcore.block_basis(num_qubits, tied).lift(
-            qcore.step_unitaries(sched, grid))
-        assert np.abs(block_steps - eigh_steps).max() <= 1e-14
+        lifted_steps = lift(qcore.block_basis(num_qubits, tied),
+                            block_steps(sched, grid))
+        assert np.abs(lifted_steps - eigh_steps).max() <= 1e-14
         eigh_ref = scipy_ref = np.eye(2**sched.num_qubits)
         for u, e in zip(eigh_steps, scipy.linalg.expm(-1j * h * grid.dt)):
             eigh_ref = u @ eigh_ref
@@ -529,22 +531,28 @@ def test_fold_unfold_round_trip(num_qubits, tied):
 
 @pytest.mark.parametrize("num_qubits, tied", [
     (2, False), (2, True), (3, False), (4, False), (5, False), (6, False)])
-def test_identity_basis_skips_the_basis_change_exactly(num_qubits, tied):
-    # With Q = I, fold, unfold and lift return their argument: exactly what
-    # the general matmul forms give, on single arrays and stacks.
+def test_identity_basis_skips_the_basis_change_exactly(num_qubits, tied,
+                                                      monkeypatch):
+    # With Q = I, fold and unfold return their argument: exactly what the
+    # general matmul forms give, on single arrays and stacks.  Every factor
+    # lies in its one block and copy, so support returns the basis itself,
+    # without folding the factor.
     basis = qcore.block_basis(num_qubits, tied)
     assert basis.identity
     fm, d, size = basis.fold_map, 2**num_qubits, basis.size
     rng = np.random.default_rng(90 + num_qubits)
     for lead in ((), (3,)):
-        f, p = (rng.normal(size=(*lead, d, n))
-                + 1j * rng.normal(size=(*lead, d, n)) for n in (2, d))
+        f = rng.normal(size=(*lead, d, 2)) + 1j * rng.normal(size=(*lead, d, 2))
         assert np.array_equal(basis.fold(f),
                               (fm @ f).reshape(*lead, size, -1))
         assert np.array_equal(basis.unfold(f), fm.T @ f.reshape(*lead, -1, 2))
-        wide = fm.reshape(size, -1)
-        assert np.array_equal(basis.lift(p),
-                              fm.T @ (p @ wide).reshape(*lead, -1, d))
+    folds, fold = [], qcore.BlockBasis.fold
+    monkeypatch.setattr(qcore.BlockBasis, "fold",
+                        lambda self, f: folds.append(f.shape) or fold(self, f))
+    for r in (1, 2):
+        f = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        assert basis.support(f) is basis
+    assert folds == []
 
 
 @pytest.mark.parametrize("num_qubits", range(1, 7))
@@ -557,7 +565,7 @@ def test_lifted_block_assembly_is_the_register_assembly(num_qubits, tied):
     assert h.shape == (5, basis.size, basis.size)
     ref = qcore.assemble_hamiltonians(coef, gens)
     scale = np.abs(ref).max()
-    assert np.abs(basis.lift(h) - ref).max() <= 1e-13 * scale
+    assert np.abs(lift(basis, h) - ref).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("num_qubits", range(3, 7))
@@ -635,6 +643,30 @@ def test_final_factor_populations_equal_the_propagator_readout(num_qubits,
         traj = evolve(rho0, sched, grid)
         assert np.abs(populations(traj.register_factors(-1))
                       - populations(u @ rho0.factor)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+@pytest.mark.parametrize("tied", [False, True])
+def test_propagate_applies_the_total_propagator(num_qubits, tied):
+    # propagate multiplies the steps only on the support of the factors it
+    # is given; its U F is the register propagator's, whatever the support:
+    # the training states (one or two spin blocks), random pure states (all
+    # of them) and a rank-2 mixed state.
+    sched = perturbed_default(FourierSchedule, num_qubits, tied=tied)
+    grid = TimeGrid(sched.T, 200)
+    d = 2**num_qubits
+    rng = np.random.default_rng(70 + num_qubits)
+    u = total_propagator(sched, grid)
+    states = [pair.rho0 for pair in build_training_set(num_qubits)]
+    states += [DensityMatrix.from_state_vector(rng.normal(size=d)
+                                               + 1j * rng.normal(size=d))
+               for _ in range(2)]
+    states.append(random_mixed_state(rng, d, 2))
+    for rho0 in states:
+        want = u @ rho0.factor
+        got = qcore.propagate(sched, grid, rho0.factor)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_time_grid():
@@ -768,7 +800,7 @@ def test_evolve_zero_hamiltonian_is_static():
     grid = TimeGrid(10.0, 50)
     traj = evolve(bell_state(), constant_schedule(2, 10.0), grid)
     assert np.allclose(traj.states, traj.states[0][None], atol=1e-14)
-    assert np.allclose(traj.basis.lift(traj.propagators), np.eye(4)[None],
+    assert np.allclose(lift(traj.basis, traj.propagators), np.eye(4)[None],
                        atol=1e-14)
 
 

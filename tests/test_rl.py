@@ -112,6 +112,29 @@ def test_pair_error_closed_form():
     assert e == pytest.approx(0.5 * 0.75**2)
 
 
+def test_pair_error_solves_once_on_the_occupied_blocks(monkeypatch):
+    # A tied N = 4 error exponentiates only the spin blocks its state
+    # occupies: the symmetric block (2j+1 = 5) for |0..0>, GHZ and the
+    # partial state, and that plus one copy of 2j+1 = 3 for the
+    # superposition.  Each error counts one solve.
+    sched = FourierSchedule.initialized(4, 250.0, n_max=3, tied=True)
+    grid = TimeGrid(250.0, 200)
+    pairs = build_training_set(4)
+    qcore.block_basis(4, True)  # built before the spy
+    shapes, expm = [], qcore.expm_hermitian
+    monkeypatch.setattr(qcore, "expm_hermitian",
+                        lambda h, dt: shapes.append(h.shape) or expm(h, dt))
+    want = {"product_zeros": 5, "ghz": 5, "product_superposition": 8,
+            "partial": 5}
+    for pair in pairs:
+        shapes.clear()
+        qcore.solve_count = 0
+        pair_error(pair, sched, grid)
+        r = want[pair.label]
+        assert shapes == [(200, r, r)]
+        assert qcore.solve_count == 1
+
+
 def test_fd_gradient_restores_schedule_bit_identically():
     pairs, sched, grid = default_problem(steps=50)
     cfg = RLConfig()
