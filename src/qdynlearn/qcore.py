@@ -14,13 +14,13 @@ is the one-block case: Q = I, R = d, one copy.
 Evolution is a stepwise matrix exponential of the midpoint Hamiltonians
 (`step_hamiltonians`), taken by `expm_hermitian` without an
 eigendecomposition: cos(H dt) - i sin(H dt) as real Taylor polynomials,
-accurate and unitary to round-off.  Every solve carries a state's
-square-root factor F (rho = F F^dagger, d x rank) rather than rho, and
-takes its steps on the `BlockBasis.support` of the folded factor: the
-blocks and copies the state occupies, which a tied H never leaves (|0..0>
-and GHZ lie in the symmetric block alone).  `propagate` gives the final
-factors U F, with U = U_{M-1} ... U_0 multiplied pairwise
-(`ordered_product`); `total_propagator` is U F of F = I.  `evolve` keeps
+accurate and unitary to round-off.  A state is its square-root factor F
+(rho = F F^dagger, d x rank; `DensityMatrix`), and every solve carries F
+on the `BlockBasis.support` of the folded factor: the blocks and copies
+the state occupies, which a tied H never leaves (|0..0> and GHZ lie in the
+symmetric block alone).  `propagate` gives the final factors U F, with
+U = U_{M-1} ... U_0 multiplied pairwise (`ordered_product`); the dense
+`total_propagator`, U F of F = I, is the tests' reference.  `evolve` keeps
 the states along the way: one pairwise scan (`prefix_products`) gives every
 P_k = U_{k-1} ... U_0, and one batched product every F_k = P_k F_0;
 rho(t_k) is formed on demand.  The density-matrix invariants (Hermiticity,
@@ -72,70 +72,70 @@ def check_num_qubits(n, what="num_qubits", error=ValueError):
                     f"{QUBIT_RANGE.stop - 1}, got {n!r}")
 
 
-def _check_finite(a, what):
-    """Raise ValueError naming the first NaN or infinity in `a`."""
+def _check_register_array(a, what):
+    """Raise ValueError naming the first NaN or infinity in `a`, or unless
+    its last axis has 2^N entries for some N >= 1."""
     if not np.isfinite(a).all():
         index = np.argwhere(~np.isfinite(a))[0].tolist()
         raise ValueError(f"{what} has a non-finite entry {a[tuple(index)]} "
                          f"at {index}")
+    if a.shape[-1] < 2 or a.shape[-1] & (a.shape[-1] - 1):
+        raise ValueError(f"dimension must be a power of 2, at least 2, "
+                         f"got {a.shape[-1]}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DensityMatrix:
-    """2^N x 2^N Hermitian, unit-trace, positive-semidefinite state."""
+    """2^N x 2^N Hermitian, unit-trace, positive-semidefinite state, held as
+    its square-root factor F (d, r) alone: `matrix` = F F^dagger.
 
-    matrix: np.ndarray
+    A matrix is checked and factored by one `eigh`, F = V_+ sqrt(w_+):
+    eigenvalues at round-off of the largest, or tolerated negative ones, are
+    dropped, so r is the numerical rank and the last column the largest
+    eigenvalue's.  `from_state_vector` keeps the normalised psi as F.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+    factor: np.ndarray
+
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        _check_finite(m, "density matrix")
-        n = int(round(np.log2(m.shape[0])))
-        if 2**n != m.shape[0]:
-            raise ValueError("dimension must be a power of 2")
+        _check_register_array(m, "density matrix")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(m).min() < -POSITIVITY_TOL:
+        w, v = np.linalg.eigh(m)
+        if w[0] < -POSITIVITY_TOL:
             raise ValueError("density matrix is not positive semidefinite")
+        keep = w > len(w) * np.finfo(float).eps * w[-1]
+        object.__setattr__(self, "factor", v[:, keep] * np.sqrt(w[keep]))
 
-    @functools.cached_property
-    def factor(self) -> np.ndarray:
-        """Square-root factor F (d, r): matrix = F F^dagger to round-off.
-
-        psi itself for a state built `from_state_vector`.  Otherwise
-        F = V_+ sqrt(w_+), taken on first read; eigenvalues at round-off of
-        the largest, or tolerated negative ones, are dropped, so r is the
-        numerical rank: 1 for a pure state.
-        """
-        w, v = np.linalg.eigh(self.matrix)
-        keep = w > self.dim * np.finfo(float).eps * w.max()
-        return v[:, keep] * np.sqrt(w[keep])
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.factor @ self.factor.conj().T
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
 
     @property
     def num_qubits(self):
-        return int(round(np.log2(self.matrix.shape[0])))
+        return self.dim.bit_length() - 1
 
     @classmethod
     def from_state_vector(cls, psi) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex).ravel()
-        _check_finite(psi, "state vector")
+        _check_register_array(psi, "state vector")
         # Scale by a power of two first: exact, and the norm cannot overflow.
         _, exp = np.frexp(np.abs(psi.view(float)).max(initial=0.0))
         psi = np.ldexp(psi.view(float), -exp).view(complex)
-        norm = np.linalg.norm(psi)
+        norm = math.sqrt(psi.real @ psi.real + psi.imag @ psi.imag)
         if norm == 0:
             raise ValueError("zero state vector")
-        psi = psi / norm
-        rho = cls(np.outer(psi, psi.conj()))
-        rho.__dict__["factor"] = psi[:, None]  # psi is the factor: no eigh
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "factor", (psi / norm)[:, None])
         return rho
 
 

@@ -3,6 +3,9 @@
 The Wootters concurrence is the independent oracle: training targets are
 derived from it, and a trained schedule is judged by how well its final-time
 output <Z_0 Z_1>^2 tracks the oracle over a one-parameter family of states.
+Both read a state through its factor alone: a pure state's concurrence is
+that of its vector, and one `qcore.propagate` of every stacked factor gives
+the outputs of an evaluation.
 """
 
 from __future__ import annotations
@@ -37,17 +40,21 @@ def concurrence(rho) -> float:
 
     C = max(0, l1 - l2 - l3 - l4) where l_i are the decreasing square roots
     of the eigenvalues of rho (sy x sy) rho* (sy x sy).  For a pure
-    a|00> + b|11> this equals 2|ab|.
+    a|00> + b|11> this equals 2|ab|.  A raw array is checked and factored
+    as a `DensityMatrix`, so one that is not a state raises ValueError.
     """
-    rm = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if rm.shape != (4, 4):
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho)
+    if rho.dim != 4:
         raise ValueError("concurrence is defined for two qubits (dim 4)")
-    if abs(np.trace(rm @ rm).real - 1.0) < 1e-12:
-        # pure state: C = |<psi| sy x sy |psi*>|, free of the square-root
-        # round-off amplification of the mixed-state formula
-        w, v = np.linalg.eigh(rm)
-        psi = v[:, np.argmax(w)]
+    f = rho.factor
+    g = f.conj().T @ f  # tr rho^2 = tr (F^dag F)^2
+    if abs(np.vdot(g, g).real - 1.0) < 1e-12:
+        # pure state: C = |<psi| sy x sy |psi*>| of F's largest column, free
+        # of the square-root round-off amplification of the mixed formula
+        psi = f[:, -1]
         return float(abs(psi @ SIGMA_YY @ psi))
+    rm = rho.matrix
     r = rm @ SIGMA_YY @ rm.conj() @ SIGMA_YY
     evals = np.linalg.eigvals(r).real
     # clip tiny negatives from round-off before the square root
@@ -150,18 +157,17 @@ def evaluate_witness(schedule, states, grid) -> WitnessReport:
 
     `states` is a list of (label, DensityMatrix).  The Spearman correlation is
     computed on the internal theta sweep, independent of the supplied states.
+    All the factors, the sweep's too, are solved by one `qcore.propagate`
+    on their joint support, and each output read from its state's columns.
     """
-    u = qcore.total_propagator(schedule, grid)
-
-    def output(rho):
-        return qcore.output_value(qcore.populations(u @ rho.factor))
-
-    labels = [lbl for lbl, _ in states]
-    outs = np.array([output(rho) for _, rho in states])
-    oracle = np.array([_oracle_value(rho) for _, rho in states])
-
     thetas, sweep = theta_sweep_states(schedule.num_qubits)
-    sweep_outs = [output(rho) for rho in sweep]
+    factors = [rho.factor for _, rho in states] + [rho.factor for rho in sweep]
+    final = qcore.propagate(schedule, grid, np.hstack(factors))
+    cuts = np.cumsum([f.shape[1] for f in factors])[:-1]
+    outs = np.array([qcore.output_value(qcore.populations(f))
+                     for f in np.split(final, cuts, axis=1)])
+    oracle = np.array([_oracle_value(rho) for _, rho in states])
     sweep_oracle = [_oracle_value(rho, th) for th, rho in zip(thetas, sweep)]
-    return WitnessReport(labels=labels, oracle=oracle, outputs=outs,
-                         spearman=spearman_rho(sweep_outs, sweep_oracle))
+    return WitnessReport(labels=[lbl for lbl, _ in states], oracle=oracle,
+                         outputs=outs[:len(states)],
+                         spearman=spearman_rho(outs[len(states):], sweep_oracle))

@@ -297,20 +297,22 @@ def test_estimate_output_measures_designated_pair_of_larger_register():
 
 def test_pure_state_readouts_never_call_eigh(monkeypatch):
     # Every solve-only readout reads populations(U F), and a pure state's
-    # factor is its state vector, so none of these diagonalises anything.
-    # (At N = 2 the eval sweep's concurrence oracle diagonalises each state
-    # by design; the readout is the same at every N.)
+    # factor is its state vector, so none of these diagonalises anything:
+    # the N = 2 eval sweep's concurrence oracle reads psi from the factor.
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda h: calls.append(h.shape) or eigh(h))
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, real=real, **k:
+                            calls.append((name, a[0].shape)) or real(*a, **k))
     for n in range(2, 7):
         build_training_set(n)
-    thetas, sweep = theta_sweep_states(3)
-    sched = FourierSchedule.initialized(3, 250.0)
-    report = evaluate_witness(sched, list(zip(map(str, thetas), sweep)),
-                              TimeGrid(250.0, 50))
-    assert len(report.outputs) == 21
+    for n in (2, 3):
+        thetas, sweep = theta_sweep_states(n)
+        sched = FourierSchedule.initialized(n, 250.0)
+        report = evaluate_witness(sched, list(zip(map(str, thetas), sweep)),
+                                  TimeGrid(250.0, 50))
+        assert len(report.outputs) == 21
     pairs = build_training_set(2)
     s = PiecewiseSchedule.initialized(2, 2.0, segments=4, tied=False)
     for backend in (ShotBackend(), ShotBackend(shots=1000, p_ro=0.01, seed=1)):

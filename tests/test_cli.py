@@ -326,13 +326,16 @@ def test_train_circuit_mode(runner, tmp_path):
                          [("rl", 3), ("backprop", 4), ("circuit", 2)])
 def test_one_epoch_never_calls_eigh(runner, tmp_path, monkeypatch, mode,
                                     num_qubits):
-    # The training states are pure, so each factor is its state vector;
-    # every solve exponentiates by Taylor polynomials, and the backprop
-    # gradient pulls back through them.  No mode's epoch diagonalises.
+    # The training states are pure, so each factor is its state vector and
+    # building the training set calls no eigensolver; every solve
+    # exponentiates by Taylor polynomials, and the backprop gradient pulls
+    # back through them.  No train process diagonalises.
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda *a, **k: calls.append(a[0].shape) or eigh(*a, **k))
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, real=real, **k:
+                            calls.append((name, a[0].shape)) or real(*a, **k))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": mode, "num_qubits": num_qubits,
                                "epochs": 1}))

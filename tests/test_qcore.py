@@ -346,45 +346,88 @@ def test_from_state_vector_normalizes():
         DensityMatrix.from_state_vector([np.inf, 1.0])
 
 
+@pytest.mark.parametrize("psi", [[1.0], [1.0, 0.0, 1.0]])
+def test_from_state_vector_rejects_non_register_lengths(psi):
+    # A register of N >= 1 qubits has 2^N amplitudes.
+    with pytest.raises(ValueError, match="power of 2"):
+        DensityMatrix.from_state_vector(psi)
+
+
 @pytest.mark.parametrize("num_qubits", [1, 2, 4, 6])
 def test_density_matrix_factor(num_qubits):
-    # factor factor^dagger reproduces the matrix, at the matrix's rank.
+    # factor factor^dagger reproduces the matrix passed in, at its rank.
     rng = np.random.default_rng(num_qubits)
     d = 2**num_qubits
     for rank in sorted({1, 2, d}):
         g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-        rho = DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
-        f = rho.factor
+        m = g @ g.conj().T / np.linalg.norm(g) ** 2
+        f = DensityMatrix(m).factor
         assert f.shape == (d, rank)
-        assert np.abs(f @ f.conj().T - rho.matrix).max() <= 1e-12
+        assert np.abs(f @ f.conj().T - m).max() <= 1e-12
     for psi in (rng.normal(size=d) + 1j * rng.normal(size=d),
                 np.eye(d)[0], np.ones(d)):
         rho = DensityMatrix.from_state_vector(psi)
+        psi = psi / np.linalg.norm(psi)
         assert rho.factor.shape == (d, 1)
         assert np.abs(rho.factor @ rho.factor.conj().T
-                      - rho.matrix).max() <= 1e-12
+                      - np.outer(psi, psi.conj())).max() <= 1e-12
     # A tolerated negative eigenvalue is dropped from the factor.
     rho = DensityMatrix(np.diag(np.r_[1.0 + 1e-10, -1e-10, np.zeros(d - 2)]))
     assert rho.factor.shape == (d, 1)
 
 
-def test_density_matrix_factor_is_taken_on_first_read(monkeypatch):
-    # Construction checks positivity from the eigenvalues alone.  A state
-    # given as a vector keeps it as its factor and never diagonalises; one
-    # given as a matrix computes eigenvectors on the first read of `factor`,
-    # once.
+@pytest.mark.parametrize("num_qubits", [1, 2, 4, 6])
+def test_vector_factor_equals_matrix_factor_up_to_phase(num_qubits):
+    # The vector path keeps psi; the matrix path's eigh gives e^{i phi} psi.
+    rng = np.random.default_rng(20 + num_qubits)
+    d = 2**num_qubits
+    for psi in (rng.normal(size=d) + 1j * rng.normal(size=d), np.ones(d)):
+        f = DensityMatrix.from_state_vector(psi).factor
+        m = DensityMatrix(f @ f.conj().T).factor
+        assert m.shape == f.shape == (d, 1)
+        phase = np.vdot(m[:, 0], f[:, 0])
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        assert np.abs(m * phase - f).max() <= 1e-12
+
+
+def spy_linalg(monkeypatch, names):
+    """Record the name of every call to the named `np.linalg` functions."""
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda h: calls.append(h.shape) or eigh(h))
+    for name in names:
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, real=real, **k:
+                            calls.append(name) or real(*a, **k))
+    return calls
+
+
+def test_matrix_state_is_factored_once_at_construction(monkeypatch):
+    # One eigh both checks positivity and gives the factor; reading the
+    # factor, the matrix or the dimension calls nothing more.
+    calls = spy_linalg(monkeypatch, ("eigh", "eigvalsh", "eigvals", "eig"))
+    mixed = DensityMatrix(np.diag([0.5, 0.25, 0.0, 0.25]).astype(complex))
+    assert calls == ["eigh"]
+    f = mixed.factor
+    assert mixed.factor is f and f.shape == (4, 3)
+    assert np.abs(mixed.matrix - np.diag([0.5, 0.25, 0.0, 0.25])).max() <= 1e-15
+    assert (mixed.dim, mixed.num_qubits) == (4, 2)
+    assert calls == ["eigh"]
+
+
+def test_vector_state_makes_no_linalg_call(monkeypatch):
+    # A state given as a vector keeps it as its factor and calls nothing
+    # in np.linalg, not even for the norm.
+    names = [n for n in dir(np.linalg)
+             if not n.startswith("_") and callable(getattr(np.linalg, n))
+             and not isinstance(getattr(np.linalg, n), type)]
+    calls = spy_linalg(monkeypatch, names)
     pure = DensityMatrix.from_state_vector([1.0, 0.0, 0.0, 1.0j])
     assert np.array_equal(pure.factor, np.array([[1.0], [0], [0], [1.0j]])
                           / np.sqrt(2))
-    mixed = DensityMatrix(np.diag([0.5, 0.25, 0.0, 0.25]).astype(complex))
+    assert (pure.dim, pure.num_qubits) == (4, 2)
+    for n in range(2, 7):
+        build_training_set(n)
     assert calls == []
-    f = mixed.factor
-    assert mixed.factor is f
-    assert calls == [(4, 4)]
 
 
 # -- total-spin basis --------------------------------------------------------

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from qdynlearn import qcore
 from qdynlearn.qcore import (
     DensityMatrix,
     TimeGrid,
@@ -84,6 +85,17 @@ def test_concurrence_werner_state_closed_form():
 def test_concurrence_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         concurrence(DensityMatrix.from_state_vector([1, 0]))
+
+
+@pytest.mark.parametrize("bad, why", [
+    (np.diag([0.5, 0.5, 0, 0]) + np.diag([0.1j, 0, 0], 1), "not Hermitian"),
+    (np.eye(4) / 2, "trace differs from 1"),
+    (np.diag([1.2, -0.2, 0.0, 0.0]), "not positive semidefinite"),
+])
+def test_concurrence_rejects_arrays_that_are_not_states(bad, why):
+    # A raw array goes through the same checks as a DensityMatrix.
+    with pytest.raises(ValueError, match=why):
+        concurrence(bad)
 
 
 # -- training set ------------------------------------------------------------
@@ -207,3 +219,55 @@ def test_witness_output_continuity_in_input_state():
     assert np.abs(rho_p.matrix - rho.matrix).max() <= 1e-8
     rep = evaluate_witness(sched, [("a", rho), ("b", rho_p)], grid)
     assert abs(rep.outputs[0] - rep.outputs[1]) <= 1e-6
+
+
+def witness_states(num_qubits, rng):
+    """(label, state) pairs whose joint support spans several spin blocks.
+
+    A GHZ-family state lies in the symmetric block; a pure state
+    antisymmetric in the last two qubits lies wholly outside it, and a
+    rank-2 mixture of |0..0> and |0..01> straddles both.
+    """
+    d = 2**num_qubits
+    anti = np.zeros(d)
+    anti[1], anti[2] = 1.0, -1.0
+    g = np.zeros((d, 2), dtype=complex)
+    g[0, 0], g[1, 1], g[0, 1] = 0.8, 0.5, 0.3j
+    rand = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return [("ghz", ghz_family_state(num_qubits, 0.6, 0.8)),
+            ("anti", DensityMatrix.from_state_vector(anti)),
+            ("mixed", DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)),
+            ("random", DensityMatrix.from_state_vector(rand))]
+
+
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+def test_witness_outputs_equal_total_propagator_readout(monkeypatch,
+                                                        num_qubits, tied):
+    # One propagate of every stacked factor on their joint support gives
+    # each state the output of its own columns of U F, U the whole-register
+    # total propagator; evaluate_witness never forms U itself.
+    rng = np.random.default_rng(num_qubits)
+    sched = FourierSchedule.initialized(num_qubits, 250.0, tied=tied)
+    for c in sched.coeffs.values():
+        c *= 1.0 + 0.3 * rng.normal(size=c.shape)
+    grid = TimeGrid(250.0, 60)
+    thetas, sweep = theta_sweep_states(num_qubits)
+    states = witness_states(num_qubits, rng) + [("theta", rho) for rho in sweep]
+    u = qcore.total_propagator(sched, grid)
+    want = np.array([qcore.output_value(qcore.populations(u @ rho.factor))
+                     for _, rho in states])
+    calls = []
+    monkeypatch.setattr(qcore, "total_propagator",
+                        lambda *a: calls.append(a) or u)
+    rep = evaluate_witness(sched, states, grid)
+    assert calls == []
+    assert rep.labels == ["ghz", "anti", "mixed", "random"] + ["theta"] * 21
+    # Compared as |<Z_0 Z_1>| = sqrt(output): a sum of signed populations
+    # whose terms add up to 1, so 1e-13 is relative to its terms.  (A bound
+    # relative to the output itself fails where the sum cancels.)
+    assert np.abs(np.sqrt(rep.outputs) - np.sqrt(want)).max() <= 1e-13
+    # The report's own sweep is the same 21 states, solved alongside.
+    oracle = ([concurrence(rho) for rho in sweep] if num_qubits == 2
+              else np.sin(2 * thetas))
+    assert rep.spearman == spearman_rho(rep.outputs[4:], oracle)
