@@ -13,13 +13,17 @@ is the one-block case: Q = I, R = d, one copy.
 
 Evolution is a stepwise matrix exponential of the midpoint Hamiltonians
 (`step_hamiltonians`), taken by `expm_hermitian` without an
-eigendecomposition: cos(H dt) - i sin(H dt) as real Taylor polynomials,
-accurate and unitary to round-off.  A state is its square-root factor F
-(rho = F F^dagger, d x rank; `DensityMatrix`), and every solve carries F
-on the `BlockBasis.support` of the folded factor: the blocks and copies
-the state occupies, which a tied H never leaves (|0..0> and GHZ lie in the
-symmetric block alone).  `propagate` gives the final factors U F, with
-U = U_{M-1} ... U_0 multiplied pairwise (`ordered_product`); the dense
+eigendecomposition: U = C - iS with C = cos(H dt) and S = sin(H dt) as real
+Taylor polynomials, accurate and unitary to round-off.  On the small sides
+of the training solves, U comes in the real form R(U) = [[C, S], [-S, C]],
+which multiplies as U does, so the step products run in real arithmetic
+(numpy makes one BLAS call per matrix of a complex stack); U, or each P_k,
+is read off once at the end (`complex_form`).  A state is its square-root
+factor F (rho = F F^dagger, d x rank; `DensityMatrix`), and every solve
+carries F on the `BlockBasis.support` of the folded factor: the blocks and
+copies the state occupies, which a tied H never leaves (|0..0> and GHZ lie
+in the symmetric block alone).  `propagate` gives the final factors U F,
+with U = U_{M-1} ... U_0 multiplied pairwise (`ordered_product`); the dense
 `total_propagator`, U F of F = I, is the tests' reference.  `evolve` keeps
 the states along the way: one pairwise scan (`prefix_products`) gives every
 P_k = U_{k-1} ... U_0, and one batched product every F_k = P_k F_0;
@@ -84,7 +88,7 @@ def _check_register_array(a, what):
                          f"got {a.shape[-1]}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
     """2^N x 2^N Hermitian, unit-trace, positive-semidefinite state, held as
     its square-root factor F (d, r) alone: `matrix` = F F^dagger.
@@ -93,6 +97,8 @@ class DensityMatrix:
     eigenvalues at round-off of the largest, or tolerated negative ones, are
     dropped, so r is the numerical rank and the last column the largest
     eigenvalue's.  `from_state_vector` keeps the normalised psi as F.
+    Equality and hashing are by identity: two states built alike compare
+    unequal, and a state (or a pair holding one) can key a set or dict.
     """
 
     factor: np.ndarray
@@ -369,13 +375,22 @@ class BlockBasis:
         on the dropped ones.  The kept blocks keep their rows and rotated
         generators, and their kept copies' `fold_map` columns, in order; a
         factor with full support, or on an `identity` basis, gets this basis.
+        Cached by the factor's content, so a state solved again, as each RL
+        solve of a training pair is, finds its support without a fold.
         """
         if self.identity:
             return self
-        occupied = self.fold(f).reshape(self.size, self.copies, -1)
-        keep = tuple(tuple(occupied[start:stop].any(axis=(0, 2)).tolist())
-                     for start, stop in self.spans)
-        return _support_basis(self, keep)
+        return _content_support(self, f.dtype.str, f.shape, f.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _content_support(basis, dtype, shape, data):
+    """`basis.support` of the factor of this dtype, shape and C-order bytes."""
+    f = np.frombuffer(data, dtype).reshape(shape)
+    occupied = basis.fold(f).reshape(basis.size, basis.copies, -1)
+    keep = tuple(tuple(occupied[start:stop].any(axis=(0, 2)).tolist())
+                 for start, stop in basis.spans)
+    return _support_basis(basis, keep)
 
 
 @functools.lru_cache(maxsize=None)
@@ -548,10 +563,52 @@ def _cos_minus_i_sin(x, pair, spare):
     return u
 
 
-def expm_hermitian(h, dt):
-    """exp(-i h dt) for a batch of real symmetric matrices (hbar = 1).
+def _real_form(x, pair):
+    """R(U) = [[C, S], [-S, C]] of U = C - iS, S = X S', from a (cos, sin)
+    pair, written block by block."""
+    n = x.shape[-1]
+    r = np.empty((*x.shape[:-2], 2 * n, 2 * n))
+    r[..., :n, :n] = pair[0]
+    np.matmul(x, pair[1], out=r[..., :n, n:])
+    r[..., n:, n:] = pair[0]
+    np.negative(r[..., :n, n:], out=r[..., n:, :n])
+    return r
 
-    Truncated cos/sin Taylor series in X = h dt, with no eigendecomposition:
+
+def complex_form(r):
+    """U = C - iS = R[:n, :n] + i R[n:, :n] of real forms R(U) (..., 2n, 2n).
+
+    A complex stack is already U and is returned as it is.
+    """
+    if np.iscomplexobj(r):
+        return r
+    n = r.shape[-1] // 2
+    u = np.empty((*r.shape[:-2], n, n), dtype=complex)
+    u.real = r[..., :n, :n]
+    u.imag = r[..., n:, :n]
+    return u
+
+
+# Step stacks whose exponentials come in the real form R(U): sides n up to
+# REAL_FORM_MAX_SIDE, in stacks of at least REAL_FORM_MIN_STEPS.  numpy
+# makes one BLAS call per matrix of a complex stack; up to that side, this
+# costs the products more than the real form's doubled flops, once the
+# stack is long enough to pay for writing R(U) and reading U back
+# (crossover tables in CHANGES.md).
+REAL_FORM_MAX_SIDE = 7
+REAL_FORM_MIN_STEPS = 8
+
+
+def expm_hermitian(h, dt):
+    """U = exp(-i h dt) = C - iS for a batch of real symmetric matrices h
+    (..., n, n) (hbar = 1), as a real or a complex stack.
+
+    A stack of at least REAL_FORM_MIN_STEPS matrices of side up to
+    REAL_FORM_MAX_SIDE comes in the real form R(U) = [[C, S], [-S, C]]
+    (..., 2n, 2n), any other as complex U (..., n, n); `complex_form` reads
+    U off either.  R multiplies as U does, R(U) R(V) = R(UV), so a product
+    of steps is one real matmul per pair of matrices.  C and S are
+    truncated cos/sin Taylor series in X = h dt, with no eigendecomposition:
     real matmuls for the real symmetric Hamiltonians assembled here.  One
     degree serves the batch (`_scaled_argument`); beyond the largest
     degree's reach, X is halved s times and the result squared s times.
@@ -559,7 +616,11 @@ def expm_hermitian(h, dt):
     """
     x, p, coef, squarings = _scaled_argument(h, dt)
     _, pairs, spare, _ = _taylor_polynomials(x, p, coef)
-    u = _cos_minus_i_sin(x, pairs[0], spare[0])
+    n = x.shape[-1]
+    if n <= REAL_FORM_MAX_SIDE and x.size >= REAL_FORM_MIN_STEPS * n * n:
+        u = _real_form(x, pairs[0])
+    else:
+        u = _cos_minus_i_sin(x, pairs[0], spare[0])
     for _ in range(squarings):
         u = u @ u
     return u
@@ -573,8 +634,8 @@ PULLBACK_CHUNK_BYTES = 2**22
 
 
 def expm_hermitian_pullback(h, dt, g):
-    """Real cotangent W (M, n, n) of h, from the complex cotangent g of
-    each U = `expm_hermitian(h, dt)`.
+    """Real cotangent W (M, n, n) of h, from the complex cotangent g
+    (M, n, n) of each U = `complex_form(expm_hermitian(h, dt))`.
 
     sum(W * E) = Re sum(conj(g) * dU) for every real direction E, dU the
     derivative of U along E: the exact derivative of the map that
@@ -642,14 +703,16 @@ def step_hamiltonians(schedule, grid: TimeGrid, basis: BlockBasis):
 
 
 def _support_steps(schedule, grid: TimeGrid, f):
-    """The `support` of factors f, and the (M, R, R) H_k and U_k on it."""
+    """The `support` of factors f, and the (M, R, R) H_k and U_k on it, the
+    U_k as `expm_hermitian` gives them: `complex_form` of a product is U."""
     basis = block_basis(schedule.num_qubits, schedule.tied).support(f)
     h = step_hamiltonians(schedule, grid, basis)
     return basis, h, expm_hermitian(h, grid.dt)
 
 
 def ordered_product(us):
-    """U_{M-1} ... U_0 of a (M, n, n) stack, multiplied pairwise."""
+    """U_{M-1} ... U_0 of a real or complex (M, n, n) stack, multiplied
+    pairwise."""
     while len(us) > 1:  # U_{2j+1} U_{2j} per level; an odd last factor carries
         even = len(us) // 2 * 2
         pairs = us[1:even:2] @ us[:even:2]
@@ -660,14 +723,15 @@ def ordered_product(us):
 def prefix_products(us):
     """P_k = U_{k-1} ... U_0 for k = 0..M of a (M, n, n) stack, (M+1, n, n).
 
-    P_0 = I.  A pairwise scan: the neighbour products U_{2j+1} U_{2j} give
-    the even P_{2j} by recursion, then P_{2j+1} = U_{2j} P_{2j}; about 2M
-    matmuls in about 2 log2(M) stacked calls.
+    P_0 = I, and P has the stack's dtype, real or complex.  A pairwise
+    scan: the neighbour products U_{2j+1} U_{2j} give the even P_{2j} by
+    recursion, then P_{2j+1} = U_{2j} P_{2j}; about 2M matmuls in about
+    2 log2(M) stacked calls.
     """
     m, n = len(us), us.shape[-1]
     if m == 0:
-        return np.eye(n, dtype=complex)[None]
-    p = np.empty((m + 1, n, n), dtype=complex)
+        return np.eye(n, dtype=us.dtype)[None]
+    p = np.empty((m + 1, n, n), dtype=us.dtype)
     p[::2] = prefix_products(us[1::2] @ us[:m - 1:2])
     p[1::2] = us[::2] @ p[:-1:2]
     return p
@@ -676,7 +740,7 @@ def prefix_products(us):
 def propagate(schedule, grid: TimeGrid, f) -> np.ndarray:
     """Final factors U F (d, r) of f, solved on its support; counts no solve."""
     basis, _, us = _support_steps(schedule, grid, f)
-    return basis.unfold(ordered_product(us) @ basis.fold(f))
+    return basis.unfold(complex_form(ordered_product(us)) @ basis.fold(f))
 
 
 @dataclass(frozen=True)
@@ -708,15 +772,15 @@ def evolve(rho0: DensityMatrix, schedule, grid: TimeGrid) -> Trajectory:
     """Propagate rho0's factor through the schedule: F_k = P_k F_0.
 
     That is rho_{k+1} = U_k rho_k U_k^dagger, on the `support` of the
-    folded factor, with every P_k from one `prefix_products` scan and the
-    factors from one batched product.  The Hamiltonian is sampled at step
-    midpoints, so piecewise-constant schedules whose segments align with
-    the grid are reproduced exactly and smooth schedules converge at
-    second order in dt.
+    folded factor, with every P_k from one `prefix_products` scan, read
+    off as complex once, and the factors from one batched product.  The
+    Hamiltonian is sampled at step midpoints, so piecewise-constant
+    schedules whose segments align with the grid are reproduced exactly
+    and smooth schedules converge at second order in dt.
     """
     _tick_solve()
     basis, h, us = _support_steps(schedule, grid, rho0.factor)
-    props = prefix_products(us)
+    props = complex_form(prefix_products(us))
     return Trajectory(factors=props @ basis.fold(rho0.factor),
                       propagators=props, grid=grid, hamiltonians=h,
                       basis=basis)

@@ -14,8 +14,8 @@ from qdynlearn import qcore
 def block_steps(sched, grid):
     """U_k = exp(-i H_k dt) in the schedule's block coordinates, (M, R, R)."""
     basis = qcore.block_basis(sched.num_qubits, sched.tied)
-    return qcore.expm_hermitian(qcore.step_hamiltonians(sched, grid, basis),
-                                grid.dt)
+    return qcore.complex_form(qcore.expm_hermitian(
+        qcore.step_hamiltonians(sched, grid, basis), grid.dt))
 
 
 def lift(basis, p):

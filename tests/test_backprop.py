@@ -15,6 +15,7 @@ from qdynlearn.backprop import (
     train_backprop,
 )
 from qdynlearn.config import RunConfig
+from qdynlearn.rl import pair_error
 from qdynlearn.qcore import (
     DensityMatrix,
     TimeGrid,
@@ -527,6 +528,32 @@ def test_backprop_pair_never_diagonalises(monkeypatch):
     h = assemble(sched.eval_many(grid.midpoints),
                  qcore.generators(3, sched.tied))
     assert np.abs((v * lam[:, None, :]) @ v.swapaxes(1, 2) - h).max() <= 1e-13
+
+
+def test_training_products_run_on_real_stacks(monkeypatch):
+    # The step products of an RL error (tied N = 3, 200 steps) and of a
+    # backprop pair (tied N = 4, on the 5-side symmetric block) take real
+    # forms R(U_k): one real matmul per matrix pair, where numpy would make
+    # one complex BLAS call per matrix.
+    seen = []
+    for name in ("ordered_product", "prefix_products"):
+        fn = getattr(qcore, name)
+        monkeypatch.setattr(qcore, name, lambda us, fn=fn, name=name: (
+            seen.append((name, us.dtype, us.shape)) or fn(us)))
+    sched = FourierSchedule.initialized(3, 250.0, n_max=3, tied=True)
+    grid = TimeGrid(250.0, 200)
+    pair_error(build_training_set(3)[0], sched, grid)
+    sched = FourierSchedule.initialized(4, 250.0, n_max=3, tied=True)
+    pair = build_training_set(4)[0]
+    traj = evolve(pair.rho0, sched, grid)
+    chi = adjoint_evolve_backward(
+        adjoint_boundary(final_populations(traj), pair.target), traj)
+    all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
+    # The scan's recursive calls on the neighbour products come after.
+    assert seen[:2] == [("ordered_product", np.float64, (200, 8, 8)),
+                        ("prefix_products", np.float64, (200, 10, 10))]
+    assert all(dtype == np.float64 for _, dtype, _ in seen)
+    assert traj.propagators.dtype == complex
 
 
 @pytest.mark.parametrize("num_qubits, size", [(4, 9), (5, 12), (6, 16)])

@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from pauli_reference import pauli, zz
-from step_reference import block_steps, lift
+from step_reference import block_steps, lift, register_steps
 
 from qdynlearn import qcore
 from qdynlearn.qcore import (
@@ -26,7 +26,7 @@ from qdynlearn.qcore import (
     zz_expectation,
 )
 from qdynlearn.schedules import KIND_ORDER, FourierSchedule, PiecewiseSchedule
-from qdynlearn.witness import build_training_set
+from qdynlearn.witness import TrainingPair, build_training_set
 
 
 def bell_state():
@@ -148,7 +148,7 @@ def theta_norm(x):
 
 
 def assert_matches_expm(h, dt):
-    u = qcore.expm_hermitian(h, dt)
+    u = qcore.complex_form(qcore.expm_hermitian(h, dt))
     ref = np.stack([scipy.linalg.expm(-1j * m * dt) for m in h])
     eye = np.eye(h.shape[-1])
     assert np.abs(u - ref).max() <= 1e-13
@@ -250,6 +250,32 @@ def test_expm_hermitian_rejects_non_finite_input(bad):
         qcore.expm_hermitian(np.ones((1, 2, 2)), bad)
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("steps", [3, 8, 9])
+@pytest.mark.parametrize("theta", [0.05, 2.5, 10.0])
+def test_expm_hermitian_real_form_reads_back_u(n, steps, theta):
+    # A stack of at least REAL_FORM_MIN_STEPS matrices of side up to
+    # REAL_FORM_MAX_SIDE comes as R(U) = [[C, S], [-S, C]]: exactly so block
+    # by block as written, and to round-off once squared (theta = 10),
+    # because the products sum each block's terms in another order.  Any
+    # other stack comes as U.  Either way complex_form gives U, and it
+    # matches scipy's expm.
+    rng = np.random.default_rng(100 + n)
+    a = rng.normal(size=(steps, n, n))
+    h = a + a.swapaxes(-1, -2)
+    r = qcore.expm_hermitian(h, theta / theta_norm(h))
+    real = n <= qcore.REAL_FORM_MAX_SIDE and steps >= qcore.REAL_FORM_MIN_STEPS
+    if real:
+        assert r.dtype == np.float64 and r.shape == (steps, 2 * n, 2 * n)
+        bound = 0.0 if theta <= qcore._TAYLOR[-1][2] else 1e-13
+        assert np.abs(r[:, :n, :n] - r[:, n:, n:]).max() <= bound
+        assert np.abs(r[:, :n, n:] + r[:, n:, :n]).max() <= bound
+    else:
+        assert r.dtype == complex and r.shape == (steps, n, n)
+        assert qcore.complex_form(r) is r
+    assert_matches_expm(h, theta / theta_norm(h))
+
+
 def eigh_unitaries(h, dt):
     """exp(-i h dt) per step from a batched eigendecomposition."""
     lam, v = np.linalg.eigh(h)
@@ -280,7 +306,7 @@ def test_total_propagator_equals_eigh_step_product(family, num_qubits):
             sched.eval_many(grid.midpoints),
             qcore.generators(num_qubits, tied))
         eigh_steps = eigh_unitaries(h, grid.dt)
-        assert np.abs(qcore.expm_hermitian(h, grid.dt)
+        assert np.abs(qcore.complex_form(qcore.expm_hermitian(h, grid.dt))
                       - eigh_steps).max() <= 1e-14
         lifted_steps = lift(qcore.block_basis(num_qubits, tied),
                             block_steps(sched, grid))
@@ -319,6 +345,16 @@ def test_evolve_final_state_equals_final_state(num_qubits):
 
 
 # -- state and grid validation -----------------------------------------------
+
+
+def test_states_and_pairs_compare_by_identity():
+    # Two states built alike are distinct objects: == answers without
+    # comparing their factors, and a pair holding one can key a set.
+    a = DensityMatrix.from_state_vector([1, 0])
+    b = DensityMatrix.from_state_vector([1, 0])
+    assert a == a and not a == b and a != b
+    pairs = {TrainingPair(a, 0.0), TrainingPair(b, 0.0), TrainingPair(a, 0.0)}
+    assert len(pairs) == 2
 
 
 def test_density_matrix_rejects_bad_states():
@@ -642,6 +678,34 @@ def test_support_keeps_the_occupied_blocks_and_copies(num_qubits):
     assert (sub.size, sub.copies) == (basis.size, basis.copies)
 
 
+def test_support_is_cached_by_the_factor_content():
+    # The cached support is the one the fold gives, for a factor seen
+    # again, for an equal copy, and for the same factor in another memory
+    # order.  A factor changed in place is looked up by its new content,
+    # and the cache keeps a bounded number of factors.
+    basis = qcore.block_basis(4, True)
+    uncached = qcore._content_support.__wrapped__
+    qcore._content_support.cache_clear()
+    rng = np.random.default_rng(3)
+    for pair in build_training_set(4):
+        f = pair.rho0.factor
+        sub = basis.support(f)
+        assert sub is uncached(basis, f.dtype.str, f.shape, f.tobytes())
+        assert basis.support(f.copy()) is sub
+        assert basis.support(np.asfortranarray(f)) is sub
+    f = np.zeros((16, 1), dtype=complex)
+    f[0] = 1.0
+    assert basis.support(f).blocks == ((5, 1),)
+    f[1] = 1.0
+    assert basis.support(f).blocks == ((5, 1), (3, 1))
+    maxsize = qcore._content_support.cache_info().maxsize
+    assert maxsize is not None
+    for _ in range(maxsize + 10):
+        f = rng.normal(size=(16, 1)) + 1j * rng.normal(size=(16, 1))
+        assert basis.support(f) is basis
+    assert qcore._content_support.cache_info().currsize == maxsize
+
+
 def random_mixed_state(rng, d, rank):
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     return DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
@@ -837,6 +901,64 @@ def test_prefix_products_match_the_running_product():
         for k, u in enumerate(us):
             running = u @ running
             assert np.abs(p[k + 1] - running).max() <= 1e-13
+
+
+def real_form(u):
+    """R(U) = [[C, S], [-S, C]] of U = C - iS, built independently."""
+    c, s = u.real, -u.imag
+    return np.block([[c, s], [-s, c]])
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_real_form_products_equal_the_complex_products(n):
+    # R(U) R(V) = R(UV): the products and the scan of the real forms read
+    # back the complex products, for every stack length from the empty
+    # scan through odd and even ones.  Every product is unitary, so the
+    # bound is relative.
+    rng = np.random.default_rng(60 + n)
+    for m in (0, 1, 2, 3, 6, 7, 200):
+        g = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+        us = np.linalg.qr(g)[0]
+        p = qcore.prefix_products(real_form(us))
+        assert p.dtype == np.float64 and p.shape == (m + 1, 2 * n, 2 * n)
+        assert np.array_equal(p[0], np.eye(2 * n))
+        want = qcore.prefix_products(us)
+        assert np.abs(qcore.complex_form(p) - want).max() <= 1e-13
+        if m:
+            product = qcore.ordered_product(real_form(us))
+            assert product.dtype == np.float64
+            assert np.abs(qcore.complex_form(product)
+                          - qcore.ordered_product(us)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("steps", [4, 200])
+def test_solves_equal_the_complex_step_product(num_qubits, tied, steps):
+    # propagate and evolve run their products on real forms for short
+    # sides and long stacks, and on complex ones otherwise (4 steps, the
+    # untied registers from N = 3, the tied superposition's support from
+    # N = 4).  Each equals the complex running product of the reference
+    # steps, taken one step at a time on the register.
+    sched = perturbed_default(FourierSchedule, num_qubits, tied=tied)
+    grid = TimeGrid(sched.T, steps)
+    us = register_steps(sched, grid)
+    sizes = set()
+    for pair in build_training_set(num_qubits):
+        f = pair.rho0.factor
+        traj = evolve(pair.rho0, sched, grid)
+        assert traj.propagators.dtype == traj.factors.dtype == complex
+        sizes.add(traj.basis.size)
+        running = f
+        assert np.abs(traj.register_factors(0) - f).max() <= 1e-15
+        for k, u in enumerate(us):
+            running = u @ running
+            assert np.abs(traj.register_factors(k + 1) - running).max() <= (
+                1e-13)
+        assert np.abs(qcore.propagate(sched, grid, f) - running).max() <= (
+            1e-13)
+    assert (min(sizes) <= qcore.REAL_FORM_MAX_SIDE) == (tied
+                                                        or num_qubits == 2)
 
 
 def test_evolve_zero_hamiltonian_is_static():
