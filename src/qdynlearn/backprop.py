@@ -18,8 +18,8 @@ F (rho = F F^dag, d x r with r = 1 for a pure state), and the costate enters
 only through chi_k = A(t_k) F_k (the ket form of the GRAPE adjoint).  Neither
 loops over steps: the forward pass's prefix products P_k = U_{k-1} ... U_0
 give F_k = P_k F_0 and chi_k = P_k P_M^dag chi_M, one batched product each.
-Both live in the trajectory's block coordinates, on the spin blocks and
-copies the initial state occupies (`qcore.BlockBasis.support`): A(T) is
+Both live in the trajectory's block coordinates, on the spin blocks the
+initial state occupies (`qcore.BlockBasis.support`): A(T) is
 formed on the register from the unfolded final factor, and chi_M is folded
 back, which drops only the part of A(T) F_M that no step derivative of the
 state reaches.  The step derivative, paired with F_k and chi_{k+1},
@@ -28,9 +28,7 @@ of the step unitary, pulled back to the real symmetric step Hamiltonian by
 reverse mode through the Taylor polynomial and squarings that evaluate the
 unitary (`qcore.expm_hermitian_pullback`), with no eigendecomposition.
 Every coefficient's gradient is read off W_k by the transposed
-Hamiltonian assembly: W_k contracted with the rotated generators, whose
-zero entries off the diagonal blocks, with the zero padding of the folded
-factors, make the sum over each block's copies come out by itself.
+Hamiltonian assembly: W_k contracted with the rotated generators.
 Validated against finite differences and scipy's expm_frechet; see tests.
 """
 
@@ -61,7 +59,7 @@ def adjoint_evolve_backward(a_final: np.ndarray, traj: Trajectory) -> np.ndarray
     chi_M = A(T) F_M, formed on the register and folded.  So
     chi_k = (U_{M-1} ... U_k)^dag chi_M = P_k P_M^dag chi_M, one batched
     product with the trajectory's prefix products P_k.  Returns chi in the
-    trajectory's block coordinates, shape (M+1, R, c_max r).  Raises
+    trajectory's block coordinates, shape (M+1, R, r).  Raises
     ValueError if A(T) has an anti-Hermitian part: the gradient formula
     needs a Hermitian costate and would otherwise silently drop that
     imaginary residual.
@@ -79,13 +77,11 @@ def _step_sensitivities(traj: Trajectory, chi: np.ndarray):
     """Real W_k with tr(A_{k+1} d(rho_{k+1})/dP) = 2 sum(P * W_k), shape (M, R, R).
 
     Holds for every real symmetric block-diagonal direction P of the step
-    Hamiltonian H_k, in block coordinates.  With F and chi each copy of a
-    block in its own columns, rho_{k+1} = U_k F_k F_k^dag U_k^dag and
-    chi_{k+1} = A_{k+1} U_k F_k give tr(A_{k+1} d rho_{k+1}) =
-    2 Re sum(conj(g_k) * dU_k), g_k = chi_{k+1} F_k^dag, so W_k is the
-    pullback of g_k through the step exponential.  g_k's diagonal blocks
-    sum the copies; its entries off them pair unrelated copies and meet
-    only the zeros of the rotated generators.
+    Hamiltonian H_k, in block coordinates.  rho_{k+1} =
+    U_k F_k F_k^dag U_k^dag and chi_{k+1} = A_{k+1} U_k F_k give
+    tr(A_{k+1} d rho_{k+1}) = 2 Re sum(conj(g_k) * dU_k),
+    g_k = chi_{k+1} F_k^dag, so W_k is the pullback of g_k through the step
+    exponential.
     """
     g = chi[1:] @ traj.factors[:-1].conj().swapaxes(-1, -2)
     return qcore.expm_hermitian_pullback(traj.hamiltonians, traj.grid.dt, g)

@@ -35,13 +35,14 @@ class ShotBackend:
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots is not None and not 1 <= self.shots <= np.iinfo(np.int64).max:
-            raise ValueError("shots must be in [1, 2**63 - 1] (or None for exact)")
+        if self.shots is not None and not (
+                qcore.is_integer(self.shots)
+                and 1 <= self.shots <= np.iinfo(np.int64).max):
+            raise ValueError(f"shots must be an integer in [1, 2**63 - 1] "
+                             f"(or None for exact), got {self.shots!r}")
         if not 0.0 <= self.p_dep <= 1.0 or not 0.0 <= self.p_ro <= 1.0:
             raise ValueError("noise probabilities must lie in [0, 1]")
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+        if not qcore.is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, "
                              f"got {self.seed!r}")
 

@@ -5,11 +5,9 @@ real symmetric, a schedule's coefficients times one stack of unit generators
 (`generators`).  Every solve runs in the coordinates of the schedule's
 `block_basis`: a tied schedule (the same terms on every qubit and pair)
 commutes with every qubit permutation, so in the total-spin basis of
-`spin_basis` each step Hamiltonian is one block per distinct spin j,
-repeated on each of its copies.  The solves keep one copy of each block,
-an (M, R, R) stack with R = sum(2j+1) (9 in place of d = 16 at N = 4), and
-fold the copies into the columns of the state's factor.  An untied schedule
-is the one-block case: Q = I, R = d, one copy.
+`spin_basis` each step Hamiltonian is block diagonal, one block of side
+2j+1 per copy of each spin j.  An untied schedule is the one-block case:
+Q = I, R = d.
 
 Evolution is a stepwise matrix exponential of the midpoint Hamiltonians
 (`step_hamiltonians`), taken by `expm_hermitian` without an
@@ -20,10 +18,11 @@ which multiplies as U does, so the step products run in real arithmetic
 (numpy makes one BLAS call per matrix of a complex stack); U, or each P_k,
 is read off once at the end (`complex_form`).  A state is its square-root
 factor F (rho = F F^dagger, d x rank; `DensityMatrix`), and every solve
-carries F on the `BlockBasis.support` of the folded factor: the blocks and
-copies the state occupies, which a tied H never leaves (|0..0> and GHZ lie
-in the symmetric block alone).  `propagate` gives the final factors U F,
-with U = U_{M-1} ... U_0 multiplied pairwise (`ordered_product`); the dense
+carries F on the `BlockBasis.support` of the folded factor: the blocks the
+state occupies, which a tied H never leaves (|0..0> and GHZ lie in the
+symmetric block alone), as an (M, R, R) stack with R their summed sides.
+`propagate` gives the final factors U F, with U = U_{M-1} ... U_0
+multiplied pairwise (`ordered_product`); the dense
 `total_propagator`, U F of F = I, is the tests' reference.  `evolve` keeps
 the states along the way: one pairwise scan (`prefix_products`) gives every
 P_k = U_{k-1} ... U_0, and one batched product every F_k = P_k F_0;
@@ -69,6 +68,11 @@ def _tick_solve():
     solve_count += 1
 
 
+def is_integer(value):
+    """True for a Python or numpy integer; False for a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_num_qubits(n, what="num_qubits", error=ValueError):
     """Raise `error` unless `n` is an integer (not a bool) in QUBIT_RANGE."""
     if isinstance(n, bool) or not isinstance(n, int) or n not in QUBIT_RANGE:
@@ -96,9 +100,10 @@ class DensityMatrix:
     A matrix is checked and factored by one `eigh`, F = V_+ sqrt(w_+):
     eigenvalues at round-off of the largest, or tolerated negative ones, are
     dropped, so r is the numerical rank and the last column the largest
-    eigenvalue's.  `from_state_vector` keeps the normalised psi as F.
-    Equality and hashing are by identity: two states built alike compare
-    unequal, and a state (or a pair holding one) can key a set or dict.
+    eigenvalue's.  `from_state_vector` keeps the normalised psi as F.  F is
+    read-only, so a state cannot be changed in place.  Equality and hashing
+    are by identity: two states built alike compare unequal, and a state
+    (or a pair holding one) can key a set or dict.
     """
 
     factor: np.ndarray
@@ -116,7 +121,11 @@ class DensityMatrix:
         if w[0] < -POSITIVITY_TOL:
             raise ValueError("density matrix is not positive semidefinite")
         keep = w > len(w) * np.finfo(float).eps * w[-1]
-        object.__setattr__(self, "factor", v[:, keep] * np.sqrt(w[keep]))
+        self._set_factor(v[:, keep] * np.sqrt(w[keep]))
+
+    def _set_factor(self, f):
+        f.flags.writeable = False
+        object.__setattr__(self, "factor", f)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -141,7 +150,7 @@ class DensityMatrix:
         if norm == 0:
             raise ValueError("zero state vector")
         rho = object.__new__(cls)
-        object.__setattr__(rho, "factor", (psi / norm)[:, None])
+        rho._set_factor((psi / norm)[:, None])
         return rho
 
 
@@ -301,48 +310,38 @@ def check_spin_basis(q, blocks, num_qubits):
 
 @dataclass(frozen=True, eq=False)
 class BlockBasis:
-    """Solve coordinates of a register: one copy of each total-spin block.
+    """Solve coordinates of a register: one diagonal block per spin copy.
 
-    `blocks` lists (2j+1, copies) per distinct spin j, largest first, and a
-    block coordinate runs over the first copy of each, R = sum(2j+1) in all.
-    `first` (d, R) holds those first-copy columns of `spin_basis`, and
-    `gens` (n_gen, R, R) the rotated `generators` first^T G first, exactly
-    zero off the diagonal blocks, so every assembled step is block diagonal.
-    `fold_map` (R * c_max, d) has row (b, k) = the column of copy k of block
-    coordinate b (zero past its block's copies), c_max the most copies of
-    any block: a register factor F (d, r) folds to the block factor
-    (R, c_max r), copy k of each block in columns k r .. (k+1) r, and the
-    copies share each step's block unitary.  The untied basis (and any
-    register whose blocks add up to d) is Q = I: R = d, one copy.  A
-    `support` basis keeps some blocks and copies: `blocks` counts the kept
-    copies, `fold_map` holds their columns and `first` the first kept copy
-    of each block, so `fold` projects onto their span, and a block-diagonal
-    P is `unfold(P @ fold(I))` on the register.  The arrays are read-only.
+    `blocks` lists the side 2j+1 of each kept copy of each total spin j,
+    largest j first, and a block coordinate runs over their rows, R in all.
+    `fold_map` (R, d) holds the kept copies' columns of `spin_basis` as
+    rows, and `gens` (n_gen, R, R) the rotated generators
+    fold_map G fold_map^T, exactly zero off the diagonal blocks, so every
+    assembled step is block diagonal.  A register factor F (d, r) folds to
+    the block factor fold_map F (R, r) and unfolds by the transpose.  The
+    untied basis (and the tied one below N = 3) is Q = I: R = d, one
+    block.  A `support` basis keeps some of the blocks, so `fold` projects
+    onto their span, and a block-diagonal P is `unfold(P @ fold(I))` on the
+    register.  The arrays are read-only.
     """
 
-    first: np.ndarray
     gens: np.ndarray
     blocks: tuple
     fold_map: np.ndarray
 
     def __post_init__(self):
-        for a in (self.first, self.gens, self.fold_map):
+        for a in (self.gens, self.fold_map):
             a.flags.writeable = False
 
     @property
     def size(self):
-        """R = sum(2j+1), the side of a block-coordinate matrix."""
-        return self.first.shape[1]
-
-    @property
-    def copies(self):
-        """c_max, the most copies of any block."""
-        return self.fold_map.shape[0] // self.size
+        """R, the side of a block-coordinate matrix."""
+        return len(self.fold_map)
 
     @property
     def spans(self):
         """(start, stop) of each diagonal block along a block coordinate."""
-        stops = np.cumsum([n for n, _ in self.blocks]).tolist()
+        stops = np.cumsum(self.blocks).tolist()
         return tuple(zip([0] + stops[:-1], stops))
 
     @functools.cached_property
@@ -355,28 +354,23 @@ class BlockBasis:
         return np.array_equal(self.fold_map, np.eye(self.fold_map.shape[1]))
 
     def fold(self, f):
-        """Block factors (..., R, c_max r) of register factors (..., d, r)."""
-        if self.identity:
-            return f
-        return (self.fold_map @ f).reshape(*f.shape[:-2], self.size, -1)
+        """Block factors (..., R, r) of register factors (..., d, r)."""
+        return f if self.identity else self.fold_map @ f
 
     def unfold(self, b):
-        """Register factors (..., d, r) of block factors (..., R, c_max r)."""
-        if self.identity:
-            return b
-        r = b.shape[-1] // self.copies
-        return self.fold_map.T @ b.reshape(*b.shape[:-2], -1, r)
+        """Register factors (..., d, r) of block factors (..., R, r)."""
+        return b if self.identity else self.fold_map.T @ b
 
     def support(self, f):
-        """The sub-basis of the blocks and copies where `fold(f)` is nonzero.
+        """The sub-basis of the blocks where `fold(f)` is nonzero.
 
         The test is exact, with no tolerance: a Hamiltonian of this basis
-        never mixes blocks or copies, so a solve from F stays exactly zero
-        on the dropped ones.  The kept blocks keep their rows and rotated
-        generators, and their kept copies' `fold_map` columns, in order; a
-        factor with full support, or on an `identity` basis, gets this basis.
-        Cached by the factor's content, so a state solved again, as each RL
-        solve of a training pair is, finds its support without a fold.
+        never mixes blocks, so a solve from F stays exactly zero on the
+        dropped ones.  The kept blocks keep their rows of `fold_map` and
+        their rotated generators, in order; a factor with full support, or
+        on an `identity` basis, gets this basis.  Cached by the factor's
+        content, so a state solved again, as each RL solve of a training
+        pair is, finds its support without a fold.
         """
         if self.identity:
             return self
@@ -386,59 +380,41 @@ class BlockBasis:
 @functools.lru_cache(maxsize=64)
 def _content_support(basis, dtype, shape, data):
     """`basis.support` of the factor of this dtype, shape and C-order bytes."""
-    f = np.frombuffer(data, dtype).reshape(shape)
-    occupied = basis.fold(f).reshape(basis.size, basis.copies, -1)
-    keep = tuple(tuple(occupied[start:stop].any(axis=(0, 2)).tolist())
-                 for start, stop in basis.spans)
-    return _support_basis(basis, keep)
+    occupied = basis.fold(np.frombuffer(data, dtype).reshape(shape))
+    return _support_basis(basis, tuple(bool(occupied[start:stop].any())
+                                       for start, stop in basis.spans))
 
 
 @functools.lru_cache(maxsize=None)
 def _support_basis(basis, keep):
-    """The sub-basis of copy k of block b where keep[b][k], cached."""
-    if all(sum(k) == c for k, (_, c) in zip(keep, basis.blocks)):
+    """The sub-basis of the blocks b where keep[b], cached."""
+    if all(keep):
         return basis
-    kept = [(span, np.array(k))
-            for span, k in zip(basis.spans, keep) if any(k)]
-    blocks = tuple((stop - start, int(k.sum())) for (start, stop), k in kept)
-    rows = np.concatenate([np.arange(*span) for span, _ in kept])
-    d = basis.fold_map.shape[1]
-    fold_map = np.zeros((len(rows), max(c for _, c in blocks), d))
-    wide = basis.fold_map.reshape(basis.size, basis.copies, d)
-    row = 0
-    for (start, stop), k in kept:
-        fold_map[row:row + stop - start, :k.sum()] = wide[start:stop, k]
-        row += stop - start
-    return BlockBasis(first=np.ascontiguousarray(fold_map[:, 0].T),
-                      gens=basis.gens[:, rows][:, :, rows], blocks=blocks,
-                      fold_map=fold_map.reshape(-1, d))
+    rows = np.concatenate([np.arange(*span)
+                           for span, k in zip(basis.spans, keep) if k])
+    return BlockBasis(gens=basis.gens[:, rows][:, :, rows],
+                      blocks=tuple(n for n, k in zip(basis.blocks, keep) if k),
+                      fold_map=basis.fold_map[rows])
 
 
 @functools.lru_cache(maxsize=None)
 def block_basis(num_qubits, tied) -> BlockBasis:
     """The read-only `BlockBasis` of a register, built on first use.
 
-    Tied schedules from N = 3 on take the spin blocks of `spin_basis`; below
-    that every block has one copy (3 + 1 = d at N = 2), so, like every
-    untied schedule, they take Q = I.
+    Tied schedules from N = 3 on take the spin blocks of `spin_basis`, one
+    block per copy, with fold_map = Q^T; below that every spin has one copy
+    (3 + 1 = d at N = 2), so, like every untied schedule, they take Q = I.
     """
     gens = generators(num_qubits, tied)
     d = gens.shape[-1]
-    q, blocks = (spin_basis(num_qubits) if tied and num_qubits >= 3
-                 else (np.eye(d), ((d, 1),)))
-    size, c_max = sum(n for n, _ in blocks), max(c for _, c in blocks)
-    fold_map = np.zeros((size, c_max, d))
-    mask = np.zeros((size, size), dtype=bool)
-    row = col = 0
-    for n, copies in blocks:
-        cols = q[:, col:col + n * copies].T.reshape(copies, n, d)
-        fold_map[row:row + n, :copies] = cols.swapaxes(0, 1)
-        mask[row:row + n, row:row + n] = True
-        row, col = row + n, col + n * copies
-    first = np.ascontiguousarray(fold_map[:, 0].T)
-    return BlockBasis(first=first,
-                      gens=np.where(mask, first.T @ gens @ first, 0.0),
-                      blocks=blocks, fold_map=fold_map.reshape(-1, d))
+    if not (tied and num_qubits >= 3):
+        return BlockBasis(gens=gens, blocks=(d,), fold_map=np.eye(d))
+    q, spins = spin_basis(num_qubits)
+    blocks = tuple(n for n, copies in spins for _ in range(copies))
+    label = np.repeat(np.arange(len(blocks)), blocks)  # each row's block
+    inside = label[:, None] == label
+    return BlockBasis(gens=np.where(inside, q.T @ gens @ q, 0.0),
+                      blocks=blocks, fold_map=q.T)
 
 
 def _taylor_table():
@@ -748,10 +724,10 @@ class Trajectory:
     """Forward evolution record in the block coordinates of `basis`.
 
     `basis` is the `support` of the initial factor: only the spin blocks
-    and copies the state occupies, on which every array here lives.
+    the state occupies, on which every array here lives.
     """
 
-    factors: np.ndarray  # (M+1, R, c_max r): block factors of F_k
+    factors: np.ndarray  # (M+1, R, r): block factors of F_k
     propagators: np.ndarray  # (M+1, R, R): P_k = U_{k-1} ... U_0, P_0 = I
     grid: TimeGrid
     hamiltonians: np.ndarray  # (M, R, R), real: each step's midpoint H

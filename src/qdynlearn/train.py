@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .qcore import is_integer
 from .reporting import EpochLog
 
 # The guard fires once an epoch's RMS exceeds this multiple of the first
@@ -49,6 +50,14 @@ class TrainConfig:
         for kind, rate in self.learning_rates.items():
             if not 0 <= rate < math.inf:
                 raise ValueError(f"learning_rates.{kind} must be finite and >= 0")
+        if not is_integer(self.epochs) or self.epochs < 0:
+            raise ValueError(f"epochs must be an integer >= 0, "
+                             f"got {self.epochs!r}")
+        if self.rms_target is not None and (
+                isinstance(self.rms_target, bool)
+                or not 0 <= self.rms_target < math.inf):
+            raise ValueError(f"rms_target must be finite and >= 0 (or None), "
+                             f"got {self.rms_target!r}")
 
 
 def descend(schedule, idx, grads, rates):

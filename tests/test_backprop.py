@@ -556,12 +556,12 @@ def test_training_products_run_on_real_stacks(monkeypatch):
     assert traj.propagators.dtype == complex
 
 
-@pytest.mark.parametrize("num_qubits, size", [(4, 9), (5, 12), (6, 16)])
-def test_tied_solves_run_on_the_spin_blocks(num_qubits, size, monkeypatch):
-    # A tied propagator assembles and exponentiates block-coordinate
-    # stacks, (M, R, R) with R = sum(2j+1).  A tied gradient pair from
-    # |0..0> works on the symmetric block it occupies alone, 2j+1 = N+1,
-    # and never diagonalises.  No (M, d, d) array reaches any of them.
+@pytest.mark.parametrize("num_qubits", [4, 5, 6])
+def test_tied_solves_run_on_the_spin_blocks(num_qubits, monkeypatch):
+    # A tied propagator occupies every spin block and copy, so it
+    # assembles and exponentiates (M, d, d) stacks.  A tied gradient pair
+    # from |0..0> works on the symmetric block it occupies alone,
+    # 2j+1 = N+1, with no (M, d, d) array, and never diagonalises.
     basis = qcore.block_basis(num_qubits, True)  # built before the spies
     sched = FourierSchedule.initialized(num_qubits, 250.0, n_max=3, tied=True)
     grid = TimeGrid(250.0, 50)
@@ -588,8 +588,7 @@ def test_tied_solves_run_on_the_spin_blocks(num_qubits, size, monkeypatch):
     chi = adjoint_evolve_backward(
         adjoint_boundary(final_populations(traj), pair.target), traj)
     all_gradients(np.arange(sched.params.size), traj, chi, sched, grid)
-    sym = num_qubits + 1
-    assert seen["assemble"] == seen["expm"] == [(50, size, size),
-                                                (50, sym, sym)]
+    d, sym = 2**num_qubits, num_qubits + 1
+    assert seen["assemble"] == seen["expm"] == [(50, d, d), (50, sym, sym)]
     assert seen["eigh"] == []
-    assert basis.size == size and traj.basis.blocks == ((sym, 1),)
+    assert basis.size == d and traj.basis.blocks == (sym,)

@@ -120,6 +120,12 @@ def test_backend_validation():
     for seed in (-1, 1.5, True, "1"):
         with pytest.raises(ValueError, match="seed"):
             ShotBackend(shots=100, seed=seed)
+    # Shots follow seed's rule, an integer and not a bool: 2.9 would draw
+    # 2 shots and True one.
+    for shots in (2.9, 1.0, True, np.float64(3.0), "8"):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            ShotBackend(shots=shots)
+    assert ShotBackend(shots=np.int64(8192)).shots == 8192
     assert ShotBackend().exact
     assert not ShotBackend(shots=100).exact
 

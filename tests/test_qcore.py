@@ -1,7 +1,10 @@
 """Core linear algebra and evolution tests against closed-form oracles."""
 
+import dataclasses
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -412,6 +415,20 @@ def test_density_matrix_factor(num_qubits):
     assert rho.factor.shape == (d, 1)
 
 
+def test_density_matrix_factor_is_read_only():
+    # A state is frozen, its factor too: neither constructor leaves a
+    # factor that a caller, or a training pair's user, can change in place.
+    states = [DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0])),
+              DensityMatrix.from_state_vector([1.0, 0.0, 0.0, 1.0])]
+    states += [pair.rho0 for pair in build_training_set(3)]
+    for rho in states:
+        before = rho.factor.copy()
+        assert not rho.factor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rho.factor[0] = 0
+        assert np.array_equal(rho.factor, before)
+
+
 @pytest.mark.parametrize("num_qubits", [1, 2, 4, 6])
 def test_vector_factor_equals_matrix_factor_up_to_phase(num_qubits):
     # The vector path keeps psi; the matrix path's eigh gives e^{i phi} psi.
@@ -536,15 +553,41 @@ def test_spin_basis_check_raises_on_mixed_copies():
         qcore.check_spin_basis(1.0001 * q, blocks, 4)
 
 
+# Every function-level cache of the package, by "module.qualname", with its
+# size, after `import qdynlearn.cli` and then every other module of it.
+CACHE_SIZES = """
+import importlib, inspect, json, pkgutil
+import qdynlearn, qdynlearn.cli
+sizes = {}
+for info in pkgutil.iter_modules(qdynlearn.__path__):
+    module = importlib.import_module("qdynlearn." + info.name)
+    owners = [module] + [c for c in vars(module).values() if inspect.isclass(c)
+                         and c.__module__ == module.__name__]
+    for owner in owners:
+        for value in vars(owner).values():
+            if hasattr(value, "cache_info"):
+                name = info.name + "." + value.__qualname__
+                sizes[name] = value.cache_info().currsize
+print(json.dumps(sizes))
+"""
+
+
 def test_spin_basis_is_not_built_at_import():
-    code = ("import qdynlearn.cli, qdynlearn.qcore as q; "
-            "print(q.spin_basis.cache_info().currsize "
-            "+ q.generators.cache_info().currsize "
-            "+ q.block_basis.cache_info().currsize)")
-    env = dict(os.environ, PYTHONPATH=str(Path(qcore.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "0"
+    # No cache of the package is filled at import: the spin and block bases,
+    # the generators and every table are built on first use.  The scan must
+    # find as many caches as the source declares.
+    package = Path(qcore.__file__).parent
+    declared = sum(len(re.findall(r"@functools\.(?:lru_cache|cache)\b",
+                                  path.read_text()))
+                   for path in package.glob("*.py"))
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = subprocess.run([sys.executable, "-c", CACHE_SIZES],
+                         capture_output=True, text=True, check=True, env=env)
+    sizes = json.loads(out.stdout)
+    assert {"qcore.spin_basis", "qcore.generators", "qcore.block_basis",
+            "qcore._content_support"} <= set(sizes)
+    assert len(sizes) == declared
+    assert sizes == dict.fromkeys(sizes, 0)
 
 
 # -- block coordinates ---------------------------------------------------------
@@ -553,24 +596,28 @@ def test_spin_basis_is_not_built_at_import():
 @pytest.mark.parametrize("num_qubits", range(1, 7))
 @pytest.mark.parametrize("tied", [False, True])
 def test_block_basis_layout(num_qubits, tied):
+    # One diagonal block per copy of each total spin, fold_map = Q^T, or
+    # one block and Q = I.
     basis = qcore.block_basis(num_qubits, tied)
     d = 2**num_qubits
     assert qcore.block_basis(num_qubits, tied) is basis
-    for a in (basis.first, basis.gens, basis.fold_map):
+    assert [f.name for f in dataclasses.fields(basis)] == [
+        "gens", "blocks", "fold_map"]
+    for a in (basis.gens, basis.fold_map):
         assert not a.flags.writeable
     if tied and num_qubits >= 3:
-        assert basis.blocks == tuple((n, c) for n, c in
-                                     qcore.spin_basis(num_qubits)[1])
-        assert basis.size == sum(n for n, _ in basis.blocks) < d
+        q, spins = qcore.spin_basis(num_qubits)
+        assert basis.blocks == tuple(n for n, c in spins for _ in range(c))
+        assert np.array_equal(basis.fold_map, q.T)
         assert not basis.identity
     else:  # one block, Q = I
-        assert basis.blocks == ((d, 1),) and basis.identity
+        assert basis.blocks == (d,) and basis.identity
         assert np.array_equal(basis.fold_map, np.eye(d))
         assert np.array_equal(basis.gens,
                               qcore.generators(num_qubits, tied))
-    assert basis.size == {(3, True): 6, (4, True): 9, (5, True): 12,
-                          (6, True): 16}.get((num_qubits, tied), d)
-    assert basis.copies == max(c for _, c in basis.blocks)
+    if (num_qubits, tied) == (4, True):
+        assert basis.blocks == (5, 3, 3, 3, 1, 1)
+    assert basis.size == sum(basis.blocks) == d
     # The rotated generators vanish exactly off the diagonal blocks.
     inside = np.zeros((basis.size,) * 2, dtype=bool)
     for start, stop in basis.spans:
@@ -581,27 +628,23 @@ def test_block_basis_layout(num_qubits, tied):
 @pytest.mark.parametrize("num_qubits", range(1, 7))
 @pytest.mark.parametrize("tied", [False, True])
 def test_fold_unfold_round_trip(num_qubits, tied):
-    # Folding is the orthogonal spin rotation followed by a placement of
-    # each copy's rows into its own columns: unfold(fold(F)) = F and
-    # fold(unfold(B)) = B for every factor, inner products are kept, and
-    # the columns past a block's copies stay exactly zero.
+    # Folding is the orthogonal spin rotation, one matmul by fold_map:
+    # unfold(fold(F)) = F and fold(unfold(B)) = B for every factor, and
+    # inner products are kept.
     basis = qcore.block_basis(num_qubits, tied)
-    d, size, copies = 2**num_qubits, basis.size, basis.copies
+    d, size = 2**num_qubits, basis.size
     rng = np.random.default_rng(70 + num_qubits)
     for r in sorted({1, 2, d}):
         f, g = (rng.normal(size=(2, d, r)) + 1j * rng.normal(size=(2, d, r)))
         b = basis.fold(f)
-        assert b.shape == (size, copies * r)
+        assert b.shape == (size, r)
+        assert np.array_equal(b, basis.fold_map @ f)
         assert np.abs(basis.unfold(b) - f).max() <= 1e-14 * np.abs(f).max()
         assert np.abs(basis.fold(basis.unfold(b)) - b).max() <= (
             1e-14 * np.abs(b).max())
         assert abs(np.vdot(basis.fold(g), b) - np.vdot(g, f)) <= (
             1e-13 * np.linalg.norm(f) * np.linalg.norm(g))
-        row = 0
-        for n, c in basis.blocks:
-            assert not b[row:row + n, c * r:].any()
-            row += n
-        if basis.blocks == ((d, 1),):
+        if basis.identity:
             assert np.array_equal(b, f) and np.array_equal(basis.unfold(b), f)
     # A stack of factors folds row by row.
     stack = rng.normal(size=(3, d, 2)) + 1j * rng.normal(size=(3, d, 2))
@@ -618,13 +661,12 @@ def test_identity_basis_skips_the_basis_change_exactly(num_qubits, tied,
     # without folding the factor.
     basis = qcore.block_basis(num_qubits, tied)
     assert basis.identity
-    fm, d, size = basis.fold_map, 2**num_qubits, basis.size
+    fm, d = basis.fold_map, 2**num_qubits
     rng = np.random.default_rng(90 + num_qubits)
     for lead in ((), (3,)):
         f = rng.normal(size=(*lead, d, 2)) + 1j * rng.normal(size=(*lead, d, 2))
-        assert np.array_equal(basis.fold(f),
-                              (fm @ f).reshape(*lead, size, -1))
-        assert np.array_equal(basis.unfold(f), fm.T @ f.reshape(*lead, -1, 2))
+        assert np.array_equal(basis.fold(f), fm @ f)
+        assert np.array_equal(basis.unfold(f), fm.T @ f)
     folds, fold = [], qcore.BlockBasis.fold
     monkeypatch.setattr(qcore.BlockBasis, "fold",
                         lambda self, f: folds.append(f.shape) or fold(self, f))
@@ -649,9 +691,9 @@ def test_lifted_block_assembly_is_the_register_assembly(num_qubits, tied):
 
 @pytest.mark.parametrize("num_qubits", range(3, 7))
 def test_support_keeps_the_occupied_blocks_and_copies(num_qubits):
-    # A tied Hamiltonian never mixes spin blocks or copies, so a solve from
-    # F needs only those where fold(F) is nonzero.  The test is exact: a
-    # 1e-300 component keeps its block.
+    # A tied Hamiltonian never mixes spin blocks, one per copy of each spin,
+    # so a solve from F needs only those where fold(F) is nonzero.  The test
+    # is exact: a 1e-300 component keeps its block.
     n = num_qubits
     basis = qcore.block_basis(n, True)
     rng = np.random.default_rng(n)
@@ -664,18 +706,22 @@ def test_support_keeps_the_occupied_blocks_and_copies(num_qubits):
 
     for a, b in ((1.0, 0.0), (1.0, 1.0), (0.6, 0.8), (0.0, 1.0)):
         sub = support(np.r_[a, np.zeros(2**n - 2), b])
-        assert sub.blocks == ((n + 1, 1),)
+        assert sub.blocks == (n + 1,)
         assert np.array_equal(sub.gens, basis.gens[:, :n + 1, :n + 1])
     superposition = np.r_[1.0, 1.0, np.zeros(2**n - 2)]
-    assert support(superposition).blocks == ((n + 1, 1), (n - 1, 1))
+    assert support(superposition).blocks == (n + 1, n - 1)
     # GHZ with a 1e-300 |0..01> component, whose part off the symmetric
     # block lies in one copy of 2j+1 = N-1, like the superposition's.
     ghz = np.r_[1.0, np.zeros(2**n - 2), 1.0]
     ghz[1] = 1e-300
-    assert support(ghz).blocks == ((n + 1, 1), (n - 1, 1))
+    assert support(ghz).blocks == (n + 1, n - 1)
     sub = support(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
-    assert sub.blocks == basis.blocks
-    assert (sub.size, sub.copies) == (basis.size, basis.copies)
+    assert sub is basis and sub.size == 2**n
+    # The training set: three states on the symmetric block, and the
+    # superposition on it and one copy of 2j+1 = N-1.
+    assert [basis.support(pair.rho0.factor).blocks
+            for pair in build_training_set(n)] == [
+        (n + 1,), (n + 1,), (n + 1, n - 1), (n + 1,)]
 
 
 def test_support_is_cached_by_the_factor_content():
@@ -695,9 +741,9 @@ def test_support_is_cached_by_the_factor_content():
         assert basis.support(np.asfortranarray(f)) is sub
     f = np.zeros((16, 1), dtype=complex)
     f[0] = 1.0
-    assert basis.support(f).blocks == ((5, 1),)
+    assert basis.support(f).blocks == (5,)
     f[1] = 1.0
-    assert basis.support(f).blocks == ((5, 1), (3, 1))
+    assert basis.support(f).blocks == (5, 3)
     maxsize = qcore._content_support.cache_info().maxsize
     assert maxsize is not None
     for _ in range(maxsize + 10):

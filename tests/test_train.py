@@ -106,3 +106,16 @@ def test_empty_training_set_raises():
 def test_negative_learning_rate_rejected():
     with pytest.raises(ValueError):
         TrainConfig(learning_rates={"tunneling": -1.0})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("epochs", True), ("epochs", 1.5), ("epochs", "3"),
+    ("rms_target", -1.0), ("rms_target", float("nan")),
+    ("rms_target", float("inf")), ("rms_target", True)])
+def test_epochs_and_rms_target_are_checked(field, value):
+    # epochs=-1 would run no epoch and True one, without a word, and an
+    # rms_target of -1.0 would never be reached.
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        TrainConfig(**{field: value})
+    cfg = TrainConfig(epochs=np.int64(3), rms_target=0)
+    assert (cfg.epochs, cfg.rms_target) == (3, 0)
