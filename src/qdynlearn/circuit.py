@@ -40,8 +40,10 @@ class ShotBackend:
                 and 1 <= self.shots <= np.iinfo(np.int64).max):
             raise ValueError(f"shots must be an integer in [1, 2**63 - 1] "
                              f"(or None for exact), got {self.shots!r}")
-        if not 0.0 <= self.p_dep <= 1.0 or not 0.0 <= self.p_ro <= 1.0:
-            raise ValueError("noise probabilities must lie in [0, 1]")
+        if not all(qcore.is_real(p) and 0.0 <= p <= 1.0
+                   for p in (self.p_dep, self.p_ro)):
+            raise ValueError(f"noise probabilities must lie in [0, 1], got "
+                             f"p_dep={self.p_dep!r}, p_ro={self.p_ro!r}")
         if not qcore.is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, "
                              f"got {self.seed!r}")

@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field
 from .circuit import CircuitRLConfig, ShotBackend
 from .qcore import TimeGrid, check_num_qubits
 from .rl import RLConfig
-from .schedules import FAMILIES, KIND_ORDER, load_schedule
+from .schedules import FAMILIES, load_schedule
+from .train import check_kinds
 
 # Each mode's schedule family and loop-config defaults: smooth Fourier pulses
 # in the continuum modes, piecewise-constant segments on the circuit.
@@ -82,11 +83,7 @@ class RunConfig:
                     or isinstance(value, bool) and "bool" not in types):
                 raise ConfigError(f"{name} must be {f.type}, got {value!r}")
         for name in ("init", "learning_rates", "delta_abs"):
-            for kind, value in (getattr(self, name) or {}).items():
-                if kind not in KIND_ORDER:
-                    raise ConfigError(f"unknown config fields: {name}.{kind}")
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"{name}.{kind} must be float, got {value!r}")
+            check_kinds(name, getattr(self, name) or {}, error=ConfigError)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (expected {tuple(MODES)})")
         check_num_qubits(self.num_qubits, error=ConfigError)

@@ -12,11 +12,14 @@ Q = I, R = d.
 Evolution is a stepwise matrix exponential of the midpoint Hamiltonians
 (`step_hamiltonians`), taken by `expm_hermitian` without an
 eigendecomposition: U = C - iS with C = cos(H dt) and S = sin(H dt) as real
-Taylor polynomials, accurate and unitary to round-off.  On the small sides
-of the training solves, U comes in the real form R(U) = [[C, S], [-S, C]],
-which multiplies as U does, so the step products run in real arithmetic
-(numpy makes one BLAS call per matrix of a complex stack); U, or each P_k,
-is read off once at the end (`complex_form`).  A state is its square-root
+Taylor polynomials, accurate and unitary to round-off.  Both are evaluated
+in one block from the powers of Y = (H dt)^2, at the lowest degree 2p+1
+whose reach covers ||H dt||_1: p + 1 products per step, and degree 7 (p = 3)
+on the default training solves.  On the small sides of the training
+solves, U comes in the real form R(U) = [[C, S], [-S, C]], which multiplies
+as U does, so the step products run in real arithmetic (numpy makes one
+BLAS call per matrix of a complex stack); U, or each P_k, is read off once
+at the end (`complex_form`).  A state is its square-root
 factor F (rho = F F^dagger, d x rank; `DensityMatrix`), and every solve
 carries F on the `BlockBasis.support` of the folded factor: the blocks the
 state occupies, which a tied H never leaves (|0..0> and GHZ lie in the
@@ -71,6 +74,12 @@ def _tick_solve():
 def is_integer(value):
     """True for a Python or numpy integer; False for a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """True for a Python or numpy integer or float; False for a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 def check_num_qubits(n, what="num_qubits", error=ValueError):
@@ -418,26 +427,20 @@ def block_basis(num_qubits, tied) -> BlockBasis:
 
 
 def _taylor_table():
-    """(power count p, coefficients, theta reach) per Taylor degree 2q+1.
+    """(power count p, coefficients (2, p+1), theta reach) per Taylor degree 2p+1.
 
     exp(-iX) = C - iS with C = sum_j (-1)^j Y^j / (2j)! and
-    S = X sum_j (-1)^j Y^j / (2j+1)!, Y = X^2, both truncated at Y^q (Taylor
-    degree 2q+1 in X).  The reach is the largest theta = ||X||_1 for which
-    the Taylor remainder sum_{k>2q+1} theta^k / k! stays <= 2^-53 theta.
-    Each polynomial is evaluated Paterson-Stockmeyer style from the powers
-    I, Y, ..., Y^p: blocks of p coefficients, combined by Horner in Y^p.  Each
-    degree's p minimises the matmul count, p - 1 + 2 (blocks - 1) + 2.
+    S = X sum_j (-1)^j Y^j / (2j+1)!, Y = X^2, both truncated at Y^p (Taylor
+    degree 2p+1 in X); row 0 of the coefficients is C's, row 1 that of
+    S' = S X^-1.  The reach is the largest theta = ||X||_1 for which the
+    Taylor remainder sum_{k>2p+1} theta^k / k! stays <= 2^-53 theta.  A
+    degree costs p + 1 products per step: Y, ..., Y^p and X S'.
     """
     table = []
-    for q, p, reach in ((2, 2, 2.40e-3), (4, 2, 9.03e-2), (6, 3, 0.410),
-                        (8, 4, 0.977), (12, 4, 2.656)):
-        blocks = -(-q // p)  # the last block also takes Y^p
-        coef = np.zeros((2, blocks, p + 1))
-        for j in range(q + 1):
-            b = min(j // p, blocks - 1)
-            sign = (-1.0) ** j
-            coef[0, b, j - b * p] = sign / math.factorial(2 * j)
-            coef[1, b, j - b * p] = sign / math.factorial(2 * j + 1)
+    for p, reach in ((2, 2.40e-3), (3, 2.39e-2), (4, 9.03e-2), (5, 0.217),
+                     (6, 0.410), (8, 0.977), (12, 2.656)):
+        coef = np.array([[(-1.0) ** j / math.factorial(2 * j + odd)
+                          for j in range(p + 1)] for odd in (0, 1)])
         table.append((p, coef, reach))
     return tuple(table)
 
@@ -486,39 +489,27 @@ def _scaled_argument(h, dt):
     return x, p, coef, squarings
 
 
-def _taylor_polynomials(x, p, coef, keep=False, slots=0):
-    """(powers, pairs, spare, slots) of the cos and sin polynomials in Y = X^2.
+def _taylor_polynomials(x, p, coef, slots=0):
+    """(powers, pair, spare, slots) of the cos and sin polynomials in Y = X^2.
 
-    powers (p+1, ...) holds I, Y, ..., Y^p; pairs[0] (2, ...) the (cos, sin)
-    pair, combined from the coefficient blocks by Horner in Y^p:
-    pairs[b] = pairs[b+1] Y^p + block b.  With `keep`, pairs holds every
-    Horner pair (blocks, 2, ...), which a pullback reads; without, only the
-    last.  spare is a (2, ...) scratch pair, and `slots` more arrays of X's
+    powers (p+1, ...) holds I, Y, ..., Y^p, formed by stacked doublings, and
+    pair (2, ...) the (C, S') pair, one matmul of the coefficients over
+    them.  spare is a (2, ...) scratch pair, and `slots` more arrays of X's
     shape come from the same workspace for the caller.
     """
     # One workspace for every array.  With a fresh array per intermediate,
     # the allocator handed the memory back and page-faulted it in again on
     # every call: at (200, 8, 8), about 300 faults per call, which made it
     # 3-4x slower.
-    kept = coef.shape[1] if keep else 1
-    start = p + 3 + 2 * kept
-    work = np.empty((start + slots, *x.shape), dtype=x.dtype)
-    powers, spare = work[:p + 1], work[p + 1:p + 3]
-    pairs = work[p + 3:start].reshape(kept, 2, *x.shape)
+    work = np.empty((p + 5 + slots, *x.shape), dtype=x.dtype)
+    powers, pair, spare = work[:p + 1], work[p + 1:p + 3], work[p + 3:p + 5]
     powers[0] = np.eye(x.shape[-1])
     np.matmul(x, x, out=powers[1])
     for known, top in _doublings(p):  # Y^(k+1..top) = Y^(1..top-k) Y^k
         np.matmul(powers[1:top - known + 1], powers[known],
                   out=powers[known + 1:top + 1])
-    flat_powers = powers.reshape(p + 1, -1)
-    pair = pairs[-1]
-    np.matmul(coef[:, -1], flat_powers, out=pair.reshape(2, -1))
-    for b in range(coef.shape[1] - 2, -1, -1):
-        np.matmul(pair, powers[p], out=spare)
-        pair = pairs[b] if keep else pair
-        np.matmul(coef[:, b], flat_powers, out=pair.reshape(2, -1))
-        pair += spare
-    return powers, pairs, spare, work[start:]
+    np.matmul(coef, powers.reshape(p + 1, -1), out=pair.reshape(2, -1))
+    return powers, pair, spare, work[p + 5:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -591,21 +582,22 @@ def expm_hermitian(h, dt):
     Raises ValueError if h or dt holds a NaN or an infinity.
     """
     x, p, coef, squarings = _scaled_argument(h, dt)
-    _, pairs, spare, _ = _taylor_polynomials(x, p, coef)
+    _, pair, spare, _ = _taylor_polynomials(x, p, coef)
     n = x.shape[-1]
     if n <= REAL_FORM_MAX_SIDE and x.size >= REAL_FORM_MIN_STEPS * n * n:
-        u = _real_form(x, pairs[0])
+        u = _real_form(x, pair)
     else:
-        u = _cos_minus_i_sin(x, pairs[0], spare[0])
+        u = _cos_minus_i_sin(x, pair, spare[0])
     for _ in range(squarings):
         u = u @ u
     return u
 
 
-# Bytes of one pullback chunk's workspace, which holds up to 25 (n, n)
-# arrays per step.  A (200, 8, 8) stack takes one chunk; at (200, 64, 64),
-# chunks of 5 steps took half the time of one workspace of over 100 MB,
-# which was page-faulted in afresh on every call.
+# Bytes of one pullback chunk's workspace, which holds 2p + 9 (n, n) arrays
+# per step (`_pullback`): 33 at the largest degree.  A (200, 8, 8) stack
+# takes one chunk; at (200, 64, 64), chunks of 5 steps took half the time
+# of one workspace of over 100 MB, which was page-faulted in afresh on
+# every call.
 PULLBACK_CHUNK_BYTES = 2**22
 
 
@@ -621,7 +613,7 @@ def expm_hermitian_pullback(h, dt, g):
     there; the steps then go in chunks whose workspace stays small.
     """
     x, p, coef, squarings = _scaled_argument(h, dt)
-    step = max(1, PULLBACK_CHUNK_BYTES // (25 * x[0].nbytes))
+    step = max(1, PULLBACK_CHUNK_BYTES // ((2 * p + 9) * x[0].nbytes))
     w = np.empty_like(x)
     for k in range(0, len(x), step):
         w[k:k + step] = _pullback(x[k:k + step], p, coef, squarings,
@@ -634,41 +626,34 @@ def _pullback(x, p, coef, squarings, g):
     """Cotangent of X = h dt / 2^s for the cotangent g of each U (M, n, n).
 
     Every matrix of the polynomial is a polynomial in the symmetric X, so
-    it is its own transpose.  Real matmuls, except the squarings.
+    it is its own transpose.  Real matmuls, except the squarings.  Beside
+    the polynomials' arrays, the workspace holds p + 4 cotangents: of the
+    pair, of I, Y, ..., Y^p, and Im g.
     """
-    blocks = coef.shape[1]
-    powers, pairs, spare, slots = _taylor_polynomials(
-        x, p, coef, keep=True, slots=2 * blocks + p + 2)
+    powers, pair, spare, slots = _taylor_polynomials(x, p, coef, slots=p + 4)
     if squarings:  # U_{i+1} = U_i U_i: g_i = g_{i+1} U_i^dag + U_i^dag g_{i+1}
-        us = [_cos_minus_i_sin(x, pairs[0], spare[0])]
+        us = [_cos_minus_i_sin(x, pair, spare[0])]
         for _ in range(squarings - 1):
             us.append(us[-1] @ us[-1])
         for u in reversed(us):
             u = u.conj()
             g = g @ u + u @ g
-    bars = slots[:2 * blocks].reshape(blocks, 2, *x.shape)  # of each pair
-    powers_bar, gi = slots[2 * blocks:-1], slots[-1]  # of I, Y, ..., Y^p
+    bar, powers_bar, gi = slots[:2], slots[2:-1], slots[-1]
     # U = C - i X S': C takes Re g, S' takes -X Im g and X takes -Im g S'.
-    bars[0, 0], gi[...] = g.real, g.imag
-    np.negative(np.matmul(x, gi, out=bars[0, 1]), out=bars[0, 1])
-    for b in range(blocks - 1):  # pairs[b] = pairs[b+1] Y^p + block b
-        np.matmul(bars[b], powers[p], out=bars[b + 1])
-    weights = coef.transpose(2, 1, 0).reshape(p + 1, 2 * blocks)[1:]
-    np.matmul(weights, bars.reshape(2 * blocks, -1),
-              out=powers_bar[1:].reshape(p, -1))
-    for b in range(blocks - 1):
-        for part in np.matmul(pairs[b + 1], bars[b], out=spare):
-            powers_bar[p] += part
+    bar[0], gi[...] = g.real, g.imag
+    np.negative(np.matmul(x, gi, out=bar[1]), out=bar[1])
+    np.matmul(coef.T[1:], bar.reshape(2, -1), out=powers_bar[1:].reshape(p, -1))
     for known, top in reversed(_doublings(p)):
         count = top - known
-        upper, products = powers_bar[known + 1:top + 1], spare[:count]
+        # Y^(k+1..top) is read no more, so its slots take the products.
+        upper, products = (a[known + 1:top + 1] for a in (powers_bar, powers))
         powers_bar[1:count + 1] += np.matmul(upper, powers[known],
                                              out=products)
         for part in np.matmul(powers[1:count + 1], upper, out=products):
             powers_bar[known] += part
     xbar = np.matmul(powers_bar[1], x)  # Y = X X
     xbar += np.matmul(x, powers_bar[1], out=spare[0])
-    xbar -= np.matmul(gi, pairs[0, 1], out=spare[1])
+    xbar -= np.matmul(gi, pair[1], out=spare[1])
     return xbar
 
 

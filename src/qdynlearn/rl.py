@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .qcore import TimeGrid
+from .qcore import TimeGrid, is_real
 from .schedules import KIND_ORDER, FourierSchedule, list_trainable
-from .train import TrainConfig, descend, run_epochs
+from .train import TrainConfig, check_kinds, descend, run_epochs
 from .witness import TrainingPair
 
 
@@ -36,11 +36,13 @@ class RLConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 < self.delta_rel < math.inf:
-            raise ValueError("delta_rel must be positive and finite")
+        if not (is_real(self.delta_rel) and 0 < self.delta_rel < math.inf):
+            raise ValueError(f"delta_rel must be positive and finite, "
+                             f"got {self.delta_rel!r}")
         if self.delta_abs is None:
             self.delta_abs = {k: self.delta_rel * s
                               for k, s in FourierSchedule.INIT.items()}
+        check_kinds("delta_abs", self.delta_abs)
         if (self.delta_abs.keys() != {*KIND_ORDER}
                 or not all(0 < v < math.inf for v in self.delta_abs.values())):
             raise ValueError("delta_abs needs one positive, finite entry per kind")

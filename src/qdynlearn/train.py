@@ -16,12 +16,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import is_integer
+from .qcore import is_integer, is_real
 from .reporting import EpochLog
+from .schedules import KIND_ORDER
 
 # The guard fires once an epoch's RMS exceeds this multiple of the first
 # epoch's RMS.
 DIVERGENCE_FACTOR = 10.0
+
+
+def check_kinds(name, values, error=ValueError):
+    """Raise `error` unless every key of the per-kind dict `values` is a kind
+    of KIND_ORDER and every value a real number, not a bool."""
+    for kind, value in values.items():
+        if kind not in KIND_ORDER:
+            raise error(f"unknown config fields: {name}.{kind}")
+        if not is_real(value):
+            raise error(f"{name}.{kind} must be float, got {value!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -47,6 +58,7 @@ class TrainConfig:
     epoch_callback: object = None  # callable(epoch, rms, schedule)
 
     def __post_init__(self):
+        check_kinds("learning_rates", self.learning_rates)
         for kind, rate in self.learning_rates.items():
             if not 0 <= rate < math.inf:
                 raise ValueError(f"learning_rates.{kind} must be finite and >= 0")

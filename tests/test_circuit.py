@@ -126,6 +126,12 @@ def test_backend_validation():
         with pytest.raises(ValueError, match="shots must be an integer"):
             ShotBackend(shots=shots)
     assert ShotBackend(shots=np.int64(8192)).shots == 8192
+    # The noise probabilities are numbers: True would be probability 1.
+    for name in ("p_dep", "p_ro"):
+        for p in (True, False, "0.5", None, float("nan")):
+            with pytest.raises(ValueError, match=f"{name}={p!r}"):
+                ShotBackend(**{name: p})
+        assert getattr(ShotBackend(**{name: np.float64(0.5)}), name) == 0.5
     assert ShotBackend().exact
     assert not ShotBackend(shots=100).exact
 
@@ -384,38 +390,38 @@ PINNED = {
         "unitary": [
             0.9791636788226968-0.013240888804078272j,
             0.0014244552749098143-0.19687753502921318j,
-            0.00023778550570684984+0.04702066984210487j,
-            0.009453688670754504-6.246791995042584e-05j,
-            -0.0019230701503749788-0.19687328781616686j,
-            0.9791940946620027+0.010760979613220199j,
+            0.00023778550570684978+0.04702066984210486j,
+            0.009453688670754502-6.246791995042582e-05j,
+            -0.001923070150374979-0.19687328781616686j,
+            0.9791940946620028+0.0107609796132202j,
             0.009453995615032518-3.6280579339747885e-05j,
-            0.0002533658750747603+0.04702013503636609j,
-            -0.00016226153276654081+0.04702103381132246j,
-            0.009451420030304351+0.000206823522980316j,
-            0.9791830625003696+0.011668153124912276j,
-            0.001582249765458748-0.19687941673694934j,
+            0.0002533658750747603+0.04702013503636608j,
+            -0.0001622615327665408+0.04702103381132246j,
+            0.009451420030304351+0.00020682352298031603j,
+            0.9791830625003694+0.01166815312491227j,
+            0.0015822497654587476-0.19687941673694928j,
             0.009453234918726638-0.00010809167902175369j,
-            -0.00032888844659032977+0.04701971012933115j,
-            -0.001083620441366963-0.19688278441263904j,
-            0.9792094951081591-0.009188199834183092j],
+            -0.0003288884465903298+0.047019710129331156j,
+            -0.0010836204413669625-0.196882784412639j,
+            0.9792094951081589-0.009188199834183092j],
         "exact": [
             [0.9402596376179984, 0.04748599068394588,
              0.011665240693183091, 0.0005891310048725548],
-            [0.4793153262211956, 0.020684690399713122,
-             0.020685080434446373, 0.479314902944645],
-            [0.4977552566833184, 0.48999039413378687,
-             0.006174347189866781, 0.0060800019930280095],
-            [0.3474058195816124, 0.01602541325923989,
-             0.02605579608135998, 0.6105129710777878]],
+            [0.4793153262211957, 0.020684690399713126,
+             0.020685080434446362, 0.4793149029446448],
+            [0.49775525668331827, 0.489990394133787,
+             0.00617434718986678, 0.006080001993028011],
+            [0.3474058195816125, 0.016025413259239892,
+             0.02605579608135998, 0.6105129710777877]],
         "depolarized": [
             [0.8122207889625946, 0.0850510736995157,
              0.05587484895235197, 0.0468532883855375],
-            [0.43677876642795266, 0.06322124710988136,
-             0.06322156479560932, 0.43677842166655667],
-            [0.451798205038917, 0.4454736759619327,
-             0.05140248187581646, 0.0513256371233338],
+            [0.43677876642795277, 0.06322124710988138,
+             0.06322156479560934, 0.43677842166655656],
+            [0.45179820503891693, 0.4454736759619328,
+             0.051402481875816454, 0.051325637123333795],
             [0.3293376488355957, 0.05942623675848379,
-             0.06759604625699325, 0.5436400681489274]],
+             0.06759604625699324, 0.5436400681489272]],
         "shots": [
             [7712, 393, 84, 3],
             [3902, 173, 153, 3964],

@@ -253,9 +253,24 @@ def test_expm_hermitian_rejects_non_finite_input(bad):
         qcore.expm_hermitian(np.ones((1, 2, 2)), bad)
 
 
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+def test_default_continuum_solves_take_degree_7(num_qubits):
+    # The rl and backprop default: T = 250 ns in 200 steps.  Every training
+    # pair's solve, on its support, has theta = ||H dt||_1 in 0.0066-0.022,
+    # inside degree 7's reach, so it needs Y, Y^2, Y^3 and X S' per step.
+    sched = FourierSchedule.initialized(num_qubits, 250.0)
+    grid = TimeGrid(sched.T, 200)
+    basis = qcore.block_basis(num_qubits, sched.tied)
+    for pair in build_training_set(num_qubits):
+        h = qcore.step_hamiltonians(sched, grid, basis.support(pair.rho0.factor))
+        p, coef, squarings = qcore._taylor_degree(qcore._one_norm(h * grid.dt))
+        assert (p, coef.shape, squarings) == (3, (2, 4), 0)
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 @pytest.mark.parametrize("steps", [3, 8, 9])
-@pytest.mark.parametrize("theta", [0.05, 2.5, 10.0])
+@pytest.mark.parametrize("theta", [0.05, 2.5, 10.0] + [
+    0.9 * reach for _, _, reach in qcore._TAYLOR])
 def test_expm_hermitian_real_form_reads_back_u(n, steps, theta):
     # A stack of at least REAL_FORM_MIN_STEPS matrices of side up to
     # REAL_FORM_MAX_SIDE comes as R(U) = [[C, S], [-S, C]]: exactly so block

@@ -69,6 +69,25 @@ def test_config_validation():
         RLConfig(learning_rates={"tunneling": -1.0})
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("learning_rates", {"tunelling": 1e-7}, "learning_rates.tunelling"),
+    ("learning_rates", {"tunneling": True}, "learning_rates.tunneling"),
+    ("learning_rates", {"tunneling": "1e-7"}, "learning_rates.tunneling"),
+    ("delta_abs", {"tunneling": True, "bias": 1e-7, "coupling": 1e-7},
+     "delta_abs.tunneling"),
+    ("delta_abs", {"tunneling": 1e-7, "bias": 1e-7, "coupling": 1e-7,
+                   "tunelling": 1e-7}, "delta_abs.tunelling"),
+    ("delta_rel", True, "delta_rel"), ("delta_rel", "2e-4", "delta_rel")])
+def test_loop_config_applies_the_run_config_rules(field, value, match):
+    # A misspelt kind would be read as rate 0 by per_index, so training
+    # ran and changed nothing; True would count as 1.  The loop configs
+    # reject both, as RunConfig does for the same fields of a file.
+    with pytest.raises(ValueError, match=match):
+        RLConfig(**{field: value})
+    with pytest.raises(ValueError, match=match):
+        RunConfig(mode="rl", **{field: value})
+
+
 RATES = {"tunneling": 2e-7, "bias": 0.0, "coupling": 4e-7}
 FLOORS = {"tunneling": 1e-7, "bias": 1e-7, "coupling": 1e-7}
 

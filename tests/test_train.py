@@ -108,6 +108,15 @@ def test_negative_learning_rate_rejected():
         TrainConfig(learning_rates={"tunneling": -1.0})
 
 
+@pytest.mark.parametrize("rates", [{"tunelling": 1e-7}, {"bias": True},
+                                   {"coupling": None}])
+def test_unknown_kind_or_non_number_rate_rejected(rates):
+    # per_index reads a kind it does not find as rate 0: a misspelt kind
+    # would leave its coefficients untrained without a word.
+    with pytest.raises(ValueError, match="learning_rates."):
+        TrainConfig(learning_rates=rates)
+
+
 @pytest.mark.parametrize("field, value", [
     ("epochs", -1), ("epochs", True), ("epochs", 1.5), ("epochs", "3"),
     ("rms_target", -1.0), ("rms_target", float("nan")),
