@@ -113,23 +113,22 @@ def train(config_path, out_dir, seed, epochs, mode):
             tracer.snapshot(epoch + 1, sched)
 
     loop.epoch_callback = callback
-    log = reporting.EpochLog()
     try:
-        if cfg.epochs > 0:
-            if cfg.mode == "backprop":
-                schedule, log = train_backprop(pairs, schedule, loop, grid)
-            elif cfg.mode == "rl":
-                schedule, log = rl_mod.train_rl(pairs, schedule, loop, grid)
-            else:
-                schedule, log = circuit_mod.train_circuit_rl(
-                    pairs, schedule, loop, backend)
+        if cfg.mode == "backprop":
+            schedule, log = train_backprop(pairs, schedule, loop, grid)
+        elif cfg.mode == "rl":
+            schedule, log = rl_mod.train_rl(pairs, schedule, loop, grid)
+        else:
+            schedule, log = circuit_mod.train_circuit_rl(
+                pairs, schedule, loop, backend)
     except TrainingDiverged as exc:
         if exc.log is not None:
             exc.log.write_csv(out / "epochs.csv")
         click.echo(f"training diverged: {exc}", err=True)
         sys.exit(1)
 
-    tracer.snapshot(len(log.records), schedule)
+    if tracer.rows[-1][0] != len(log.records):  # unless the callback wrote it
+        tracer.snapshot(len(log.records), schedule)
     save_schedule(schedule, out / "schedule.json")
     log.write_csv(out / "epochs.csv")
     tracer.write_csv(out / "traces.csv")

@@ -78,13 +78,12 @@ def is_integer(value):
 
 def is_real(value):
     """True for a Python or numpy integer or float; False for a bool."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
+    return isinstance(value, (float, np.floating)) or is_integer(value)
 
 
 def check_num_qubits(n, what="num_qubits", error=ValueError):
     """Raise `error` unless `n` is an integer (not a bool) in QUBIT_RANGE."""
-    if isinstance(n, bool) or not isinstance(n, int) or n not in QUBIT_RANGE:
+    if not is_integer(n) or n not in QUBIT_RANGE:
         raise error(f"{what} must be an integer in {QUBIT_RANGE.start}.."
                     f"{QUBIT_RANGE.stop - 1}, got {n!r}")
 
@@ -165,15 +164,16 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, T]: t_k = k T / M for k = 0..M."""
+    """Uniform grid on [0, T]: t_k = k T / M for k = 0..M, for a real T in
+    (0, inf) and an integer M = `steps` >= 1, never bools (`is_real`)."""
 
     T: float
     steps: int
 
     def __post_init__(self):
-        if not 0 < self.T < math.inf:  # also False for NaN
-            raise ValueError(f"final time must be in (0, inf), got {self.T!r}")
-        if type(self.steps) is not int or self.steps < 1:  # bool is not int
+        if not (is_real(self.T) and 0 < self.T < math.inf):  # NaN fails too
+            raise ValueError(f"final time T must be in (0, inf), got {self.T!r}")
+        if not is_integer(self.steps) or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property

@@ -16,19 +16,13 @@ import math
 
 import numpy as np
 
-from .qcore import pair_indices
+from .qcore import is_integer, is_real, pair_indices
 
 KIND_ORDER = ("tunneling", "bias", "coupling")
 
 
 class ScheduleError(ValueError):
     pass
-
-
-def _check_int(name, value, low):
-    """Raise ScheduleError unless `value` is an int (not a bool) >= `low`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ScheduleError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def n_sites(num_qubits, kind):
@@ -46,6 +40,8 @@ class _Schedule:
     (`TIED`), the `CONSTANT` basis columns, which sum to 1, and whether the
     basis is constant on `size` equal segments of [0, T] (`SEGMENTED`).  Its
     `basis(u, size)` gives the basis functions at u = t / T, shape (M, width).
+    `num_qubits` and the size are integers, T a positive real, never bools
+    (`qcore.is_integer`, `is_real`); they are kept as int and float for JSON.
 
     All coefficients live in one vector, `params`, in (kind, site, basis)
     order; `coeffs[kind]` is its (rows, width) view: a row per site, or one
@@ -54,15 +50,13 @@ class _Schedule:
     """
 
     def __init__(self, num_qubits, T, coeffs, tied=None, **structure):
-        self.size, self.width = self._size_and_width(structure)
+        self.size, self.width = self._size_and_width(num_qubits, structure)
         setattr(self, self.SIZE[0], self.size)
-        _check_int("num_qubits", num_qubits, 1)
-        if (isinstance(T, bool) or not isinstance(T, (int, float))
-                or not 0 < T < math.inf):
+        if not (is_real(T) and 0 < T < math.inf):
             raise ScheduleError(f"T_ns must be a positive number, got {T!r}")
         if tied is not None and not isinstance(tied, bool):
             raise ScheduleError(f"tied must be a bool, got {tied!r}")
-        self.num_qubits = num_qubits
+        self.num_qubits = int(num_qubits)
         self.T = float(T)
         self.tied = self.TIED if tied is None else tied
         arrays = []
@@ -84,15 +78,19 @@ class _Schedule:
         self.coeffs = {k: v.reshape(-1, self.width) for k, v in zip(KIND_ORDER, parts)}
 
     @classmethod
-    def _size_and_width(cls, structure):
-        """The checked basis size given by `structure`, and the basis width."""
+    def _size_and_width(cls, num_qubits, structure):
+        """The basis size given by `structure`, and the basis width; raises
+        ScheduleError unless the size and `num_qubits` are integers in range."""
         name, default, low = cls.SIZE
         if structure.keys() - {name}:
             raise TypeError(f"{cls.__name__} takes the structure keyword "
                             f"{name!r}, got {sorted(structure)}")
         size = structure.get(name, default)
-        _check_int(name, size, low)
-        return size, cls.basis(np.zeros(0), size).shape[1]
+        for field, value, least in (("num_qubits", num_qubits, 1), (name, size, low)):
+            if not is_integer(value) or value < least:
+                raise ScheduleError(f"{field} must be an integer >= {least}, "
+                                    f"got {value!r}")
+        return int(size), cls.basis(np.zeros(0), size).shape[1]
 
     @classmethod
     def initialized(cls, num_qubits, T, tied=None, tunneling=None, bias=None,
@@ -104,7 +102,7 @@ class _Schedule:
         """
         given = {"tunneling": tunneling, "bias": bias, "coupling": coupling}
         tied = cls.TIED if tied is None else tied
-        width = cls._size_and_width(structure)[1]
+        width = cls._size_and_width(num_qubits, structure)[1]
         coeffs = {}
         for kind in KIND_ORDER:
             c = np.zeros((1 if tied else n_sites(num_qubits, kind), width))

@@ -48,7 +48,9 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Loop fields shared by every training mode."""
+    """Loop fields shared by every training mode: `epochs` an integer >= 0,
+    `rms_target` and each learning rate a real number >= 0, never a bool
+    (`qcore.is_integer`, `is_real`)."""
 
     learning_rates: dict = field(
         default_factory=lambda: {"tunneling": 2e-7, "bias": 0.0, "coupling": 4e-7}
@@ -65,9 +67,8 @@ class TrainConfig:
         if not is_integer(self.epochs) or self.epochs < 0:
             raise ValueError(f"epochs must be an integer >= 0, "
                              f"got {self.epochs!r}")
-        if self.rms_target is not None and (
-                isinstance(self.rms_target, bool)
-                or not 0 <= self.rms_target < math.inf):
+        if self.rms_target is not None and not (
+                is_real(self.rms_target) and 0 <= self.rms_target < math.inf):
             raise ValueError(f"rms_target must be finite and >= 0 (or None), "
                              f"got {self.rms_target!r}")
 

@@ -24,15 +24,16 @@ SIGMA_YY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
 
 @dataclass(frozen=True)
 class TrainingPair:
-    """Initial state plus the scalar target the trained output should hit."""
+    """Initial state plus the scalar target the trained output should hit:
+    a real number in [0, 1], never a bool (`qcore.is_real`)."""
 
     rho0: DensityMatrix
     target: float
     label: str = ""
 
     def __post_init__(self):
-        if not 0.0 <= self.target <= 1.0:
-            raise ValueError(f"target {self.target} outside [0, 1]")
+        if not (qcore.is_real(self.target) and 0.0 <= self.target <= 1.0):
+            raise ValueError(f"target must be in [0, 1], got {self.target!r}")
 
 
 def concurrence(rho) -> float:

@@ -206,7 +206,7 @@ def test_traces_csv_is_numeric_and_matches_the_schedule(runner, tmp_path,
     values = np.array([[float(cell) for cell in row] for row in rows])
     sched = load_schedule(out / "schedule.json")
     steps = 50
-    assert len(values) == 4 * (steps + 1)  # start, epochs 1, 2 and the end
+    assert len(values) == 3 * (steps + 1)  # the start, epoch 1 and epoch 2
     last = values[-(steps + 1):]
     assert (last[:, 0] == 2).all()
     basis = sched.basis_row(last[:, 1])
@@ -215,6 +215,31 @@ def test_traces_csv_is_numeric_and_matches_the_schedule(runner, tmp_path,
     for col, (kind, site) in enumerate(columns, start=2):
         row = sched.coeffs[kind][0 if sched.tied else site]
         assert np.allclose(last[:, col], basis @ row, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("fields,blocks", [
+    ({"epochs": 0, "trace_every": 200}, [0]),
+    ({"epochs": 3, "trace_every": 1}, [0, 1, 2, 3]),
+    ({"epochs": 3, "trace_every": 2}, [0, 2, 3]),
+    ({"epochs": 4, "trace_every": 2}, [0, 2, 4]),
+    ({"epochs": 2, "trace_every": 0}, [0, 2]),
+    ({"epochs": 5, "trace_every": 1, "rms_target": 1.0}, [0, 1]),
+], ids=["no-epochs", "every-epoch", "odd-end", "even-end", "no-interval",
+        "early-stop"])
+def test_traces_csv_holds_one_block_per_logged_epoch(runner, tmp_path, fields,
+                                                      blocks):
+    # The start, every trace_every-th epoch and the last epoch run, each once,
+    # whether or not the last falls on a multiple of trace_every.
+    cfg = write_config(tmp_path / "cfg.json", mode="backprop", steps=10,
+                       **fields)
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    _, *rows = read_csv(out / "traces.csv")
+    epochs = [int(row[0]) for row in rows]
+    assert epochs == [e for e in blocks for _ in range(11)]
+    assert len(read_csv(out / "epochs.csv")) == 1 + blocks[-1]
 
 
 def test_train_zero_epochs_writes_initial_artifacts(runner, tmp_path):
@@ -241,7 +266,7 @@ def test_train_zero_epochs_at_the_largest_time_is_finite(runner, tmp_path,
     assert result.exit_code == 0, result.output
     _, *rows = read_csv(out / "traces.csv")
     values = np.array([[float(cell) for cell in row] for row in rows])
-    assert len(values) == 2 * 51  # the start and the (untrained) end
+    assert len(values) == 51  # the start, which is also the untrained end
     assert np.isfinite(values).all()
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,75 @@ def test_package_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert len(SOURCES) > 1
     assert found == []
+
+
+# bool, int, float and numpy's scalar number types (np.integer, np.int64...).
+NUMBER_TYPE = re.compile(r"bool_?|u?int\d*|float\d*|integer|floating|number")
+# Where a number-type test belongs besides the rule itself: the bool-only
+# `tied` flag, and RunConfig's table of JSON types.
+NUMBER_TYPE_TESTS_ALLOWED = {("schedules.py", "isinstance(tied, bool)"),
+                             ("config.py", "isinstance(value, bool)")}
+
+
+def _names_number_type(node):
+    """True if `node` names bool, int, float or a numpy number type, or is a
+    tuple or `|` union holding one."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return any(_names_number_type(e) for e in node.elts)
+    if isinstance(node, ast.BinOp):
+        return _names_number_type(node.left) or _names_number_type(node.right)
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return NUMBER_TYPE.fullmatch(name) is not None
+
+
+def _is_call(node, name):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def _number_type_tests(tree):
+    """Every `isinstance(x, <number type>)` and `type(x) <op> <number type>`
+    in `tree`, outside the bodies of `is_integer` and `is_real`."""
+    rule = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and f.name in ("is_integer", "is_real") for n in ast.walk(f)}
+    for node in ast.walk(tree):
+        if id(node) in rule:
+            continue
+        if _is_call(node, "isinstance") and len(node.args) == 2:
+            if _names_number_type(node.args[1]):
+                yield node
+        elif isinstance(node, ast.Compare) and _is_call(node.left, "type"):
+            if any(_names_number_type(c) for c in node.comparators):
+                yield node
+
+
+def test_number_kind_is_decided_by_the_qcore_rule_alone():
+    # Whether a scalar input is an integer or a real number (a Python or
+    # numpy value, never a bool) is decided by qcore.is_integer and is_real;
+    # a constructor that tests number types itself drifts from that rule.
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in SOURCES
+             for node in _number_type_tests(ast.parse(path.read_text()))
+             if (path.name, ast.unparse(node))
+             not in NUMBER_TYPE_TESTS_ALLOWED]
+    assert found == []
+
+
+def test_number_type_scan_sees_each_form():
+    source = """
+def is_integer(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+def f(v):
+    a = isinstance(v, bool)
+    b = isinstance(v, (str, float))
+    c = isinstance(v, int | None)
+    d = type(v) is not int
+    e = type(v) == np.float64
+    g = isinstance(v, np.floating)
+    ok = isinstance(v, str) or type(v) is dict
+"""
+    lines = [node.lineno for node in _number_type_tests(ast.parse(source))]
+    assert sorted(lines) == [5, 6, 7, 8, 9, 10]
 
 
 SCIPY_FREE_RUN = """
