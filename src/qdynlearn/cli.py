@@ -1,7 +1,7 @@
 """Command-line driver: train, stage, eval, oracle, export.
 
-Exit codes: 0 success, 1 runtime failure (divergence, I/O), 2 usage or
-configuration error.
+Exit codes: 0 success, 1 runtime failure (divergence, an output that cannot
+be written), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,19 @@ from .schedules import load_schedule, save_schedule
 from .train import TrainingDiverged
 
 
-@click.group()
+class _Main(click.Group):
+    """The commands raise a bad input as a usage error (exit 2), so an
+    OSError that reaches here is an output that cannot be written: it ends
+    in one `Error:` line with exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write output: {exc}") from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Train, stage and evaluate learned entanglement witnesses."""
 
@@ -93,10 +105,6 @@ def train(config_path, out_dir, seed, epochs, mode):
     try:
         cfg = RunConfig.from_file(config_path, seed=seed, epochs=epochs,
                                   mode=mode)
-        grid = cfg.grid()
-        schedule = cfg.build_schedule()
-        loop = cfg.train_config()
-        backend = cfg.backend()
     except (ValueError, TypeError, KeyError, OSError) as exc:
         raise click.UsageError(str(exc))
 
@@ -105,22 +113,21 @@ def train(config_path, out_dir, seed, epochs, mode):
 
     pairs = witness.build_training_set(cfg.num_qubits)
 
-    tracer = reporting.TraceWriter(schedule, grid.times)
-    tracer.snapshot(0, schedule)
+    tracer = reporting.TraceWriter(cfg.schedule, cfg.grid.times)
+    tracer.snapshot(0, cfg.schedule)
 
     def callback(epoch, rms, sched):
         if cfg.trace_every and (epoch + 1) % cfg.trace_every == 0:
             tracer.snapshot(epoch + 1, sched)
 
-    loop.epoch_callback = callback
+    cfg.loop.epoch_callback = callback
     try:
-        if cfg.mode == "backprop":
-            schedule, log = train_backprop(pairs, schedule, loop, grid)
-        elif cfg.mode == "rl":
-            schedule, log = rl_mod.train_rl(pairs, schedule, loop, grid)
-        else:
+        if cfg.mode == "circuit":
             schedule, log = circuit_mod.train_circuit_rl(
-                pairs, schedule, loop, backend)
+                pairs, cfg.schedule, cfg.loop, cfg.backend)
+        else:
+            fit = train_backprop if cfg.mode == "backprop" else rl_mod.train_rl
+            schedule, log = fit(pairs, cfg.schedule, cfg.loop, cfg.grid)
     except TrainingDiverged as exc:
         if exc.log is not None:
             exc.log.write_csv(out / "epochs.csv")

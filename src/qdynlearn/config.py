@@ -1,4 +1,4 @@
-"""Run configuration: JSON in, fully resolved defaults out.
+"""Run configuration: JSON in, fully resolved defaults and run objects out.
 
 Field names carry units (ns, rad/ns).  Numeric defaults are the published
 initializations and learning rates, read from the schedule families and the
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .circuit import CircuitRLConfig, ShotBackend
 from .qcore import TimeGrid, check_num_qubits
@@ -53,7 +53,10 @@ JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
 
 @dataclass
 class RunConfig:
-    """Everything needed to reproduce one training run."""
+    """Everything needed to reproduce one training run, and the run's
+    `schedule` (its start), `grid`, `loop` config and shot `backend`, built
+    once from the resolved fields by constructors that check what they take.
+    """
 
     mode: str = "rl"
     num_qubits: int = 2
@@ -82,31 +85,58 @@ class RunConfig:
             if (not any(isinstance(value, JSON_TYPES[t]) for t in types)
                     or isinstance(value, bool) and "bool" not in types):
                 raise ConfigError(f"{name} must be {f.type}, got {value!r}")
-        for name in ("init", "learning_rates", "delta_abs"):
-            check_kinds(name, getattr(self, name) or {}, error=ConfigError)
+        check_kinds("init", self.init, error=ConfigError)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (expected {tuple(MODES)})")
         check_num_qubits(self.num_qubits, error=ConfigError)
-        # Every mode checks every field, used by its family or not.
-        sizes = [(f.SIZE[0], f.SIZE[2]) for f in FAMILIES.values()]
-        for name, low in (("epochs", 0), ("trace_every", 0), ("rms_target", 0),
-                          ("seed", 0), *sizes):
-            if not (getattr(self, name) or 0) >= low:  # None: no target
-                raise ConfigError(f"{name} must be >= {low}")
+        if self.trace_every < 0:
+            raise ConfigError("trace_every must be >= 0")
         if isinstance(self.shots, str) and self.shots != "exact":
             raise ConfigError('shots must be a positive integer or "exact"')
         family, loop_cls = MODES[self.mode]
         if self.delta_rel is None:
             self.delta_rel = loop_cls.delta_rel
-        loop = loop_cls(delta_rel=self.delta_rel)
         if self.T_ns is None:
             self.T_ns = DEFAULT_T_NS[self.mode]
         self.init = {**family.INIT, **self.init}
-        self.learning_rates = {**loop.learning_rates, **self.learning_rates}
         if self.tied is None:
             self.tied = family.TIED
-        self.delta_abs = {**loop.delta_abs, **(self.delta_abs or {})}
-        self.train_config()  # checks the merged loop fields, in every mode
+        try:
+            # The other family's size too: every mode checks both.
+            other = next(f for f in FAMILIES.values() if f is not family)
+            other._size_and_width(self.num_qubits,
+                                  {other.SIZE[0]: getattr(self, other.SIZE[0])})
+            self.schedule = self._start(family)
+            self.grid = TimeGrid(self.T_ns, self.steps)
+            defaults = loop_cls(delta_rel=self.delta_rel)
+            self.learning_rates = {**defaults.learning_rates, **self.learning_rates}
+            self.delta_abs = {**defaults.delta_abs, **(self.delta_abs or {})}
+            self.loop = replace(defaults, epochs=self.epochs,
+                                rms_target=self.rms_target,
+                                learning_rates=self.learning_rates,
+                                delta_abs=self.delta_abs)
+            self.backend = ShotBackend(
+                shots=None if self.shots == "exact" else self.shots,
+                p_dep=self.p_dep, p_ro=self.p_ro, seed=self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def _start(self, family):
+        """The starting schedule: the family at the `init` values, or the
+        `initial_schedule` file, which must match the config (ValueError)."""
+        structure = {family.SIZE[0]: getattr(self, family.SIZE[0])}
+        if self.initial_schedule is None:
+            return family.initialized(self.num_qubits, self.T_ns,
+                                      tied=self.tied, **self.init, **structure)
+        sched = load_schedule(self.initial_schedule)
+        have = (sched.num_qubits, sched.mode, sched.T, sched.structure(),
+                sched.tied)
+        want = (self.num_qubits, family.mode, self.T_ns, structure, self.tied)
+        if have != want:
+            raise ValueError("initial schedule has {} qubits, mode {}, T_ns {}, "
+                             "structure {} and tied {}; config says {}, {}, "
+                             "{}, {} and {}".format(*have, *want))
+        return sched
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":
@@ -135,40 +165,3 @@ class RunConfig:
 
     def resolved(self) -> dict:
         return asdict(self)
-
-    # -- derived objects ---------------------------------------------------
-
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.T_ns, self.steps)
-
-    def build_schedule(self):
-        family = MODES[self.mode][0]
-        structure = {family.SIZE[0]: getattr(self, family.SIZE[0])}
-        if self.initial_schedule is not None:
-            sched = load_schedule(self.initial_schedule)
-            have = (sched.num_qubits, sched.mode, sched.T, sched.structure(),
-                    sched.tied)
-            want = (self.num_qubits, family.mode, self.T_ns, structure, self.tied)
-            if have != want:
-                raise ConfigError("initial schedule has {} qubits, mode {}, T_ns {}, "
-                                  "structure {} and tied {}; config says {}, {}, "
-                                  "{}, {} and {}".format(*have, *want))
-            return sched
-        return family.initialized(
-            self.num_qubits, self.T_ns, tied=self.tied,
-            tunneling=self.init["tunneling"], bias=self.init["bias"],
-            coupling=self.init["coupling"], **structure)
-
-    def train_config(self) -> RLConfig:
-        """The training-loop config, from the resolved fields.
-
-        One type in every mode: backprop reads only its `TrainConfig` fields.
-        """
-        return RLConfig(learning_rates=dict(self.learning_rates),
-                        epochs=self.epochs, rms_target=self.rms_target,
-                        delta_rel=self.delta_rel, delta_abs=dict(self.delta_abs))
-
-    def backend(self) -> ShotBackend:
-        shots = None if self.shots == "exact" else self.shots
-        return ShotBackend(shots=shots, p_dep=self.p_dep, p_ro=self.p_ro,
-                           seed=self.seed)

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .qcore import pair_indices
+
+# The environment variables that set the BLAS thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -75,11 +81,24 @@ class TraceWriter:
             w.writerows(self.rows)
 
 
+def environment():
+    """The package, Python, numpy and BLAS versions, the core count and the
+    BLAS thread variables; None (null in JSON) where a value is missing."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+        "blas", {})
+    return {"qdynlearn": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
+
+
 def write_manifest(path, resolved_config, extra=None):
-    """Full resolved configuration plus provenance for reproducing the run."""
+    """Full resolved configuration, the environment and provenance for
+    reproducing the run."""
     doc = {
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": resolved_config,
+        "environment": environment(),
     }
     if extra:
         doc.update(extra)

@@ -231,10 +231,17 @@ def list_trainable(schedule, learning_rates) -> np.ndarray:
 
 
 def schedule_from_dict(d):
+    """The schedule a `to_dict` record describes; raises ScheduleError
+    naming any key that record would not hold."""
     if d["mode"] not in FAMILIES:
         raise ScheduleError(f"unknown schedule mode {d['mode']!r}")
     family = FAMILIES[d["mode"]]
     size = family.SIZE[0]
+    unknown = sorted(set(d) - {"mode", "num_qubits", "T_ns", "tied",
+                               "coefficients", size}) + sorted(
+        f"coefficients.{k}" for k in set(d["coefficients"]) - {*KIND_ORDER})
+    if unknown:
+        raise ScheduleError(f"unknown schedule fields: {unknown}")
     return family(d["num_qubits"], d["T_ns"], d["coefficients"], tied=d["tied"],
                   **{size: d[size]})
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qdynlearn import qcore, witness
-from qdynlearn.circuit import compile_segments
+import qdynlearn
+from qdynlearn import qcore, reporting, witness
+from qdynlearn.circuit import ShotBackend, compile_segments
 from qdynlearn.cli import main
-from qdynlearn.config import RunConfig
+from qdynlearn.config import ConfigError, RunConfig
+from qdynlearn.train import TrainConfig
 from qdynlearn.schedules import (
     KIND_ORDER,
     FourierSchedule,
@@ -636,6 +639,38 @@ def test_resolved_defaults_are_pinned(mode):
     assert RunConfig(mode=mode).resolved() == RESOLVED_DEFAULTS[mode]
 
 
+@pytest.mark.parametrize("mode", sorted(RESOLVED_DEFAULTS))
+def test_config_builds_the_run_once(mode):
+    cfg = RunConfig(mode=mode, steps=10, shots=8192, epochs=5)
+    assert cfg.grid == qcore.TimeGrid(cfg.T_ns, 10)
+    assert cfg.backend == ShotBackend(shots=8192)
+    assert (cfg.loop.epochs, cfg.loop.learning_rates, cfg.loop.delta_rel,
+            cfg.loop.delta_abs) == (5, cfg.learning_rates, cfg.delta_rel,
+                                    cfg.delta_abs)
+    assert cfg.schedule.T == cfg.T_ns and cfg.schedule.tied == cfg.tied
+    # The built objects are attributes, not fields of the resolved record.
+    assert not {"grid", "loop", "backend", "schedule"} & set(cfg.resolved())
+
+
+@pytest.mark.parametrize("mode", sorted(RESOLVED_DEFAULTS))
+@pytest.mark.parametrize("field,value", [
+    ("steps", 0), ("T_ns", -5.0), ("shots", 0), ("p_ro", 2.0), ("p_dep", -1.0),
+])
+def test_config_checks_every_field_when_built(mode, field, value):
+    # Each field is checked when the config is built, in every mode, by the
+    # constructor that takes it (the grid, the schedule, the shot backend).
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(mode=mode, **{field: value})
+
+
+def test_loop_fields_are_checked_once_by_the_loop_config():
+    with pytest.raises(ValueError) as loop_error:
+        TrainConfig(epochs=-1)
+    with pytest.raises(ConfigError) as run_error:
+        RunConfig(epochs=-1)
+    assert str(run_error.value) == str(loop_error.value)
+
+
 def test_readme_config_block_names_every_field():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("### Config file", 1)[1]
@@ -670,15 +705,58 @@ def test_export_requires_exactly_one_source(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "stage", "export"])
+def test_output_that_cannot_be_written_exits_1_in_one_line(runner, tmp_path,
+                                                           command):
+    schedule = tmp_path / "schedule.json"
+    save_schedule(FourierSchedule.initialized(2, 250.0), schedule)
+    existing_file = tmp_path / "file"
+    existing_file.write_text("")
+    missing = str(tmp_path / "missing" / "out")
+    args = {"train": ["train", "--config",
+                      str(write_config(tmp_path / "cfg.json", epochs=0)),
+                      "--out", str(existing_file)],
+            "eval": ["eval", "--schedule", str(schedule), "--steps", "10",
+                     "--out", missing],
+            "stage": ["stage", str(schedule), missing],
+            "export": ["export", "--config-template", "rl", "--out", missing]}
+    result = runner.invoke(main, args[command])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: cannot write output")
+    assert len(result.output.splitlines()) == 1
+
+
+def test_manifest_records_the_environment(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = write_config(tmp_path / "cfg.json", epochs=0)
+    assert runner.invoke(main, ["train", "--config", str(cfg),
+                                "--out", str(tmp_path / "run")]).exit_code == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert set(env) == {"qdynlearn", "python", "numpy", "blas",
+                        "blas_version", "cpu_count", "blas_threads"}
+    assert (env["qdynlearn"], env["python"], env["numpy"], env["cpu_count"]) == (
+        qdynlearn.__version__, platform.python_version(), np.__version__,
+        os.cpu_count())
+    assert set(env["blas_threads"]) == set(reporting.BLAS_THREAD_VARS)
+    # A missing value is null, not a sentinel.
+    assert env["blas_threads"]["OMP_NUM_THREADS"] == "1"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+
+
 @pytest.mark.parametrize("mode", ["rl", "circuit"])
 def test_setup_only_run_never_imports_numpy_random(tmp_path, mode):
     # The shot generator is built on its first draw, so a run that never
-    # samples never pays for importing numpy.random.
+    # samples never pays for importing numpy.random; nor does the manifest's
+    # environment record pay for importing importlib.metadata.
     cfg = write_config(tmp_path / "cfg.json", mode=mode, shots=8192)
     code = ("import sys\n"
             "from qdynlearn.cli import main\n"
             "main(sys.argv[1:], standalone_mode=False)\n"
-            "print('numpy.random' in sys.modules)\n")
+            "print('numpy.random' in sys.modules,"
+            " 'importlib.metadata' in sys.modules)\n")
     src = str(Path(qcore.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
@@ -687,4 +765,4 @@ def test_setup_only_run_never_imports_numpy_random(tmp_path, mode):
          "--out", str(tmp_path / "run"), "--epochs", "0"],
         capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "False False"

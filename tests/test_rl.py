@@ -45,7 +45,7 @@ def test_delta_abs_default_is_one_rule(delta_rel, init):
     assert RLConfig(delta_rel=delta_rel).delta_abs == expected
     run = RunConfig(mode="rl", delta_rel=delta_rel, init=init)
     assert run.delta_abs == expected
-    assert run.train_config().delta_abs == expected
+    assert run.loop.delta_abs == expected
 
 
 @pytest.mark.parametrize("mode", ["rl", "circuit"])
@@ -55,7 +55,7 @@ def test_partial_delta_abs_takes_the_mode_defaults(mode):
     default = RunConfig(mode=mode).delta_abs
     run = RunConfig(mode=mode, delta_abs={"tunneling": 1e-6})
     assert run.delta_abs == {**default, "tunneling": 1e-6}
-    assert run.train_config().delta_abs == run.delta_abs
+    assert run.loop.delta_abs == run.delta_abs
     with pytest.raises(ValueError, match="per kind"):
         RLConfig(delta_abs={"tunneling": 1e-6})
 

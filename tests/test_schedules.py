@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +301,29 @@ def test_schedule_from_dict_rejects_unknown_mode():
     with pytest.raises(ScheduleError):
         schedule_from_dict({"mode": "spline", "num_qubits": 2, "T_ns": 1.0,
                             "tied": True, "coefficients": {}})
+
+
+@pytest.mark.parametrize("coefficient,key", [
+    (False, "couplng"),
+    (False, "segments"),  # the other family's size field
+    (True, "couplng"),
+])
+def test_load_schedule_rejects_unknown_keys(tmp_path, coefficient, key):
+    # A misspelt key would otherwise load silently, without the value the
+    # file meant to give.
+    path = tmp_path / "s.json"
+    save_schedule(FourierSchedule.initialized(2, 250.0), path)
+    data = json.loads(path.read_text())
+    (data["coefficients"] if coefficient else data)[key] = [[0.0] * 7]
+    path.write_text(json.dumps(data))
+    name = f"coefficients.{key}" if coefficient else key
+    with pytest.raises(ScheduleError, match=f"unknown schedule fields.*{name}"):
+        load_schedule(path)
+
+
+def test_benchmark_start_file_loads():
+    path = Path(__file__).parents[1] / "perfbench" / "circuit_start.json"
+    assert load_schedule(path).structure() == {"segments": 4}
 
 
 @pytest.mark.parametrize("field,value", [
