@@ -16,8 +16,8 @@ from . import circuit as circuit_mod
 from . import qcore, reporting, rl as rl_mod, staging, witness
 from .backprop import train_backprop
 from .config import DEFAULT_STEPS, RunConfig
-from .qcore import DensityMatrix
-from .schedules import load_schedule, save_schedule
+from .qcore import DensityMatrix, is_real
+from .schedules import check_keys, read_json, save_schedule, schedule_from_dict
 from .train import TrainingDiverged
 
 
@@ -53,39 +53,31 @@ def _state(spec, num_qubits, label="state"):
     The spec is a preset name, a list of amplitudes (each a number or a
     [re, im] pair), or an {"amplitudes": [...], "label": ...} object.
     """
-    try:
-        if isinstance(spec, str):
-            if spec not in PRESETS:
-                raise ValueError("unknown preset")
-            label, rho = spec, PRESETS[spec](num_qubits)
-        else:
-            if isinstance(spec, dict):
-                label = spec.get("label", label)
-                spec = spec["amplitudes"]
-            rho = DensityMatrix.from_state_vector(
-                [complex(*a) if isinstance(a, list) and len(a) == 2
-                 else complex(a) for a in spec])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad state {spec!r}: {exc}")
+    if isinstance(spec, str) and spec in PRESETS:
+        label, rho = spec, PRESETS[spec](num_qubits)
+    else:
+        if isinstance(spec, dict):
+            check_keys(spec, ("label", "amplitudes"), ("amplitudes",),
+                       ValueError, f"{label}.", "state")
+            label, spec = spec.get("label", label), spec["amplitudes"]
+        if not (isinstance(spec, list) and all(
+                is_real(a) or isinstance(a, list) and len(a) == 2
+                and all(map(is_real, a)) for a in spec)):
+            raise ValueError(f"bad state {spec!r}: not a preset name or a list "
+                             "of amplitudes, each a number or a [re, im] pair")
+        rho = DensityMatrix.from_state_vector(
+            [complex(*a) if isinstance(a, list) else a for a in spec])
     if rho.num_qubits != num_qubits:
-        raise click.UsageError(f"state {label!r} has {rho.num_qubits} qubits, "
-                               f"expected {num_qubits}")
+        raise ValueError(f"state {label!r} has {rho.num_qubits} qubits, "
+                         f"expected {num_qubits}")
     return label, rho
 
 
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
-
-
-def _load_schedule(path):
-    try:
-        return load_schedule(path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad schedule file {path}: {exc}")
+def _states(entries, num_qubits):
+    """The (label, DensityMatrix) list of a --states file's JSON value."""
+    if not isinstance(entries, list):
+        raise ValueError("--states must hold a JSON list of states")
+    return [_state(e, num_qubits, f"state_{i}") for i, e in enumerate(entries)]
 
 
 @main.command()
@@ -102,11 +94,8 @@ def train(config_path, out_dir, seed, epochs, mode):
     if not Path(config_path).exists():
         raise click.UsageError(f"config not found: {config_path}")
     # Everything that can fail here comes from the config or a file it names.
-    try:
-        cfg = RunConfig.from_file(config_path, seed=seed, epochs=epochs,
-                                  mode=mode)
-    except (ValueError, TypeError, KeyError, OSError) as exc:
-        raise click.UsageError(str(exc))
+    cfg = read_json(config_path, click.UsageError, lambda data: RunConfig.from_dict(
+        data, seed=seed, epochs=epochs, mode=mode))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,7 +146,7 @@ def train(config_path, out_dir, seed, epochs, mode):
               help="Target qubit count (default: one more than the input).")
 def stage(in_schedule, out_schedule, target):
     """Initialize a larger-system schedule from a trained smaller one."""
-    trained = _load_schedule(in_schedule)
+    trained = read_json(in_schedule, click.UsageError, schedule_from_dict)
     n = trained.num_qubits
     if target is None:
         target = n + 1
@@ -181,7 +170,7 @@ def stage(in_schedule, out_schedule, target):
 @click.option("--steps", type=click.IntRange(min=1), default=DEFAULT_STEPS)
 def eval_cmd(schedule_path, states_path, out_path, steps):
     """Evaluate a trained witness and report outputs vs the oracle."""
-    schedule = _load_schedule(schedule_path)
+    schedule = read_json(schedule_path, click.UsageError, schedule_from_dict)
     n = schedule.num_qubits
     qcore.check_num_qubits(n, "schedule num_qubits", click.UsageError)
     # A segmented schedule runs whole segments per step, as its circuit does:
@@ -190,10 +179,7 @@ def eval_cmd(schedule_path, states_path, out_path, steps):
     grid = qcore.TimeGrid(schedule.T, -(-steps // unit) * unit)
 
     if states_path is not None:
-        entries = _read_json(states_path)
-        if not isinstance(entries, list):
-            raise click.UsageError("--states must hold a JSON list of states")
-        states = [_state(e, n, f"state_{i}") for i, e in enumerate(entries)]
+        states = read_json(states_path, click.UsageError, lambda v: _states(v, n))
     else:
         thetas, sweep = witness.theta_sweep_states(n)
         states = [(f"theta_{th:.4f}", st) for th, st in zip(thetas, sweep)]
@@ -213,15 +199,14 @@ def oracle(state):
     STATE is a preset (bell, ghz, zeros, partial), inline JSON amplitudes,
     or a JSON file path.
     """
-    spec = state
-    if state not in PRESETS:
+    if state not in PRESETS and Path(state).exists():
+        _, rho = read_json(state, click.UsageError, lambda s: _state(s, 2))
+    else:
         try:
-            spec = (_read_json(state) if Path(state).exists()
-                    else json.loads(state))
-        except json.JSONDecodeError:
-            raise click.UsageError(f"state {state!r} is not a preset, "
-                                   "a file, or JSON amplitudes")
-    _, rho = _state(spec, 2)
+            _, rho = _state(state if state in PRESETS else json.loads(state), 2)
+        except ValueError as exc:  # a JSONDecodeError too
+            raise click.UsageError(f"state {state!r} is not a preset, a file "
+                                   f"or JSON amplitudes: {exc}") from exc
     click.echo(f"{witness.concurrence(rho):.12f}")
 
 
@@ -243,7 +228,7 @@ def export(schedule_path, template_mode, out_path, steps):
             json.dump(RunConfig(mode=template_mode).resolved(), fh, indent=2)
         click.echo(f"wrote default {template_mode} config to {out_path}")
         return
-    schedule = _load_schedule(schedule_path)
+    schedule = read_json(schedule_path, click.UsageError, schedule_from_dict)
     times = qcore.TimeGrid(schedule.T, steps).times
     tracer = reporting.TraceWriter(schedule, times)
     tracer.snapshot(0, schedule)

@@ -8,14 +8,12 @@ simulator choices.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .circuit import CircuitRLConfig, ShotBackend
 from .qcore import TimeGrid, check_num_qubits
 from .rl import RLConfig
-from .schedules import FAMILIES, load_schedule
+from .schedules import FAMILIES, check_keys, load_schedule
 from .train import check_kinds
 
 # Each mode's schedule family and loop-config defaults: smooth Fourier pulses
@@ -27,14 +25,6 @@ MODES = {"rl": (FAMILIES["fourier"], RLConfig),
 
 class ConfigError(ValueError):
     pass
-
-
-def _finite_float(token):
-    """JSON number parser that rejects NaN and infinities."""
-    value = float(token)
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite number {token} in config")
-    return value
 
 
 # Default evolution times, calibrated so the published learning rates give
@@ -139,29 +129,15 @@ class RunConfig:
         return sched
 
     @classmethod
-    def from_dict(cls, data) -> "RunConfig":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path, **overrides) -> "RunConfig":
-        """Load a JSON config; non-None `overrides` replace fields of the file.
+    def from_dict(cls, data, **overrides) -> "RunConfig":
+        """A config from a JSON object of fields; non-None `overrides` replace them.
 
         Overrides are applied before any default is resolved, so each means
         exactly what the same field written in the file means.
         """
-        with open(path) as fh:
-            try:
-                data = json.load(fh, parse_float=_finite_float,
-                                 parse_constant=_finite_float)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        return cls.from_dict(data)
+        check_keys(data, cls.__dataclass_fields__, (), ConfigError)
+        return cls(**{**data, **{k: v for k, v in overrides.items()
+                                 if v is not None}})
 
     def resolved(self) -> dict:
         return asdict(self)

@@ -61,7 +61,10 @@ class _Schedule:
         self.tied = self.TIED if tied is None else tied
         arrays = []
         for kind in KIND_ORDER:
-            c = np.array(coeffs[kind])
+            try:
+                c = np.array(coeffs[kind])
+            except ValueError as exc:  # a ragged nested list
+                raise ScheduleError(f"ragged {kind} coefficients") from exc
             if c.dtype.kind not in "iuf":
                 raise ScheduleError(f"{kind} coefficients must be numbers")
             c = c.astype(float)
@@ -82,9 +85,8 @@ class _Schedule:
         """The basis size given by `structure`, and the basis width; raises
         ScheduleError unless the size and `num_qubits` are integers in range."""
         name, default, low = cls.SIZE
-        if structure.keys() - {name}:
-            raise TypeError(f"{cls.__name__} takes the structure keyword "
-                            f"{name!r}, got {sorted(structure)}")
+        check_keys(structure, (name,), (), TypeError,
+                   what=f"{cls.__name__} structure")
         size = structure.get(name, default)
         for field, value, least in (("num_qubits", num_qubits, 1), (name, size, low)):
             if not is_integer(value) or value < least:
@@ -230,18 +232,57 @@ def list_trainable(schedule, learning_rates) -> np.ndarray:
     return np.flatnonzero(schedule.per_index(learning_rates) > 0.0)
 
 
+def read_json(path, error, build):
+    """`build` of the JSON value in the file at `path`: every input file is
+    read here.  A file that cannot be read, text that is not JSON, a NaN or
+    infinite number, a key given twice in one object, and any ValueError
+    that `build` raises end as `error` naming the file."""
+    def finite(token):
+        if not math.isfinite(value := float(token)):
+            raise ValueError(f"non-finite number {token}")
+        return value
+
+    def unique(pairs):
+        keys = [k for k, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"duplicate key {max(keys, key=keys.count)!r}")
+        return dict(pairs)
+
+    try:
+        with open(path) as fh:
+            return build(json.load(fh, parse_float=finite, parse_constant=finite,
+                                   object_pairs_hook=unique))
+    except (OSError, ValueError) as exc:
+        why = "not valid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
+        raise error(f"{path}: {why}{exc}") from exc
+
+
+def check_keys(obj, allowed, required, error, prefix="", what="config"):
+    """Raise `error` unless `obj` is a dict with only `allowed` keys and every
+    `required` one; keys are named with the dotted `prefix`, as `what` fields."""
+    if not isinstance(obj, dict):
+        raise error(f"{prefix.rstrip('.') or what} must be a JSON object, "
+                    f"got {type(obj).__name__}")
+    for word, keys in (("unknown", obj.keys() - set(allowed)),
+                       ("missing", set(required) - obj.keys())):
+        if keys:
+            raise error(f"{word} {what} fields: "
+                        f"{sorted(f'{prefix}{k}' for k in keys)}")
+
+
 def schedule_from_dict(d):
     """The schedule a `to_dict` record describes; raises ScheduleError
-    naming any key that record would not hold."""
-    if d["mode"] not in FAMILIES:
+    naming any key that record would not hold or that it lacks."""
+    # The mode comes first: it names the family, whose size field is required.
+    check_keys(d, d, ("mode",), ScheduleError, what="schedule")
+    family = FAMILIES.get(d["mode"]) if isinstance(d["mode"], str) else None
+    if family is None:
         raise ScheduleError(f"unknown schedule mode {d['mode']!r}")
-    family = FAMILIES[d["mode"]]
     size = family.SIZE[0]
-    unknown = sorted(set(d) - {"mode", "num_qubits", "T_ns", "tied",
-                               "coefficients", size}) + sorted(
-        f"coefficients.{k}" for k in set(d["coefficients"]) - {*KIND_ORDER})
-    if unknown:
-        raise ScheduleError(f"unknown schedule fields: {unknown}")
+    fields = ("mode", "num_qubits", "T_ns", "tied", "coefficients", size)
+    check_keys(d, fields, fields, ScheduleError, what="schedule")
+    check_keys(d["coefficients"], KIND_ORDER, KIND_ORDER, ScheduleError,
+               "coefficients.", "schedule")
     return family(d["num_qubits"], d["T_ns"], d["coefficients"], tied=d["tied"],
                   **{size: d[size]})
 
@@ -252,5 +293,4 @@ def save_schedule(schedule, path):
 
 
 def load_schedule(path):
-    with open(path) as fh:
-        return schedule_from_dict(json.load(fh))
+    return read_json(path, ScheduleError, schedule_from_dict)

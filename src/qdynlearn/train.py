@@ -18,7 +18,7 @@ import numpy as np
 
 from .qcore import is_integer, is_real
 from .reporting import EpochLog
-from .schedules import KIND_ORDER
+from .schedules import KIND_ORDER, check_keys
 
 # The guard fires once an epoch's RMS exceeds this multiple of the first
 # epoch's RMS.
@@ -28,9 +28,8 @@ DIVERGENCE_FACTOR = 10.0
 def check_kinds(name, values, error=ValueError):
     """Raise `error` unless every key of the per-kind dict `values` is a kind
     of KIND_ORDER and every value a real number, not a bool."""
+    check_keys(values, KIND_ORDER, (), error, f"{name}.")
     for kind, value in values.items():
-        if kind not in KIND_ORDER:
-            raise error(f"unknown config fields: {name}.{kind}")
         if not is_real(value):
             raise error(f"{name}.{kind} must be float, got {value!r}")
 

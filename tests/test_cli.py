@@ -595,6 +595,29 @@ def test_export_config_template(runner, tmp_path):
     assert cfg["T_ns"] == 2.0
 
 
+@pytest.mark.parametrize("fields", [
+    {"mode": "rl"},
+    {"mode": "backprop"},
+    {"mode": "circuit", "T_ns": 2.0, "shots": 256, "seed": 3},
+], ids=["rl", "backprop", "circuit-shots"])
+def test_manifest_config_reruns_the_same_run(runner, tmp_path, fields):
+    # The manifest's resolved config is a config file of its own: written
+    # out and trained again, it gives the same RMS in every epoch.
+    cfg = write_config(tmp_path / "cfg.json", **fields)
+    result = runner.invoke(main, ["train", "--config", str(cfg),
+                                  "--out", str(tmp_path / "first")])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(manifest["config"]))
+    result = runner.invoke(main, ["train", "--config", str(again),
+                                  "--out", str(tmp_path / "second")])
+    assert result.exit_code == 0, result.output
+    rms = [[row[1] for row in read_csv(tmp_path / run / "epochs.csv")]
+           for run in ("first", "second")]
+    assert rms[0] == rms[1] and len(rms[0]) == 1 + 3
+
+
 @pytest.mark.parametrize("mode", ["rl", "backprop", "circuit"])
 def test_config_template_trains(runner, tmp_path, mode):
     template = tmp_path / "template.json"

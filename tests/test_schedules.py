@@ -278,11 +278,13 @@ def test_copy_is_independent():
 # -- serialization -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", sorted(FAMILIES))
-def test_serialization_roundtrip(tmp_path, mode):
+@pytest.mark.parametrize("mode,tied", [
+    pytest.param(mode, tied, id=mode + ("-tied" if tied else ""))
+    for tied in (False, True) for mode in sorted(FAMILIES)])
+def test_serialization_roundtrip(tmp_path, mode, tied):
     rng = np.random.default_rng(5)
     family = FAMILIES[mode]
-    s = family.initialized(2, 8.0, tied=False,
+    s = family.initialized(2, 8.0, tied=tied,
                            **{family.SIZE[0]: family.SIZE[2] + 2})
     s.params[:] = rng.normal(size=s.params.size)
     path = tmp_path / "sched.json"
@@ -348,11 +350,15 @@ def test_non_numeric_coefficients_rejected():
         FourierSchedule(2, 10.0, coeffs, tied=True, n_max=1)
 
 
-def test_bad_coefficient_shape_rejected():
-    with pytest.raises(ScheduleError):
-        FourierSchedule(2, 10.0, {"tunneling": np.zeros((1, 3)),
-                                  "bias": np.zeros((1, 3)),
-                                  "coupling": np.zeros((2, 3))}, tied=True,
+@pytest.mark.parametrize("kind,coefficients", [
+    ("coupling", np.zeros((2, 3))),
+    # a ragged nested list, as a hand-edited schedule file may hold
+    ("tunneling", [[1.0, 2.0], [3.0]]),
+], ids=["wrong-shape", "ragged"])
+def test_bad_coefficient_shape_rejected(kind, coefficients):
+    coeffs = {k: np.zeros((1, 3)) for k in KIND_ORDER}
+    with pytest.raises(ScheduleError, match=kind):
+        FourierSchedule(2, 10.0, {**coeffs, kind: coefficients}, tied=True,
                         n_max=1)
 
 

@@ -90,6 +90,62 @@ def f(v):
     assert sorted(lines) == [5, 6, 7, 8, 9, 10]
 
 
+def _json_reads(tree):
+    """(enclosing function or None, form) for every `json.load` and
+    `json.loads` in `tree`, called or not, through any alias of the json
+    module, and every name imported from json."""
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name == "json"}
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in aliases
+                    and child.attr in ("load", "loads")):
+                found.append((function, f"json.{child.attr}"))
+            elif isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.extend((function, f"from json import {a.name}")
+                             for a in child.names)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_json_is_read_in_one_function():
+    # Every input file goes through schedules.read_json, which refuses
+    # non-finite numbers and duplicate keys and names the file; a second
+    # reader would drift from those rules.  The oracle's inline
+    # command-line JSON is text, not a file.
+    found = sorted((path.name, function, form) for path in SOURCES
+                   for function, form in _json_reads(ast.parse(path.read_text())))
+    assert found == [("cli.py", "oracle", "json.loads"),
+                     ("schedules.py", "read_json", "json.load")]
+
+
+def test_json_read_scan_sees_each_form():
+    source = """
+import json
+import json as j
+from json import loads
+def f(fh):
+    return json.load(fh)
+class C:
+    def g(self, text):
+        return j.loads(text)
+reader = json.load
+ok = json.dump
+"""
+    found = _json_reads(ast.parse(source))
+    assert len(found) == 4 and set(found) == {
+        (None, "from json import loads"), (None, "json.load"),
+        ("f", "json.load"), ("g", "json.loads")}
+
+
 SCIPY_FREE_RUN = """
 import json, sys
 from pathlib import Path
