@@ -59,7 +59,10 @@ def _state(spec, num_qubits, label="state"):
         if isinstance(spec, dict):
             check_keys(spec, ("label", "amplitudes"), ("amplitudes",),
                        ValueError, f"{label}.", "state")
-            label, spec = spec.get("label", label), spec["amplitudes"]
+            if not isinstance(name := spec.get("label", label), str):
+                raise ValueError(f"{label}.label must be a string, "
+                                 f"got {name!r}")
+            label, spec = name, spec["amplitudes"]
         if not (isinstance(spec, list) and all(
                 is_real(a) or isinstance(a, list) and len(a) == 2
                 and all(map(is_real, a)) for a in spec)):

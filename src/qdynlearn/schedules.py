@@ -42,6 +42,7 @@ class _Schedule:
     `basis(u, size)` gives the basis functions at u = t / T, shape (M, width).
     `num_qubits` and the size are integers, T a positive real, never bools
     (`qcore.is_integer`, `is_real`); they are kept as int and float for JSON.
+    `tied` is a required bool; `initialized` and `RunConfig` default it.
 
     All coefficients live in one vector, `params`, in (kind, site, basis)
     order; `coeffs[kind]` is its (rows, width) view: a row per site, or one
@@ -49,16 +50,16 @@ class _Schedule:
     place, so the views hold.
     """
 
-    def __init__(self, num_qubits, T, coeffs, tied=None, **structure):
+    def __init__(self, num_qubits, T, coeffs, tied, **structure):
         self.size, self.width = self._size_and_width(num_qubits, structure)
         setattr(self, self.SIZE[0], self.size)
         if not (is_real(T) and 0 < T < math.inf):
             raise ScheduleError(f"T_ns must be a positive number, got {T!r}")
-        if tied is not None and not isinstance(tied, bool):
+        if not isinstance(tied, bool):
             raise ScheduleError(f"tied must be a bool, got {tied!r}")
         self.num_qubits = int(num_qubits)
         self.T = float(T)
-        self.tied = self.TIED if tied is None else tied
+        self.tied = tied
         arrays = []
         for kind in KIND_ORDER:
             try:
@@ -235,12 +236,13 @@ def list_trainable(schedule, learning_rates) -> np.ndarray:
 def read_json(path, error, build):
     """`build` of the JSON value in the file at `path`: every input file is
     read here.  A file that cannot be read, text that is not JSON, a NaN or
-    infinite number, a key given twice in one object, and any ValueError
-    that `build` raises end as `error` naming the file."""
-    def finite(token):
-        if not math.isfinite(value := float(token)):
+    infinite number, an integer beyond the float range, a key given twice in
+    one object, and any ValueError that `build` raises end as `error`
+    naming the file."""
+    def finite(token, number=float):
+        if not math.isfinite(float(token)):
             raise ValueError(f"non-finite number {token}")
-        return value
+        return number(token)
 
     def unique(pairs):
         keys = [k for k, _ in pairs]
@@ -251,6 +253,7 @@ def read_json(path, error, build):
     try:
         with open(path) as fh:
             return build(json.load(fh, parse_float=finite, parse_constant=finite,
+                                   parse_int=lambda t: finite(t, int),
                                    object_pairs_hook=unique))
     except (OSError, ValueError) as exc:
         why = "not valid JSON: " if isinstance(exc, json.JSONDecodeError) else ""

@@ -12,7 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 from qdynlearn.cli import main
-from qdynlearn.schedules import FourierSchedule
+from qdynlearn.config import RunConfig
+from qdynlearn.schedules import FourierSchedule, read_json
 
 CONFIG = {"mode": "rl", "num_qubits": 2, "T_ns": 250.0, "steps": 20,
           "epochs": 0}
@@ -53,6 +54,9 @@ CONFIG_DEFECTS = {
     # the later value would win without a word: 0 epochs run, not 5
     "duplicate key": (json.dumps({**CONFIG, "epochs": 5})[:-1]
                       + ', "epochs": 0}', "epochs"),
+    # an integer that float() cannot hold would end in an OverflowError
+    "integer beyond floats": (json.dumps({**CONFIG, "T_ns": 10**400}),
+                              "non-finite number"),
 }
 
 SCHEDULE_DEFECTS = {
@@ -70,6 +74,10 @@ SCHEDULE_DEFECTS = {
     "duplicate key": (_duplicated(json.dumps(_schedule()), "T_ns"), "T_ns"),
     "ragged": (_edited(lambda d: d["coefficients"].update(
         tunneling=[[1.0, 2.0], [3.0]])), "tunneling"),
+    "integer beyond floats": (_edited(lambda d: d.update(T_ns=10**400)),
+                              "non-finite number"),
+    # null would otherwise load as the family's default tie
+    "tied null": (_edited(lambda d: d.update(tied=None)), "tied"),
 }
 
 STATES_DEFECTS = {
@@ -80,6 +88,11 @@ STATES_DEFECTS = {
     "truncated": ('["bell"', "not valid JSON"),
     "duplicate key": ('[{"amplitudes": [1, 0, 0, 0], '
                       '"amplitudes": [0, 0, 0, 1]}]', "amplitudes"),
+    # a label that is not a string would be written to report.csv as text
+    **{f"{kind} label": (json.dumps([{"amplitudes": [1, 0, 0, 0],
+                                      "label": label}]), "state_0.label")
+       for kind, label in (("object", {"a": [1, 2]}), ("null", None),
+                           ("number", 3))},
 }
 
 
@@ -150,3 +163,13 @@ def test_each_defect_is_one_edit_of_a_file_that_loads(tmp_path):
         "eval", "--schedule", str(schedule), "--states", str(states),
         "--out", str(tmp_path / "report.csv"), "--steps", "10"])
     assert result.exit_code == 0, result.output
+
+
+def test_integers_in_the_float_range_load(tmp_path):
+    # The reader refuses only integers float() cannot hold; the largest
+    # shot count keeps every digit.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIG, "mode": "circuit",
+                                "shots": 2**63 - 1}))
+    run = read_json(path, ValueError, RunConfig.from_dict)
+    assert run.shots == run.backend.shots == 2**63 - 1

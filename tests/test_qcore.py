@@ -552,7 +552,7 @@ def test_spin_basis_is_built_without_eigendecomposition(monkeypatch):
     assert calls == []
 
 
-def test_spin_basis_check_raises_on_mixed_copies():
+def test_spin_basis_check_raises_on_mixed_copies(monkeypatch):
     q, blocks = qcore.spin_basis(4)
     assert blocks == ((5, 1), (3, 3), (1, 2))
     # Rotate the m = 0 columns of two spin-1 copies into each other: Q stays
@@ -562,10 +562,11 @@ def test_spin_basis_check_raises_on_mixed_copies():
     c, s = np.cos(1e-6), np.sin(1e-6)
     mixed[:, [a, b]] = q[:, [a, b]] @ np.array([[c, -s], [s, c]])
     assert np.abs(mixed.T @ mixed - np.eye(16)).max() <= 1e-14
-    with pytest.raises(np.linalg.LinAlgError, match="spin basis at N = 4"):
-        qcore.check_spin_basis(mixed, blocks, 4)
-    with pytest.raises(np.linalg.LinAlgError, match="spin basis at N = 4"):
-        qcore.check_spin_basis(1.0001 * q, blocks, 4)
+    # `block_basis` checks the Q it is given; `__wrapped__` bypasses its cache.
+    for bad in (mixed, 1.0001 * q):
+        monkeypatch.setattr(qcore, "spin_basis", lambda n, bad=bad: (bad, blocks))
+        with pytest.raises(np.linalg.LinAlgError, match="spin basis at N = 4"):
+            qcore.block_basis.__wrapped__(4, True)
 
 
 # Every function-level cache of the package, by "module.qualname", with its
@@ -625,6 +626,14 @@ def test_block_basis_layout(num_qubits, tied):
         assert basis.blocks == tuple(n for n, c in spins for _ in range(c))
         assert np.array_equal(basis.fold_map, q.T)
         assert not basis.identity
+        # Every copy of a spin carries its first copy's blocks exactly.
+        start = 0
+        for n, copies in spins:
+            first = basis.gens[:, start:start + n, start:start + n]
+            for k in range(copies):
+                span = slice(start + k * n, start + (k + 1) * n)
+                assert np.array_equal(basis.gens[:, span, span], first)
+            start += n * copies
     else:  # one block, Q = I
         assert basis.blocks == (d,) and basis.identity
         assert np.array_equal(basis.fold_map, np.eye(d))

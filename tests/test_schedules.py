@@ -181,7 +181,7 @@ def test_family_structure_keyword_is_checked(mode):
         with pytest.raises(TypeError):
             family.initialized(2, 1.0, **{other: 3})
         with pytest.raises(TypeError):
-            family(2, 1.0, s.coeffs, **{name: default, other: 3})
+            family(2, 1.0, s.coeffs, tied=s.tied, **{name: default, other: 3})
     with pytest.raises(ScheduleError, match=name):
         family.initialized(2, 1.0, **{name: low - 1})
 
